@@ -34,7 +34,7 @@ from .errors import (
     UncoverableSpace,
 )
 from .kset import collect_ksets_random, enumerate_ksets_graph, save_collection
-from .sweep2d import enumerate_ksets_2d, exact_rank_regret_2d
+from .sweep2d import enumerate_ksets_2d
 
 INPUT_ERRORS = (FileNotFoundError, NoUsableRows, ConstantAttribute, NonFiniteValue)
 CONFIG_ERRORS = (ConfigError, KOutOfRange, DimensionNot2D, DimensionMismatch,
@@ -304,16 +304,10 @@ def _cmd_eval(args) -> int:
         with open(args.members_file, "r", encoding="utf-8") as fh:
             members = json.load(fh)["member_ids"]
     seed = _resolve_seed(args)
-    exact = args.eval == "exact" or (
-        args.eval == "auto" and dataset.d == 2 and dataset.n <= ev.EXACT_2D_LIMIT)
-    if exact:
-        regret, samples = exact_rank_regret_2d(dataset, members), None
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        regret = ev.estimate_rank_regret(dataset, members, args.samples, rng)
-        samples = args.samples
+    regret, exact, samples = ev.measure_rank_regret(
+        dataset, members, samples=args.samples, seed=seed, mode=args.eval)
     payload = {"member_ids": sorted(int(t) for t in members),
-               "rank_regret": int(regret), "exact": exact,
+               "rank_regret": regret, "exact": exact,
                "samples": samples, "seed": seed, "n": dataset.n, "d": dataset.d}
     _write(json.dumps(payload, indent=2) + "\n", args.output)
     return 0

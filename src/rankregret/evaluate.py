@@ -3,7 +3,8 @@
 Rank-regret of a subset is estimated by drawing ranking functions
 uniformly from the first-orthant sphere and taking the worst best-rank of
 any member; the estimate never exceeds the true maximum.  In 2-D (and at
-moderate size) the sweep gives the exact value instead.
+moderate size) the members' rank trajectories give the exact value
+instead.
 """
 
 import csv
@@ -12,7 +13,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,6 +170,25 @@ def dual_problem(dataset: Dataset, size_budget: int, solver: str = "mdrc",
     return best
 
 
+def measure_rank_regret(dataset: Dataset, members, *,
+                        samples: int = DEFAULT_SAMPLES,
+                        seed: Optional[int] = None,
+                        mode: str = "auto") -> Tuple[int, bool, Optional[int]]:
+    """Rank-regret of ``members`` as (value, exact, samples used).
+
+    ``mode`` "auto" is exact for d = 2 up to EXACT_2D_LIMIT tuples and a
+    sampled estimate otherwise; the estimate's functions are derived from
+    ``seed``, so equal seeds measure equal members identically.
+    """
+    exact = mode == "exact" or (
+        mode == "auto" and dataset.d == 2 and dataset.n <= EXACT_2D_LIMIT)
+    if exact:
+        return int(exact_rank_regret_2d(dataset, members)), True, None
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([0xE7A1, seed if seed is not None else 0])))
+    return int(estimate_rank_regret(dataset, members, samples, rng)), False, samples
+
+
 def evaluate_representative(dataset: Dataset, rep: Representative, *,
                             samples: int = DEFAULT_SAMPLES,
                             seed: Optional[int] = None,
@@ -176,19 +196,11 @@ def evaluate_representative(dataset: Dataset, rep: Representative, *,
                             wall_time_seconds: float = 0.0) -> EvaluationReport:
     """Attach a rank-regret measurement to a solver output."""
     k = rep.params.get("k", 0)
-    exact = mode == "exact" or (
-        mode == "auto" and dataset.d == 2 and dataset.n <= EXACT_2D_LIMIT)
-    if exact:
-        regret = exact_rank_regret_2d(dataset, rep.members)
-        used_samples = None
-    else:
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([0xE7A1, seed if seed is not None else 0])))
-        regret = estimate_rank_regret(dataset, rep.members, samples, rng)
-        used_samples = samples
+    regret, exact, used_samples = measure_rank_regret(
+        dataset, rep.members, samples=samples, seed=seed, mode=mode)
     return EvaluationReport(
         algorithm=rep.algorithm, n=dataset.n, d=dataset.d, k=int(k),
-        subset_size=rep.size, rank_regret=int(regret), exact=exact,
+        subset_size=rep.size, rank_regret=regret, exact=exact,
         samples=used_samples, wall_time_seconds=wall_time_seconds,
         seed=seed, params=dict(rep.params),
         dataset_fingerprint=dataset.fingerprint())

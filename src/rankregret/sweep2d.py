@@ -181,23 +181,42 @@ def _find_ranges_sweep(values: np.ndarray, k: int) -> List[AngularRange]:
             for t in sorted(begin) if t in end and begin[t] <= end[t]]
 
 
+def _angle_scores(values: np.ndarray, thetas) -> np.ndarray:
+    """Scores (one row per angle) under the rays (cos theta, sin theta).
+
+    The two axis rays get their exact weights, so ties at pi/2 resolve by
+    id rather than by a 6e-17 share of the first attribute.  Elementwise
+    products keep the rounding independent of the BLAS build.
+    """
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    w1 = np.where(thetas == HALF_PI, 0.0, np.cos(thetas))
+    w2 = np.sin(thetas)
+    return (w1[:, None] * values[None, :, 0]) + (w2[:, None] * values[None, :, 1])
+
+
 def _topk_at(values: np.ndarray, theta: float, k: int) -> frozenset:
     """Tie-broken top-k ids at one exact angle."""
-    scores = values[:, 0] * np.cos(theta) + values[:, 1] * np.sin(theta)
-    return frozenset(_select_top_k(scores, k).tolist())
+    return frozenset(_select_top_k(_angle_scores(values, theta)[0], k).tolist())
 
 
-def _min_member_rank_at(values: np.ndarray, theta: float,
-                        members: np.ndarray) -> int:
-    """Best tie-broken member rank at one exact angle."""
-    scores = values[:, 0] * np.cos(theta) + values[:, 1] * np.sin(theta)
-    member_scores = scores[members]
-    best_col = int(np.argmax(member_scores))  # first max = smallest id
-    best_id = int(members[best_col])
-    best = member_scores[best_col]
-    ids = np.arange(values.shape[0])
-    return int(1 + np.count_nonzero(scores > best)
-               + np.count_nonzero((scores == best) & (ids < best_id)))
+def _min_member_ranks(values: np.ndarray, thetas,
+                      members: np.ndarray) -> np.ndarray:
+    """Best tie-broken member rank at each exact angle, scored in chunks."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    n = values.shape[0]
+    ids = np.arange(n)
+    chunk = max(1, (1 << 20) // n)
+    out = np.empty(thetas.size, dtype=np.int64)
+    for lo in range(0, thetas.size, chunk):
+        scores = _angle_scores(values, thetas[lo:lo + chunk])
+        member_scores = scores[:, members]
+        best_col = np.argmax(member_scores, axis=1)  # first max = smallest id
+        best = member_scores[np.arange(len(scores)), best_col][:, None]
+        best_id = members[best_col][:, None]
+        out[lo:lo + chunk] = (1 + np.count_nonzero(scores > best, axis=1)
+                              + np.count_nonzero((scores == best) & (ids < best_id),
+                                                 axis=1))
+    return out
 
 
 def _find_ranges_trajectory(values: np.ndarray, k: int) -> List[AngularRange]:
@@ -205,42 +224,28 @@ def _find_ranges_trajectory(values: np.ndarray, k: int) -> List[AngularRange]:
 
     A tuple's rank changes by +-1 at each of its pairwise crossing angles,
     so its trajectory is a prefix sum over the sorted crossings.  Tuples
-    with at least k dominators can never reach the top k and are skipped;
-    the dominator counts come from a single Fenwick-tree pass.
+    with at least k dominators can never reach the top k and are skipped.
+    Every decision below compares a rank with k or 2k, and a tuple with
+    2k strict dominators outranks nobody ranked within 2k at any angle,
+    so the trajectories count only the other tuples: ranks up to 2k come
+    out exact and larger ranks stay above 2k.
     """
     n = values.shape[0]
-    x1, x2 = values[:, 0], values[:, 1]
-    ids = np.arange(n)
     if k >= n:
         return [AngularRange(t, 0.0, HALF_PI) for t in range(n)]
-    candidates = np.flatnonzero(_dominator_counts(values) < k)
+    candidates = np.flatnonzero(dominator_counts(values) < k)
+    ids = np.flatnonzero(dominator_counts(values, strict=True) < 2 * k)
+    x1, x2 = values[ids, 0], values[ids, 1]
     out: List[AngularRange] = []
     for t in candidates:
-        du = x1 - x1[t]
-        dv = x2 - x2[t]
-        # limit rank just after 0 and tie-broken ranks at the exact endpoints
-        rank0 = 1 + int(
-            np.count_nonzero(du > 0)
-            + np.count_nonzero((du == 0) & (dv > 0))
-            + np.count_nonzero((du == 0) & (dv == 0) & (ids < t))
-        )
+        du = x1 - values[t, 0]
+        dv = x2 - values[t, 1]
+        angles, states = _trajectory(du, dv, ids, t)
+        # tie-broken ranks at the exact endpoints
         rank_at_0 = 1 + int(np.count_nonzero(du > 0)
                             + np.count_nonzero((du == 0) & (ids < t)))
         rank_at_end = 1 + int(np.count_nonzero(dv > 0)
                               + np.count_nonzero((dv == 0) & (ids < t)))
-        crossing = ((du > 0) & (dv < 0)) | ((du < 0) & (dv > 0))
-        angles = np.arctan(du[crossing] / -dv[crossing])
-        deltas = np.where(dv[crossing] > 0, 1, -1)
-        sorter = np.argsort(angles, kind="stable")
-        angles = angles[sorter]
-        ranksums = rank0 + np.cumsum(deltas[sorter])
-        # take the state after all events at equal angles
-        if angles.size:
-            last = np.flatnonzero(np.diff(angles) > 0)
-            last = np.concatenate([last, [angles.size - 1]])
-            angles = angles[last]
-            ranksums = ranksums[last]
-        states = np.concatenate([[rank0], ranksums])
         inside = states <= k
         if not (inside.any() or rank_at_0 <= k or rank_at_end <= k):
             continue
@@ -269,48 +274,77 @@ def _find_ranges_trajectory(values: np.ndarray, k: int) -> List[AngularRange]:
     return out
 
 
-def _dominator_counts(values: np.ndarray) -> np.ndarray:
-    """For each tuple, how many others are >= on both attributes (one strictly)."""
+def _trajectory(du: np.ndarray, dv: np.ndarray, ids: np.ndarray,
+                t: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Rank trajectory of tuple t from its offsets to the other tuples.
+
+    ``du``/``dv`` are the other tuples' attribute values minus t's and
+    ``ids`` their ids.  Returns the distinct crossing angles in ascending
+    order and the ranks: ``states[0]`` just after angle 0, ``states[i+1]``
+    just after ``angles[i]`` (after every crossing at that angle).
+    """
+    rank0 = 1 + int(
+        np.count_nonzero(du > 0)
+        + np.count_nonzero((du == 0) & (dv > 0))
+        + np.count_nonzero((du == 0) & (dv == 0) & (ids < t))
+    )
+    crossing = ((du > 0) & (dv < 0)) | ((du < 0) & (dv > 0))
+    angles = np.arctan(du[crossing] / -dv[crossing])
+    deltas = np.where(dv[crossing] > 0, 1, -1)
+    sorter = np.argsort(angles, kind="stable")
+    angles = angles[sorter]
+    ranksums = rank0 + np.cumsum(deltas[sorter])
+    # take the state after all events at equal angles
+    if angles.size:
+        last = np.flatnonzero(np.diff(angles) > 0)
+        last = np.concatenate([last, [angles.size - 1]])
+        angles = angles[last]
+        ranksums = ranksums[last]
+    return angles, np.concatenate([[rank0], ranksums])
+
+
+def dominator_counts(values: np.ndarray, strict: bool = False) -> np.ndarray:
+    """For each tuple, how many others dominate it.
+
+    A dominator is >= on both attributes and > on one; with ``strict`` it
+    must be > on both.  Tuples with k dominators are in no top-k (the
+    k-skyband), and tuples with k strict dominators rank below k at every
+    angle, the axis endpoints included.
+
+    The tuples are ordered by descending x1 so that the dominators of a
+    tuple all precede it (ties on x1 are ordered so that the preceding
+    ones qualify exactly when their x2 does); the count of preceding
+    tuples with a large enough x2 is then summed over the O(log n) levels
+    of a bottom-up merge, each one vectorized sort and searchsorted.
+    """
     n = values.shape[0]
     x1, x2 = values[:, 0], values[:, 1]
-    x2_rank = np.searchsorted(np.sort(np.unique(x2)), x2)
-    size = x2_rank.max() + 2
-    tree = np.zeros(size + 1, dtype=np.int64)
-
-    def add(pos):
-        pos += 1
-        while pos <= size:
-            tree[pos] += 1
-            pos += pos & (-pos)
-
-    def count_le(pos):  # processed entries with rank <= pos
-        pos += 1
-        total = 0
-        while pos > 0:
-            total += tree[pos]
-            pos -= pos & (-pos)
-        return total
-
-    dom = np.zeros(n, dtype=np.int64)
-    order = np.lexsort((x2, x1))[::-1]  # x1 desc, x2 desc within ties
-    processed = 0
-    i = 0
-    while i < n:
-        j = i
-        while j < n and x1[order[j]] == x1[order[i]]:
-            j += 1
-        group = order[i:j]
-        for t in group:
-            dom[t] = processed - count_le(x2_rank[t] - 1)
-        # within the equal-x1 group only strictly larger x2 dominates
-        group_x2 = np.sort(x2[group])
-        for t in group:
-            dom[t] += group.size - np.searchsorted(group_x2, x2[t], side="right")
-        for t in group:
-            add(x2_rank[t])
-        processed += group.size
-        i = j
-    return dom
+    # weak: x2 descending within x1 ties, so those ahead have x2 >= own;
+    # strict: x2 ascending, so none of them has a strictly larger x2
+    order = np.lexsort((x2 if strict else -x2, -x1))
+    rank = np.unique(x2, return_inverse=True)[1].reshape(-1)[order]
+    stride = n + 1  # block * stride + rank sorts by block, then by rank
+    side = "right" if strict else "left"
+    pos = np.arange(n)
+    before = np.zeros(n, dtype=np.int64)
+    width = 1
+    while width < n:
+        block = pos // (2 * width)
+        right = (pos // width) % 2 == 1
+        left_keys = np.sort(block[~right] * stride + rank[~right])
+        q_block = block[right]
+        before[right] += (
+            np.searchsorted(left_keys, (q_block + 1) * stride, side="left")
+            - np.searchsorted(left_keys, q_block * stride + rank[right], side=side))
+        width *= 2
+    if not strict:
+        # exact duplicates precede each other but do not dominate
+        same = np.zeros(n, dtype=bool)
+        same[1:] = (x1[order][1:] == x1[order][:-1]) & (rank[1:] == rank[:-1])
+        before -= pos - np.maximum.accumulate(np.where(same, 0, pos))
+    out = np.empty(n, dtype=np.int64)
+    out[order] = before
+    return out
 
 
 class UncoveredIntervals:
@@ -452,7 +486,7 @@ def rrr_2d(dataset: Dataset, k: int, method: str = "auto") -> Representative:
     check_angles.update(r.end for r in selected)
     member_arr = np.array(sorted(members))
     for theta in sorted(check_angles):
-        if _min_member_rank_at(dataset.values, theta, member_arr) > 2 * k:
+        if _min_member_ranks(dataset.values, theta, member_arr)[0] > 2 * k:
             members.add(min(_topk_at(dataset.values, theta, k)))
             member_arr = np.array(sorted(members))
     return Representative(members=frozenset(members), algorithm="2drrr",
@@ -464,16 +498,24 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
 
     The top-k set changes exactly when an exchange crosses the rank-k
     boundary; each recorded set carries a witness function from the middle
-    of the angle interval on which it is the top-k.
+    of the angle interval on which it is the top-k.  Only the k-skyband
+    is swept: every tuple that outranks a top-k member is itself in the
+    top k, so dropping the tuples with k dominators changes neither the
+    top-k sets nor the angles at which they change.
     """
     _require_2d(dataset)
     if not 1 <= k <= dataset.n:
         raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
-    sweep = ExchangeSweep(dataset.values)
-    segments: List[Tuple[frozenset, float]] = [(frozenset(sweep.order[:k]), 0.0)]
+    skyband = np.flatnonzero(dominator_counts(dataset.values) < k)
+    sweep = ExchangeSweep(dataset.values[skyband])
+
+    def top():  # ascending ids in the skyband keep the id tie-break
+        return frozenset(skyband[sweep.order[:k]].tolist())
+
+    segments: List[Tuple[frozenset, float]] = [(top(), 0.0)]
     for theta, swaps in sweep.batches():
         if any(i == k - 1 for i, _, _ in swaps):
-            current = frozenset(sweep.order[:k])
+            current = top()
             if current != segments[-1][0]:
                 segments.append((current, theta))
     discovered: dict = {}
@@ -491,11 +533,12 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
 def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
     """max over theta of (best rank among ``subset`` members), exactly.
 
-    Member ranks only change at exchange events involving a member, so one
-    sweep visits every distinct value: the state after each such event
-    batch covers the open intervals, and the batch angle itself (where
-    score ties resolve by id) plus the two endpoint angles are measured
-    directly.
+    Member ranks only change at the members' crossing angles, so the best
+    member rank is constant between consecutive angles of their union: the
+    members' rank trajectories give it on every open interval, and the
+    angles themselves (where score ties resolve by id) plus the two
+    endpoints are scored directly.  Exact up to floating-point score ties
+    at interior crossing angles.
     """
     _require_2d(dataset)
     members = sorted({int(t) for t in subset})
@@ -503,18 +546,20 @@ def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
         raise EmptySubset("subset must contain at least one tuple id")
     if not all(0 <= t < dataset.n for t in members):
         raise ValueError("subset contains unknown tuple ids")
-    sweep = ExchangeSweep(dataset.values)
-    member_arr = np.asarray(members)
-    is_member = np.zeros(dataset.n, dtype=bool)
-    is_member[member_arr] = True
-    worst = int(sweep.position[member_arr].min()) + 1  # the rank at angle 0
-    for theta, swaps in sweep.batches():
-        if any(is_member[upper] or is_member[lower] for _, upper, lower in swaps):
-            worst = max(worst,
-                        _min_member_rank_at(dataset.values, theta, member_arr),
-                        int(sweep.position[member_arr].min()) + 1)
-    worst = max(worst, _min_member_rank_at(dataset.values, HALF_PI, member_arr))
-    return worst
+    values = dataset.values
+    ids = np.arange(dataset.n)
+    trajectories = [_trajectory(values[:, 0] - values[t, 0],
+                                values[:, 1] - values[t, 1], ids, t)
+                    for t in members]
+    angles = np.unique(np.concatenate([[0.0]] + [a for a, _ in trajectories]))
+    # the best member rank just after each angle (just after 0 included)
+    after = np.full(angles.size, dataset.n, dtype=np.int64)
+    for a, states in trajectories:
+        np.minimum(after, states[np.searchsorted(a, angles, side="right")],
+                   out=after)
+    at = _min_member_ranks(values, np.append(angles, HALF_PI),
+                           np.asarray(members))
+    return int(max(after.max(), at.max()))
 
 
 def _require_2d(dataset: Dataset) -> None:

@@ -1,10 +1,12 @@
 """Independent brute-force oracles the real algorithms are checked against.
 
-Everything here is deliberately naive: dense angle grids, exhaustive
-subset enumeration, and definition-level rank counting.  None of it
+Everything here is deliberately naive: dense angle grids, event sweeps
+over every tuple, exhaustive subset enumeration, rational arithmetic and
+definition-level rank counting.  None of it
 shares code with the implementations under test.
 """
 
+import heapq
 import itertools
 
 import numpy as np
@@ -57,6 +59,113 @@ def dense_sweep_ksets(values, k, grid=10_001):
     return seen
 
 
+class FullExchangeSweep:
+    """The ranking order of all n tuples across the 2-D angular sweep.
+
+    Adjacent transpositions popped from a heap in ascending angle, equal
+    angles by ascending id pair; an event whose pair is no longer adjacent
+    in the expected orientation is stale and skipped.  O(n^2) events.
+    """
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        n = self.values.shape[0]
+        self.n = n
+        ids = np.arange(n)
+        self.order = [int(t) for t in np.lexsort((ids, -self.values[:, 0]))]
+        self.position = np.empty(n, dtype=np.int64)
+        self.position[self.order] = ids
+        self._heap = []
+        for i in range(n - 1):
+            self._push(self.order[i], self.order[i + 1])
+
+    def _push(self, upper, lower):
+        du = self.values[upper, 0] - self.values[lower, 0]
+        dv = self.values[upper, 1] - self.values[lower, 1]
+        if dv < 0.0 and du >= 0.0:
+            theta = float(np.arctan(du / -dv)) if du > 0.0 else 0.0
+            lo, hi = min(upper, lower), max(upper, lower)
+            heapq.heappush(self._heap, (theta, lo, hi, upper))
+
+    def batches(self):
+        """Yield (theta, swaps), the order already updated past theta."""
+        heap, order, position = self._heap, self.order, self.position
+        while heap:
+            theta = heap[0][0]
+            swaps = []
+            while heap and heap[0][0] == theta:
+                _, lo, hi, upper = heapq.heappop(heap)
+                lower = hi if upper == lo else lo
+                i = position[upper]
+                if i + 1 >= self.n or order[i + 1] != lower:
+                    continue
+                order[i], order[i + 1] = lower, upper
+                position[upper], position[lower] = i + 1, i
+                swaps.append((i, upper, lower))
+                if i > 0:
+                    self._push(order[i - 1], lower)
+                if i + 2 < self.n:
+                    self._push(upper, order[i + 2])
+            if swaps:
+                yield theta, swaps
+
+
+def sweep_ksets_2d(values, k):
+    """(members, witness weights) of every top-k set along a full sweep,
+    in order of appearance, each witnessed at the middle of its interval."""
+    sweep = FullExchangeSweep(values)
+    segments = [(frozenset(sweep.order[:k]), 0.0)]
+    for theta, swaps in sweep.batches():
+        if any(i == k - 1 for i, _, _ in swaps):
+            current = frozenset(sweep.order[:k])
+            if current != segments[-1][0]:
+                segments.append((current, theta))
+    out = {}
+    for j, (members, start) in enumerate(segments):
+        stop = segments[j + 1][1] if j + 1 < len(segments) else HALF_PI
+        if stop > start and members not in out:
+            mid = (start + stop) / 2.0
+            out[members] = (np.cos(mid), np.sin(mid))
+    return list(out.items())
+
+
+def sweep_rank_regret_2d(values, subset):
+    """Best member rank, maximized over a full sweep: the order after
+    every batch that moves a member, plus the tie-broken rank at those
+    batch angles and at both endpoints (exact axis weights there)."""
+    values = np.asarray(values, dtype=np.float64)
+    members = sorted({int(t) for t in subset})
+
+    is_member = set(members)
+
+    def rank_at(theta):
+        w = (0.0, 1.0) if theta == HALF_PI else (np.cos(theta), np.sin(theta))
+        scores = values[:, 0] * w[0] + values[:, 1] * w[1]
+        return min(1 + int(np.count_nonzero(scores > scores[t]))
+                   + int(np.count_nonzero(scores[:t] == scores[t]))
+                   for t in members)
+
+    sweep = FullExchangeSweep(values)
+    worst = int(sweep.position[members].min()) + 1
+    for theta, swaps in sweep.batches():
+        if any(u in is_member or v in is_member for _, u, v in swaps):
+            worst = max(worst, rank_at(theta),
+                        int(sweep.position[members].min()) + 1)
+    return max(worst, rank_at(HALF_PI))
+
+
+def dominators_by_definition(values, strict=False):
+    """How many tuples are >= on both attributes and > on one (or > on
+    both when ``strict``), by comparing every pair."""
+    v = np.asarray(values, dtype=np.float64)
+    ge = (v[None, :, 0] >= v[:, None, 0]) & (v[None, :, 1] >= v[:, None, 1])
+    if strict:
+        return ((v[None, :, 0] > v[:, None, 0])
+                & (v[None, :, 1] > v[:, None, 1])).sum(axis=1)
+    gt = (v[None, :, 0] > v[:, None, 0]) | (v[None, :, 1] > v[:, None, 1])
+    return (ge & gt).sum(axis=1)
+
+
 def exhaustive_min_hitting_size(sets):
     """Minimum hitting-set size by subset enumeration over the ground set."""
     sets = [frozenset(s) for s in sets]
@@ -76,3 +185,38 @@ def exhaustive_lp_ksets(dataset, k, validator):
         if validator(dataset, combo) is not None:
             out.add(frozenset(combo))
     return out
+
+
+def rational_rank_regret_2d(values, subset):
+    """Exact rank-regret in 2-D with rational arithmetic.
+
+    Ranks only change where two tuples score equally.  With w = (1, r),
+    r >= 0, and w = (0, 1) for the far end, every such ratio r is
+    evaluated, together with a point inside each gap between consecutive
+    ratios and one beyond the last, so every piece of the ranking is
+    visited and every tie is resolved by id exactly.
+    """
+    from fractions import Fraction
+
+    pts = [(Fraction(float(a)), Fraction(float(b))) for a, b in values]
+    members = sorted({int(t) for t in subset})
+    ratios = set()
+    for i, (a1, a2) in enumerate(pts):
+        for b1, b2 in pts[i + 1:]:
+            if a2 != b2:
+                r = (a1 - b1) / (b2 - a2)
+                if r > 0:
+                    ratios.add(r)
+    ratios = sorted(ratios)
+    probes = [Fraction(0)] + ratios
+    probes += [(lo + hi) / 2 for lo, hi in zip(probes, probes[1:])]
+    probes.append(probes[-1] + 1 if ratios else Fraction(1))
+    weights = [(Fraction(1), r) for r in probes] + [(Fraction(0), Fraction(1))]
+    worst = 0
+    for w1, w2 in weights:
+        scores = [w1 * a + w2 * b for a, b in pts]
+        best = min(1 + sum(1 for u, s in enumerate(scores)
+                           if s > scores[t] or (s == scores[t] and u < t))
+                   for t in members)
+        worst = max(worst, best)
+    return worst

@@ -170,6 +170,25 @@ class TestEval:
         assert payload["member_ids"] == [0, 2]
 
 
+    def test_estimate_matches_solve_for_the_same_seed(self, tmp_path, capsys):
+        # both commands draw the estimate's functions from the same seed
+        rng = np.random.default_rng(3)
+        path = tmp_path / "three.csv"
+        np.savetxt(path, rng.random((60, 3)), delimiter=",", header="a,b,c",
+                   comments="")
+        rep = tmp_path / "rep.json"
+        for seed in ("1", "2", "3"):
+            assert main(["solve", str(path), "--algo", "mdrc", "--k", "3",
+                         "--samples", "8", "--seed", seed, "-o", str(rep)]) == 0
+            solved = json.loads(rep.read_text())
+            capsys.readouterr()
+            assert main(["eval", str(path), "--members-file", str(rep),
+                         "--samples", "8", "--seed", seed]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["exact"] is False and payload["samples"] == 8
+            assert payload["rank_regret"] == solved["evaluation"]["rank_regret"]
+
+
 class TestDualAndBench:
     def test_dual(self, fig1_csv, capsys):
         code = main(["dual", fig1_csv, "--size-budget", "2",

@@ -9,6 +9,7 @@ from rankregret import (
     exact_rank_regret_2d,
     find_ranges,
     is_valid_kset,
+    ranks,
     rrr_2d,
     top_k,
 )
@@ -18,15 +19,24 @@ from rankregret.errors import (
     KOutOfRange,
     UncoverableSpace,
 )
-from rankregret.sweep2d import AngularRange, ExchangeSweep, UncoveredIntervals
+from rankregret.sweep2d import (
+    AngularRange,
+    ExchangeSweep,
+    UncoveredIntervals,
+    dominator_counts,
+)
 
 from conftest import FIG1_VALUES, T, random_dataset, tids
 from oracles import (
     dense_sweep_ksets,
     dense_sweep_max_rank,
     dense_sweep_topk_membership,
+    dominators_by_definition,
     exhaustive_lp_ksets,
     exhaustive_min_hitting_size,
+    rational_rank_regret_2d,
+    sweep_ksets_2d,
+    sweep_rank_regret_2d,
 )
 
 HALF_PI = np.pi / 2
@@ -121,6 +131,32 @@ class TestFindRanges:
             for _ in sweep.batches():
                 pass
             assert sweep.swap_count <= n * (n - 1) // 2
+
+
+def grid_values(rng, n, steps=4):
+    """Values i/steps with an exact duplicate row: ties on both axes."""
+    vals = rng.integers(0, steps + 1, size=(n, 2)) / steps
+    if n > 4:
+        vals[n // 2] = vals[0]
+    return vals
+
+
+def anticorrelated_values(rng, n):
+    x = rng.random(n)
+    return np.column_stack([x, np.clip(1.0 - x + rng.normal(0, 0.05, n), 0, 1)])
+
+
+class TestDominatorCounts:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_definition(self, strict):
+        # grid data with duplicate rows, plus one larger tie-free input
+        rng = np.random.default_rng(53)
+        inputs = [grid_values(rng, int(rng.integers(1, 60)),
+                              steps=int(rng.integers(1, 5))) for _ in range(60)]
+        inputs.append(rng.random((300, 2)))
+        for vals in inputs:
+            assert np.array_equal(dominator_counts(vals, strict=strict),
+                                  dominators_by_definition(vals, strict=strict))
 
 
 class TestCover:
@@ -271,6 +307,23 @@ class TestEnumerate2d:
             got = {s.members for s in enumerate_ksets_2d(ds, k).sets}
             assert got >= dense_sweep_ksets(ds.values, k, 2001)
 
+    @pytest.mark.parametrize("kind", ["uniform", "anticorrelated", "grid"])
+    def test_identical_to_full_sweep(self, kind):
+        # same sets, same order, bit-identical witnesses as sweeping all n
+        rng = np.random.default_rng(55)
+        for _ in range(15):
+            n = int(rng.integers(2, 120))
+            k = int(rng.integers(1, min(n, 10) + 1))
+            if kind == "uniform":
+                vals = rng.random((n, 2))
+            elif kind == "anticorrelated":
+                vals = anticorrelated_values(rng, n)
+            else:
+                vals = grid_values(rng, n)
+            got = [(s.members, tuple(s.witness.weights))
+                   for s in enumerate_ksets_2d(Dataset(vals), k).sets]
+            assert got == sweep_ksets_2d(vals, k)
+
     def test_consecutive_sets_differ_in_one_member(self):
         rng = np.random.default_rng(50)
         for _ in range(10):
@@ -332,6 +385,33 @@ class TestExactRankRegret:
     def test_empty_subset_rejected(self, fig1):
         with pytest.raises(EmptySubset):
             exact_rank_regret_2d(fig1, set())
+
+    def test_axis_ties_resolve_by_id_at_half_pi(self):
+        # under w = (0, 1) ids 0 and 1 tie on x2, so id 0 ranks first
+        ds = Dataset([[0.2, 0.2], [0.9, 0.2], [0.5, 0.1]])
+        weights = LinearFunction([0.0, 1.0])
+        assert int(ranks(ds, weights, [1])[0]) == 2
+        assert exact_rank_regret_2d(ds, {1}) == 2
+
+    def test_matches_full_sweep(self):
+        rng = np.random.default_rng(56)
+        for _ in range(30):
+            n = int(rng.integers(1, 120))
+            ds = random_dataset(rng, n, 2)
+            subset = rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)),
+                                replace=False)
+            assert exact_rank_regret_2d(ds, subset) == \
+                sweep_rank_regret_2d(ds.values, subset)
+
+    def test_matches_rational_oracle(self):
+        rng = np.random.default_rng(57)
+        for _ in range(15):
+            n = int(rng.integers(2, 41))
+            ds = random_dataset(rng, n, 2)
+            subset = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)),
+                                replace=False)
+            assert exact_rank_regret_2d(ds, subset) == \
+                rational_rank_regret_2d(ds.values, subset)
 
     def test_at_least_dense_grid(self):
         rng = np.random.default_rng(51)
