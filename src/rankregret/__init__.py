@@ -2,7 +2,7 @@
 
 A rank-regret representative is a small subset of a dataset guaranteed to
 contain at least one top-k tuple for every linear ranking function.  The
-package provides the exact 2-D sweep solver, k-set enumeration (exact and
+package provides the exact 2-D solver, k-set enumeration (exact and
 randomized), the epsilon-net hitting-set solver, the function-space
 partitioning solver, and the evaluation harness around them.
 """

@@ -33,8 +33,7 @@ from .errors import (
     RankRegretError,
     UncoverableSpace,
 )
-from .kset import collect_ksets_random, enumerate_ksets_graph, save_collection
-from .sweep2d import enumerate_ksets_2d
+from .kset import collection_to_lines, save_collection
 
 INPUT_ERRORS = (FileNotFoundError, NoUsableRows, ConstantAttribute, NonFiniteValue)
 CONFIG_ERRORS = (ConfigError, KOutOfRange, DimensionNot2D, DimensionMismatch,
@@ -220,8 +219,6 @@ def _cmd_solve(args) -> int:
     k = ev.resolve_k(dataset.n, args.k, args.k_pct)
     if args.algo == "2drrr" and dataset.d != 2:
         raise ConfigError("2drrr requires exactly two attributes")
-    if args.source == "sweep2d" and dataset.d != 2:
-        raise ConfigError("the sweep2d k-set source requires d=2")
     seed = _resolve_seed(args)
     start = time.perf_counter()
     if args.ksets_file:
@@ -259,8 +256,8 @@ def _solve_from_kset_file(dataset, path, k, seed):
     collection = load_collection(path, d=dataset.d)
     if collection.k != k:
         raise ConfigError(f"k-set file has k={collection.k}, requested k={k}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    members = mdrrr(collection, rng=rng)
+    _, net_rng = ev.mdrrr_rngs(seed)
+    members = mdrrr(collection, rng=net_rng)
     return Representative(
         members=members, algorithm="mdrrr",
         params={"k": k, "kset_source": "file",
@@ -274,20 +271,13 @@ def _cmd_ksets(args) -> int:
                  args.delimiter)
     dataset = ing.dataset
     k = ev.resolve_k(dataset.n, args.k, args.k_pct)
-    if args.source == "sweep2d":
-        if dataset.d != 2:
-            raise ConfigError("the sweep2d k-set source requires d=2")
-        collection = enumerate_ksets_2d(dataset, k)
-    elif args.source == "graph":
-        collection = enumerate_ksets_graph(dataset, k)
-    else:
-        seed = _resolve_seed(args)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        collection = collect_ksets_random(dataset, k, args.c, rng)
+    seed = _resolve_seed(args) if args.source == "random" else None
+    collector_rng, _ = ev.mdrrr_rngs(seed)
+    collection = ev.collect_ksets(dataset, k, args.source, c=args.c,
+                                  rng=collector_rng)
     if args.output:
         save_collection(collection, args.output)
     else:
-        from .kset import collection_to_lines
         sys.stdout.write("\n".join(collection_to_lines(collection)) + "\n")
     print(f"{len(collection)} k-sets (complete={collection.complete})",
           file=sys.stderr)

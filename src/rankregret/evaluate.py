@@ -20,7 +20,12 @@ import numpy as np
 from .core import Dataset, Representative
 from .errors import EmptySubset, KOutOfRange
 from .hitting import mdrrr
-from .kset import collect_ksets_random, enumerate_ksets_graph, sample_functions
+from .kset import (
+    KSetCollection,
+    collect_ksets_random,
+    enumerate_ksets_graph,
+    sample_functions,
+)
 from .mdrc import mdrc
 from .sweep2d import enumerate_ksets_2d, exact_rank_regret_2d, rrr_2d
 
@@ -106,6 +111,35 @@ def resolve_k(n: int, k: Optional[int] = None, k_pct: Optional[float] = None) ->
     return int(k)
 
 
+def mdrrr_rngs(seed: Optional[int]) -> Tuple[np.random.Generator,
+                                              np.random.Generator]:
+    """The (k-set collector, hitting-set net) generators of an mdrrr run.
+
+    Both are children of ``SeedSequence(seed)``, so a collection made with
+    the first and solved with the second, possibly in separate runs, gives
+    the same members as one run with the same seed.
+    """
+    ss = np.random.SeedSequence(seed if seed is not None else 0)
+    collector, net = (np.random.Generator(np.random.PCG64(s))
+                      for s in ss.spawn(2))
+    return collector, net
+
+
+def collect_ksets(dataset: Dataset, k: int, source: str, *,
+                  c: int = DEFAULT_SAMPLER_C,
+                  rng: np.random.Generator) -> KSetCollection:
+    """The k-set collection of ``source``: the exact 2-D sweep ("sweep2d"),
+    the LP k-set graph ("graph") or the randomized collector ("random",
+    drawing from ``rng`` until ``c`` draws in a row find no new set)."""
+    if source == "sweep2d":
+        return enumerate_ksets_2d(dataset, k)
+    if source == "graph":
+        return enumerate_ksets_graph(dataset, k)
+    if source == "random":
+        return collect_ksets_random(dataset, k, c, rng)
+    raise ValueError(f"unknown kset source {source!r}")
+
+
 def run_algorithm(name: str, dataset: Dataset, k: int, *,
                   seed: Optional[int] = None,
                   c: int = DEFAULT_SAMPLER_C,
@@ -125,17 +159,8 @@ def run_algorithm(name: str, dataset: Dataset, k: int, *,
         return replace(rep, seed=seed)
     if name == "mdrrr":
         source = kset_source or ("sweep2d" if dataset.d == 2 else "random")
-        ss = np.random.SeedSequence(seed if seed is not None else 0)
-        collector_rng, net_rng = (np.random.Generator(np.random.PCG64(s))
-                                  for s in ss.spawn(2))
-        if source == "sweep2d":
-            collection = enumerate_ksets_2d(dataset, k)
-        elif source == "graph":
-            collection = enumerate_ksets_graph(dataset, k)
-        elif source == "random":
-            collection = collect_ksets_random(dataset, k, c, collector_rng)
-        else:
-            raise ValueError(f"unknown kset source {source!r}")
+        collector_rng, net_rng = mdrrr_rngs(seed)
+        collection = collect_ksets(dataset, k, source, c=c, rng=collector_rng)
         members = mdrrr(collection, rng=net_rng)
         return Representative(
             members=members, algorithm="mdrrr",

@@ -1,14 +1,16 @@
-"""2-D algorithms: angular sweep, interval cover, exact rank-regret.
+"""2-D algorithms: top-k angle ranges, interval cover, k-sets, exact rank-regret.
 
 The function space in 2-D is the single angle theta in [0, pi/2] of the
 ray (cos theta, sin theta).  Two tuples exchange ranking order at most
-once along the sweep, so the full ranking evolution is an event queue of
-adjacent transpositions.  ``find_ranges`` derives, for every tuple, the
-first and last angle at which it is ranked in the top k; covering
-[0, pi/2] with the fewest such ranges yields a representative that is
-never larger than the optimal one and whose exact rank-regret is at most
-2k (each range's interior rank is bounded by the sum of its endpoint
-ranks).
+once along it, so a tuple's rank is a step function of theta that moves
+by one at each of its crossing angles with another tuple.
+``find_ranges`` reads, from these rank trajectories, the first and last
+angle at which every tuple is ranked in the top k; covering [0, pi/2]
+with the fewest such ranges yields a representative that is never larger
+than the optimal one and whose exact rank-regret is at most 2k (each
+range's interior rank is bounded by the sum of its endpoint ranks).  The
+event sweep of adjacent transpositions (``ExchangeSweep``) serves the
+k-set enumeration only.
 """
 
 import heapq
@@ -31,10 +33,6 @@ from .errors import (
     UncoverableSpace,
 )
 from .kset import KSet, KSetCollection
-
-#: find_ranges switches from the event sweep to the vectorized
-#: rank-trajectory path above this many tuples
-SWEEP_CUTOFF = 600
 
 #: coverage bookkeeping ignores gaps up to this width (endpoint claims
 #: shrunk by one ulp around score ties leave sub-1e-15 residues)
@@ -119,68 +117,6 @@ class ExchangeSweep:
                 yield theta, swaps
 
 
-def find_ranges(dataset: Dataset, k: int, method: str = "auto") -> List[AngularRange]:
-    """First and last sweep angle at which each tuple is ranked in the top k.
-
-    Tuples in the initial top-k start their range at 0; tuples still in the
-    top-k when the sweep ends close it at pi/2.  Tuples never reaching the
-    top k are omitted.  ``method`` selects the event sweep ("sweep"), the
-    vectorized per-tuple rank trajectory ("trajectory", same result in
-    general position but far faster for large n), or a size-based choice
-    ("auto").
-    """
-    _require_2d(dataset)
-    if not 1 <= k <= dataset.n:
-        raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
-    if method == "auto":
-        method = "sweep" if dataset.n <= SWEEP_CUTOFF else "trajectory"
-    if method == "sweep":
-        return _find_ranges_sweep(dataset.values, k)
-    if method == "trajectory":
-        return _find_ranges_trajectory(dataset.values, k)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _find_ranges_sweep(values: np.ndarray, k: int) -> List[AngularRange]:
-    """Event sweep with endpoint claims checked against large tie groups.
-
-    At an exchange angle the maintained order is the just-after limit; a
-    tuple entering (or leaving) there may actually be pushed past rank k
-    AT that angle by the id tie-break within a group of equal scores.  An
-    endpoint claim is kept closed while the tuple's rank at the angle
-    stays within 2k (the value the coverage guarantee needs there, and
-    robust to the rounding noise of an ordinary two-line crossing); a
-    larger jump shrinks the claim by one representable angle.
-    """
-    n = values.shape[0]
-    sweep = ExchangeSweep(values)
-    begin = {t: 0.0 for t in sweep.order[:k]}  # the tie-broken order at 0
-    end: dict = {}
-    prev = frozenset(sweep.order[:k])
-    safe = min(2 * k, n)
-    for theta, swaps in sweep.batches():
-        if not any(i == k - 1 for i, _, _ in swaps):
-            continue
-        current = frozenset(sweep.order[:k])
-        if current == prev:
-            continue  # a within-batch blip; nobody truly held the rank
-        at_theta = _topk_at(values, theta, safe)
-        for t in current - prev:
-            if t not in begin:
-                begin[t] = theta if t in at_theta else np.nextafter(theta, np.inf)
-        for t in prev - current:
-            end[t] = theta if t in at_theta else np.nextafter(theta, -np.inf)
-        prev = current
-    at_end = _topk_at(values, HALF_PI, safe)
-    for t in prev:
-        end[t] = HALF_PI if t in at_end else np.nextafter(HALF_PI, -np.inf)
-    for t in _topk_at(values, HALF_PI, k) - prev:
-        begin.setdefault(t, HALF_PI)  # in the top k only at the very endpoint
-        end[t] = HALF_PI
-    return [AngularRange(t, begin[t], end[t])
-            for t in sorted(begin) if t in end and begin[t] <= end[t]]
-
-
 def _angle_scores(values: np.ndarray, thetas) -> np.ndarray:
     """Scores (one row per angle) under the rays (cos theta, sin theta).
 
@@ -219,18 +155,23 @@ def _min_member_ranks(values: np.ndarray, thetas,
     return out
 
 
-def _find_ranges_trajectory(values: np.ndarray, k: int) -> List[AngularRange]:
-    """Per-tuple rank trajectories, vectorized over the other tuples.
+def find_ranges(dataset: Dataset, k: int) -> List[AngularRange]:
+    """First and last angle at which each tuple is ranked in the top k.
 
-    A tuple's rank changes by +-1 at each of its pairwise crossing angles,
-    so its trajectory is a prefix sum over the sorted crossings.  Tuples
-    with at least k dominators can never reach the top k and are skipped.
-    Every decision below compares a rank with k or 2k, and a tuple with
-    2k strict dominators outranks nobody ranked within 2k at any angle,
-    so the trajectories count only the other tuples: ranks up to 2k come
-    out exact and larger ranks stay above 2k.
+    Tuples in the top k at angle 0 start their range there; tuples in the
+    top k at pi/2 end it there.  Tuples never reaching the top k are
+    omitted.  Each range is read off the tuple's rank trajectory
+    (``_trajectory``), vectorized over the other tuples.  Tuples with at
+    least k dominators can never reach the top k and are skipped.  Every
+    decision below compares a rank with k or 2k, and a tuple with 2k
+    strict dominators outranks nobody ranked within 2k at any angle, so
+    the trajectories count only the other tuples: ranks up to 2k come out
+    exact and larger ranks stay above 2k.
     """
-    n = values.shape[0]
+    _require_2d(dataset)
+    if not 1 <= k <= dataset.n:
+        raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
+    values, n = dataset.values, dataset.n
     if k >= n:
         return [AngularRange(t, 0.0, HALF_PI) for t in range(n)]
     candidates = np.flatnonzero(dominator_counts(values) < k)
@@ -357,13 +298,6 @@ class UncoveredIntervals:
     def total(self) -> float:
         return sum(hi - lo for lo, hi in self.intervals)
 
-    def boundaries(self) -> List[Tuple[float, str]]:
-        out = []
-        for lo, hi in self.intervals:
-            out.append((lo, "begin"))
-            out.append((hi, "end"))
-        return out
-
     def starts_ends(self) -> Tuple[np.ndarray, np.ndarray]:
         if not self.intervals:
             return np.empty(0), np.empty(0)
@@ -467,8 +401,8 @@ def _furthest_reach_cover(ranges, span) -> frozenset:
     return frozenset(selected)
 
 
-def rrr_2d(dataset: Dataset, k: int, method: str = "auto") -> Representative:
-    """Top-k range computation followed by the minimum interval cover.
+def rrr_2d(dataset: Dataset, k: int) -> Representative:
+    """The top-k ranges of ``find_ranges`` covered by the fewest tuples.
 
     The output is never larger than the optimal representative for
     rank-regret k, and its exact rank-regret is at most 2k.  The interior
@@ -478,7 +412,7 @@ def rrr_2d(dataset: Dataset, k: int, method: str = "auto") -> Representative:
     when the data is degenerate enough to need it (never, in general
     position).
     """
-    ranges = find_ranges(dataset, k, method=method)
+    ranges = find_ranges(dataset, k)
     members = set(cover_2d(ranges))
     selected = [r for r in ranges if r.tuple_id in members]
     check_angles = {0.0, HALF_PI}

@@ -129,6 +129,53 @@ def sweep_ksets_2d(values, k):
     return list(out.items())
 
 
+def sweep_find_ranges(values, k):
+    """(tuple id, begin, end) of every tuple's top-k angle range, read off
+    a full sweep.
+
+    A tuple enters or leaves the top k at the batches that move rank k.
+    The order after a batch is the just-after limit, so an endpoint claim
+    stays closed while the tuple's tie-broken rank at that exact angle is
+    within 2k and is shrunk by one representable angle otherwise.  The
+    pi/2 endpoint is scored with the exact axis weights (0, 1).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    safe = min(2 * k, n)
+
+    def topk_at(theta, size):
+        w = (0.0, 1.0) if theta == HALF_PI else (np.cos(theta), np.sin(theta))
+        scores = values[:, 0] * w[0] + values[:, 1] * w[1]
+        order = np.lexsort((np.arange(n), -scores))
+        return frozenset(int(t) for t in order[:size])
+
+    sweep = FullExchangeSweep(values)
+    begin = {t: 0.0 for t in sweep.order[:k]}
+    end = {}
+    prev = frozenset(sweep.order[:k])
+    for theta, swaps in sweep.batches():
+        if not any(i == k - 1 for i, _, _ in swaps):
+            continue
+        current = frozenset(sweep.order[:k])
+        if current == prev:
+            continue
+        at_theta = topk_at(theta, safe)
+        for t in current - prev:
+            if t not in begin:
+                begin[t] = theta if t in at_theta else np.nextafter(theta, np.inf)
+        for t in prev - current:
+            end[t] = theta if t in at_theta else np.nextafter(theta, -np.inf)
+        prev = current
+    at_end = topk_at(HALF_PI, safe)
+    for t in prev:
+        end[t] = HALF_PI if t in at_end else np.nextafter(HALF_PI, -np.inf)
+    for t in topk_at(HALF_PI, k) - prev:
+        begin.setdefault(t, HALF_PI)
+        end[t] = HALF_PI
+    return [(t, float(begin[t]), float(end[t]))
+            for t in sorted(begin) if t in end and begin[t] <= end[t]]
+
+
 def sweep_rank_regret_2d(values, subset):
     """Best member rank, maximized over a full sweep: the order after
     every batch that moves a member, plus the tie-broken rank at those

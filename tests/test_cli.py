@@ -140,6 +140,28 @@ class TestKsets:
         assert payload["params"]["kset_source"] == "file"
         assert payload["evaluation"]["rank_regret"] <= 2
 
+    def test_random_kset_file_solves_like_one_run(self, tmp_path, capsys):
+        # collecting to a file and solving from it derives the collector
+        # and the net generators from the seed as one mdrrr run does
+        path = tmp_path / "three.csv"
+        np.savetxt(path, np.random.default_rng(5).random((80, 3)),
+                   delimiter=",", header="a,b,c", comments="")
+        sets_path = tmp_path / "sets.txt"
+        common = ["--k", "3", "--c", "20", "--samples", "20"]
+        for seed in ("1", "2", "3"):
+            assert main(["ksets", str(path), "--source", "random", "--k", "3",
+                         "--c", "20", "--seed", seed, "-o", str(sets_path)]) == 0
+            capsys.readouterr()
+            assert main(["solve", str(path), "--algo", "mdrrr", *common,
+                         "--ksets-file", str(sets_path), "--seed", seed]) == 0
+            from_file = json.loads(capsys.readouterr().out)
+            assert main(["solve", str(path), "--algo", "mdrrr", *common,
+                         "--source", "random", "--seed", seed]) == 0
+            one_run = json.loads(capsys.readouterr().out)
+            assert from_file["member_ids"] == one_run["member_ids"]
+            assert (from_file["params"]["collection_size"]
+                    == one_run["params"]["collection_size"])
+
     def test_kset_file_k_mismatch_is_config_error(self, fig1_csv, tmp_path,
                                                   capsys):
         sets_path = tmp_path / "sets.txt"
@@ -226,6 +248,12 @@ class TestExitCodes:
                      "--seed", "0"])
         assert code == 3
         assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
+        # the exact 2-D k-set sweep is refused the same way
+        for argv in (["ksets", str(path), "--source", "sweep2d", "--k", "1"],
+                     ["solve", str(path), "--algo", "mdrrr", "--source",
+                      "sweep2d", "--k", "1", "--seed", "0"]):
+            assert main(argv) == 3
+            assert json.loads(capsys.readouterr().out)["error"] == "DimensionNot2D"
 
     def test_k_out_of_range_is_config_error(self, fig1_csv, capsys):
         code = main(["solve", fig1_csv, "--algo", "mdrc", "--k", "0",

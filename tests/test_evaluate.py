@@ -133,6 +133,8 @@ class TestRunAlgorithm:
     def test_unknown_name(self, fig1):
         with pytest.raises(ValueError):
             run_algorithm("newton", fig1, 2)
+        with pytest.raises(ValueError, match="kset source"):
+            run_algorithm("mdrrr", fig1, 2, kset_source="newton")
 
     def test_mdrrr_sources(self, fig1):
         for source in ("sweep2d", "graph", "random"):
