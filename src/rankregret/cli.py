@@ -97,11 +97,7 @@ def ingest(path: str, cols: Optional[Sequence[str]] = None,
         raise NoUsableRows(f"no usable rows in {path}")
 
     raw = np.asarray(rows, dtype=np.float64)
-    constant = np.flatnonzero(raw.max(axis=0) == raw.min(axis=0))
-    if constant.size:
-        raise ConstantAttribute(
-            f"column {names[constant[0]]!r} is constant (max == min)")
-    dataset = normalize(raw, dirs)
+    dataset = normalize(raw, dirs, names)
     return IngestResult(dataset=dataset, raw_values=raw, columns=names,
                         dropped_rows=dropped)
 

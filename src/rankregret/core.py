@@ -27,6 +27,10 @@ HALF_PI = float(np.pi / 2)
 #: absolute tolerance for score and angle comparisons on normalized data
 NUMERIC_TOL = 1e-9
 
+#: size of one block of scores in :class:`RankRegretKernel`; blocks
+#: between 256 KB and 1 MB score fastest
+SCORE_BLOCK_BYTES = 1 << 19
+
 
 class Dataset:
     """An immutable n x d matrix of tuples with values normalized to [0, 1].
@@ -140,29 +144,33 @@ class Representative:
         return sorted(self.members)
 
 
-def normalize(raw, directions: Sequence[str]) -> Dataset:
+def normalize(raw, directions: Sequence[str],
+              names: Optional[Sequence[str]] = None) -> Dataset:
     """Map raw attribute columns onto [0, 1] respecting preference direction.
 
     Higher-preferred columns map as (v - min) / (max - min); lower-preferred
     as (max - v) / (max - min), so larger normalized values are always
     better.  Constant columns are rejected: they carry no ranking
-    information and the affine map is undefined.
+    information and the affine map is undefined.  The error names the
+    column by ``names`` when given, by its index otherwise.
     """
     arr = np.array(raw, dtype=np.float64, copy=True)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError("raw data must be a non-empty 2-D table")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValue("raw data contains non-finite values")
+    lo = arr.min(axis=0)
+    hi = arr.max(axis=0)
+    constant = np.flatnonzero(hi == lo)
+    if constant.size:
+        j = int(constant[0])
+        label = repr(names[j]) if names is not None else j
+        raise ConstantAttribute(f"column {label} is constant (max == min)")
     dirs = [_parse_direction(x) for x in directions]
     if len(dirs) != arr.shape[1]:
         raise DimensionMismatch(
             f"{len(dirs)} directions given for {arr.shape[1]} columns"
         )
-    lo = arr.min(axis=0)
-    hi = arr.max(axis=0)
-    constant = np.flatnonzero(hi == lo)
-    if constant.size:
-        raise ConstantAttribute(f"column {constant[0]} is constant (max == min)")
     span = hi - lo
     out = (arr - lo) / span
     for j, direction in enumerate(dirs):
@@ -197,22 +205,16 @@ def ranks(dataset: Dataset, function: LinearFunction, ids=None) -> np.ndarray:
     """Ranks (1-based) of the given tuple ids; all tuples when ids is None.
 
     rank(t) = 1 + #{u : score(u) > score(t)} + #{u : tie with t and u < t}.
+    The position in the order by descending score, then ascending id, is
+    exactly that count.
     """
     scores = function.score(dataset.values)
+    order = np.lexsort((np.arange(dataset.n), -scores))
+    out = np.empty(dataset.n, dtype=np.int64)
+    out[order] = np.arange(1, dataset.n + 1)
     if ids is None:
-        order = np.lexsort((np.arange(dataset.n), -scores))
-        out = np.empty(dataset.n, dtype=np.int64)
-        out[order] = np.arange(1, dataset.n + 1)
         return out
-    ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-    all_ids = np.arange(dataset.n)
-    out = np.empty(ids.size, dtype=np.int64)
-    for j, t in enumerate(ids):
-        s = scores[t]
-        out[j] = 1 + np.count_nonzero(scores > s) + np.count_nonzero(
-            (scores == s) & (all_ids < t)
-        )
-    return out
+    return out[np.atleast_1d(np.asarray(ids, dtype=np.int64))]
 
 
 def top_k(dataset: Dataset, function: LinearFunction, k: int) -> frozenset:
@@ -237,6 +239,97 @@ def _select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     need = k - above.size
     ties = np.flatnonzero(scores == kth)[:need]
     return np.concatenate([above, ties])
+
+
+def member_survivors(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Ascending ids of the rows that no member beats by more than
+    NUMERIC_TOL on every attribute; the members always stay.
+
+    A dropped row scores strictly below that member under every
+    non-negative unit weight vector: the weights sum to at least 1, so the
+    exact score gap exceeds NUMERIC_TOL, while a d-term float dot product
+    errs by about 1e-15.  So it never outranks the best member, not even
+    by a tie, at the axis rays included.
+    """
+    n, d = values.shape
+    is_member = np.zeros(n, dtype=bool)
+    is_member[members] = True
+    pruners = values[members] - NUMERIC_TOL
+    # the strongest members first, so most rows go in the first blocks
+    pruners = pruners[np.argsort(-pruners.sum(axis=1), kind="stable")]
+    alive = np.flatnonzero(~is_member)
+    lo = 0
+    while lo < len(pruners) and alive.size:
+        step = max(1, (1 << 18) // (alive.size * d))
+        block = pruners[lo:lo + step]
+        beaten = (values[alive][None, :, :] < block[:, None, :]).all(axis=2)
+        alive = alive[~beaten.any(axis=0)]
+        lo += step
+    is_member[alive] = True
+    return np.flatnonzero(is_member)
+
+
+class RankRegretKernel:
+    """Running maximum, over ranking functions, of the best tie-broken rank
+    of any member: the rank-regret kernel of both evaluators.
+
+    Only the rows of :func:`member_survivors` (``rows``, values ``kept``)
+    are scored, which leaves the best member's rank unchanged.  Callers
+    score blocks of ``block`` functions (about SCORE_BLOCK_BYTES of scores)
+    with their own arithmetic and fold each in with :meth:`add`.  Per
+    block, one pass counts the rows scoring at least the best member's
+    score, which bounds its rank from above; ranks are computed only for
+    the functions whose bound exceeds the running maximum ``worst``.
+
+    ``slack`` bounds how far the block scores may round differently from
+    the caller's reference arithmetic.  A rank is read off the block only
+    where no other row scores within ``slack`` of the best member;
+    otherwise the ``reference`` scores over all n rows decide the ties.
+    """
+
+    def __init__(self, values: np.ndarray, members, slack: float = 0.0):
+        self.members = np.asarray(members, dtype=np.int64)  # ascending
+        self.rows = member_survivors(values, self.members)
+        self.kept = values[self.rows]
+        self.member_cols = np.searchsorted(self.rows, self.members)
+        self.block = max(1, SCORE_BLOCK_BYTES // (8 * self.rows.size))
+        self.slack = slack
+        self.worst = 0
+
+    def add(self, scores: np.ndarray, reference=None) -> None:
+        """Fold in the scores of ``kept`` under a block of functions, one
+        row per function.  ``reference()`` returns the same block scored
+        over every row in the reference arithmetic; it is called only
+        where a tie within ``slack`` needs it, and without it the block's
+        own scores resolve ties (exact when ``slack`` is 0)."""
+        best = scores[:, self.member_cols].max(axis=1, keepdims=True)
+        bound = np.count_nonzero(scores >= best - self.slack, axis=1)
+        hot = np.flatnonzero(bound > self.worst)
+        if not hot.size:
+            return
+        above = np.count_nonzero(scores[hot] > best[hot] + self.slack, axis=1)
+        alone = bound[hot] - above == 1  # only the best member is that close
+        if alone.any():
+            self.worst = max(self.worst, 1 + int(above[alone].max()))
+        tied = hot[~alone]
+        if tied.size:
+            if reference is None:
+                ranks = _best_member_ranks(scores[tied], self.member_cols)
+            else:
+                ranks = _best_member_ranks(reference()[tied], self.members)
+            self.worst = max(self.worst, int(ranks.max()))
+
+
+def _best_member_ranks(scores: np.ndarray, member_cols: np.ndarray) -> np.ndarray:
+    """Best tie-broken member rank under each row of scores, whose columns
+    are in ascending id order and whose members sit at ``member_cols``."""
+    member_scores = scores[:, member_cols]
+    best_col = np.argmax(member_scores, axis=1)  # first max = smallest id
+    best = member_scores[np.arange(len(scores)), best_col][:, None]
+    ahead = (scores == best) & (np.arange(scores.shape[1])
+                                < member_cols[best_col, None])
+    return (1 + np.count_nonzero(scores > best, axis=1)
+            + np.count_nonzero(ahead, axis=1))
 
 
 def angles_to_weights(angles) -> LinearFunction:

@@ -8,6 +8,7 @@ instead.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Dataset, Representative
+from .core import Dataset, RankRegretKernel, Representative
 from .errors import EmptySubset, KOutOfRange
 from .hitting import mdrrr
 from .kset import (
@@ -63,8 +64,16 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     """Monte-Carlo rank-regret: worst best-member-rank over sampled functions.
 
     The maximum over a sample never exceeds the true maximum, so this is a
-    lower bound that sharpens with the sample count.  Work is chunked so
-    the n-by-chunk score matrix stays small.
+    lower bound that sharpens with the sample count.  The functions come
+    from ``sample_functions`` in chunks of up to 1024, and each chunk's
+    matrix product with all n rows fixes the rounding of every score.
+    ``core.RankRegretKernel`` drops the rows that a member beats by more
+    than NUMERIC_TOL on every attribute (such a row scores strictly below
+    that member under every function) and bounds each function's rank in
+    one comparison pass over the product with the remaining rows.  That
+    product rounds differently in the last bits, so where another row
+    scores within a few ulps of the best member the full product decides
+    the ties.  The estimate is the same as scoring all n rows.
     """
     members = np.array(sorted({int(t) for t in subset}))
     if members.size == 0:
@@ -75,25 +84,20 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
         raise ValueError("samples must be positive")
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
-    values_t = dataset.values.T
-    ids = np.arange(dataset.n)
-    chunk = max(1, min(1024, (1 << 22) // max(dataset.n, 1)))
-    worst = 0
-    remaining = samples
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
-        weights = sample_functions(rng, dataset.d, m)
-        scores = weights @ values_t  # (m, n)
-        member_scores = scores[:, members]
-        best_col = np.argmax(member_scores, axis=1)  # first max = smallest id
-        best_id = members[best_col]
-        best_score = member_scores[np.arange(m), best_col]
-        outranked = (scores > best_score[:, None]).sum(axis=1)
-        tied_ahead = ((scores == best_score[:, None])
-                      & (ids[None, :] < best_id[:, None])).sum(axis=1)
-        worst = max(worst, int((1 + outranked + tied_ahead).max()))
-    return worst
+    values, d = dataset.values, dataset.d
+    # two d-term products of unit weights and values in [0, 1] differ by
+    # at most about d * sqrt(d) machine epsilons
+    kernel = RankRegretKernel(values, members,
+                              slack=4 * d * math.sqrt(d) * np.finfo(float).eps)
+    kept_t = kernel.kept.T
+    chunk = max(1, min(1024, (1 << 22) // dataset.n))
+    for lo in range(0, samples, chunk):
+        weights = sample_functions(rng, d, min(chunk, samples - lo))
+        full = functools.cache(lambda w=weights: w @ values.T)
+        for start in range(0, len(weights), kernel.block):
+            block = slice(start, start + kernel.block)
+            kernel.add(weights[block] @ kept_t, lambda f=full, b=block: f()[b])
+    return kernel.worst
 
 
 def resolve_k(n: int, k: Optional[int] = None, k_pct: Optional[float] = None) -> int:

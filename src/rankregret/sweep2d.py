@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     HALF_PI,
     Dataset,
+    RankRegretKernel,
     Representative,
     _select_top_k,
     angles_to_weights,
@@ -135,24 +136,12 @@ def _topk_at(values: np.ndarray, theta: float, k: int) -> frozenset:
     return frozenset(_select_top_k(_angle_scores(values, theta)[0], k).tolist())
 
 
-def _min_member_ranks(values: np.ndarray, thetas,
-                      members: np.ndarray) -> np.ndarray:
-    """Best tie-broken member rank at each exact angle, scored in chunks."""
+def _score_angles(kernel: RankRegretKernel, thetas) -> int:
+    """Fold the exact angles into ``kernel``; the max best member rank."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    n = values.shape[0]
-    ids = np.arange(n)
-    chunk = max(1, (1 << 20) // n)
-    out = np.empty(thetas.size, dtype=np.int64)
-    for lo in range(0, thetas.size, chunk):
-        scores = _angle_scores(values, thetas[lo:lo + chunk])
-        member_scores = scores[:, members]
-        best_col = np.argmax(member_scores, axis=1)  # first max = smallest id
-        best = member_scores[np.arange(len(scores)), best_col][:, None]
-        best_id = members[best_col][:, None]
-        out[lo:lo + chunk] = (1 + np.count_nonzero(scores > best, axis=1)
-                              + np.count_nonzero((scores == best) & (ids < best_id),
-                                                 axis=1))
-    return out
+    for lo in range(0, thetas.size, kernel.block):
+        kernel.add(_angle_scores(kernel.kept, thetas[lo:lo + kernel.block]))
+    return kernel.worst
 
 
 def find_ranges(dataset: Dataset, k: int) -> List[AngularRange]:
@@ -418,11 +407,13 @@ def rrr_2d(dataset: Dataset, k: int) -> Representative:
     check_angles = {0.0, HALF_PI}
     check_angles.update(r.begin for r in selected)
     check_angles.update(r.end for r in selected)
-    member_arr = np.array(sorted(members))
+    # the kernel's running maximum stays within 2k until an angle needs a
+    # patch, after which it restarts for the new members
+    kernel = RankRegretKernel(dataset.values, sorted(members))
     for theta in sorted(check_angles):
-        if _min_member_ranks(dataset.values, theta, member_arr)[0] > 2 * k:
+        if _score_angles(kernel, theta) > 2 * k:
             members.add(min(_topk_at(dataset.values, theta, k)))
-            member_arr = np.array(sorted(members))
+            kernel = RankRegretKernel(dataset.values, sorted(members))
     return Representative(members=frozenset(members), algorithm="2drrr",
                           params={"k": k})
 
@@ -471,8 +462,12 @@ def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
     member rank is constant between consecutive angles of their union: the
     members' rank trajectories give it on every open interval, and the
     angles themselves (where score ties resolve by id) plus the two
-    endpoints are scored directly.  Exact up to floating-point score ties
-    at interior crossing angles.
+    endpoints are scored directly by ``core.RankRegretKernel``.  Both parts
+    see only the rows that no member beats by more than NUMERIC_TOL on
+    both attributes: such a row never outranks the best member, and every
+    other member still ranks behind the best one among the remaining
+    rows, so the best member's rank is unchanged.  Exact up to
+    floating-point score ties at interior crossing angles.
     """
     _require_2d(dataset)
     members = sorted({int(t) for t in subset})
@@ -480,20 +475,19 @@ def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
         raise EmptySubset("subset must contain at least one tuple id")
     if not all(0 <= t < dataset.n for t in members):
         raise ValueError("subset contains unknown tuple ids")
-    values = dataset.values
-    ids = np.arange(dataset.n)
-    trajectories = [_trajectory(values[:, 0] - values[t, 0],
-                                values[:, 1] - values[t, 1], ids, t)
-                    for t in members]
+    kernel = RankRegretKernel(dataset.values, members)
+    kept, rows = kernel.kept, kernel.rows
+    trajectories = [_trajectory(kept[:, 0] - kept[c, 0], kept[:, 1] - kept[c, 1],
+                                rows, t)
+                    for c, t in zip(kernel.member_cols, members)]
     angles = np.unique(np.concatenate([[0.0]] + [a for a, _ in trajectories]))
     # the best member rank just after each angle (just after 0 included)
     after = np.full(angles.size, dataset.n, dtype=np.int64)
     for a, states in trajectories:
         np.minimum(after, states[np.searchsorted(a, angles, side="right")],
                    out=after)
-    at = _min_member_ranks(values, np.append(angles, HALF_PI),
-                           np.asarray(members))
-    return int(max(after.max(), at.max()))
+    at = _score_angles(kernel, np.append(angles, HALF_PI))
+    return int(max(after.max(), at))
 
 
 def _require_2d(dataset: Dataset) -> None:

@@ -201,6 +201,41 @@ def sweep_rank_regret_2d(values, subset):
     return max(worst, rank_at(HALF_PI))
 
 
+def sampled_rank_regret(values, members, samples, rng):
+    """Worst best-member rank over ``samples`` functions drawn from ``rng``
+    as the package's sampler draws them (Box-Muller normals, absolute
+    values, unit length), each chunk of up to 1024 scored against every
+    tuple by one matrix product and ranked in two comparison passes."""
+    values = np.asarray(values, dtype=np.float64)
+    members = np.array(sorted({int(t) for t in members}))
+    n, d = values.shape
+    ids = np.arange(n)
+    chunk = max(1, min(1024, (1 << 22) // n))
+    worst = 0
+    remaining = samples
+    while remaining > 0:
+        m = min(chunk, remaining)
+        remaining -= m
+        pairs = (d + 1) // 2
+        u = rng.random((m, 2 * pairs))
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
+        z = np.empty((m, 2 * pairs))
+        z[:, 0::2] = radius * np.cos(2.0 * np.pi * u[:, 1::2])
+        z[:, 1::2] = radius * np.sin(2.0 * np.pi * u[:, 1::2])
+        w = np.abs(z[:, :d])
+        weights = w / np.linalg.norm(w, axis=1)[:, None]
+        scores = weights @ values.T
+        member_scores = scores[:, members]
+        best_col = np.argmax(member_scores, axis=1)
+        best_id = members[best_col]
+        best_score = member_scores[np.arange(m), best_col]
+        outranked = (scores > best_score[:, None]).sum(axis=1)
+        tied_ahead = ((scores == best_score[:, None])
+                      & (ids[None, :] < best_id[:, None])).sum(axis=1)
+        worst = max(worst, int((1 + outranked + tied_ahead).max()))
+    return worst
+
+
 def dominators_by_definition(values, strict=False):
     """How many tuples are >= on both attributes and > on one (or > on
     both when ``strict``), by comparing every pair."""

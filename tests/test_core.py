@@ -45,6 +45,13 @@ class TestNormalize:
         with pytest.raises(ConstantAttribute):
             normalize([[1.0, 5.0], [2.0, 5.0]], ["higher", "higher"])
 
+    def test_constant_column_named(self):
+        with pytest.raises(ConstantAttribute, match="'flat'"):
+            normalize([[1.0, 5.0], [2.0, 5.0]], ["higher", "higher"],
+                      names=["good", "flat"])
+        with pytest.raises(ConstantAttribute, match="column 1 "):
+            normalize([[1.0, 5.0], [2.0, 5.0]], ["higher", "higher"])
+
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteValue):
             normalize([[1.0], [np.nan]], ["higher"])
@@ -118,6 +125,18 @@ class TestRankList:
         got = ranks(ds, f)
         for t in range(ds.n):
             assert got[t] == rank_by_definition(ds.values, w, t)
+
+    def test_ranks_of_ids_match_definition_under_ties(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            n = int(rng.integers(1, 60))
+            ds = Dataset(rng.integers(0, 4, size=(n, 3)) / 3)
+            w = rng.integers(0, 3, size=3).astype(float)
+            w[0] += 1.0
+            ids = rng.choice(n, size=int(rng.integers(1, n + 1)))
+            got = ranks(ds, LinearFunction(w), ids)
+            assert got.tolist() == [rank_by_definition(ds.values, w, int(t))
+                                    for t in ids]
 
 
 class TestTopK:

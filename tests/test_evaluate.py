@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rankregret import (
+    Dataset,
     dual_problem,
     estimate_rank_regret,
     exact_rank_regret_2d,
@@ -15,6 +16,7 @@ from rankregret import (
     run_benchmark,
     sample_functions,
 )
+from rankregret.core import NUMERIC_TOL, RankRegretKernel, member_survivors
 from rankregret.errors import EmptySubset, KOutOfRange
 from rankregret.evaluate import (
     CSV_COLUMNS,
@@ -24,7 +26,28 @@ from rankregret.evaluate import (
 )
 
 from conftest import random_dataset, tids
-from oracles import rank_by_definition
+from oracles import rank_by_definition, sampled_rank_regret
+
+
+def anticorrelated(rng, n, d):
+    """Uniform points shifted onto sum(x) = d * c, c ~ N(0.5, 0.05); points
+    leaving the unit cube are drawn again."""
+    out = np.empty((0, d))
+    while len(out) < n:
+        x = rng.random((n, d))
+        c = rng.normal(0.5, 0.05, size=(n, 1))
+        x += c - x.mean(axis=1, keepdims=True)
+        out = np.vstack([out, x[((x >= 0) & (x <= 1)).all(axis=1)]])
+    return out[:n]
+
+
+def grid_with_duplicates(rng, n, d):
+    """Values i/q with q in 3..7 and a tenth of the rows copied."""
+    q = int(rng.integers(3, 8))
+    values = rng.integers(0, q + 1, size=(n, d)) / q
+    copies = rng.choice(n, size=max(1, n // 10), replace=False)
+    values[copies] = values[rng.choice(n, size=copies.size)]
+    return values
 
 
 class TestEstimate:
@@ -78,6 +101,105 @@ class TestEstimate:
             assert est <= exact
             equal += est == exact
         assert equal >= int(0.95 * trials)
+
+
+class TestEstimateMatchesTwoPass:
+    """The pruned, one-pass estimator against the two-pass estimator over
+    all rows (``oracles.sampled_rank_regret``), value for value."""
+
+    @staticmethod
+    def check(values, subset, samples, seed):
+        got = estimate_rank_regret(Dataset(values), subset, samples,
+                                   np.random.default_rng(seed))
+        want = sampled_rank_regret(values, subset, samples,
+                                   np.random.default_rng(seed))
+        assert got == want
+
+    @pytest.mark.parametrize("make", [
+        lambda rng, n, d: rng.random((n, d)), anticorrelated,
+        grid_with_duplicates])
+    def test_data_kinds_d2_to_5(self, make):
+        rng = np.random.default_rng(60)
+        for d in range(2, 6):
+            for _ in range(6):
+                n = int(rng.integers(2, 400))
+                values = make(rng, n, d)
+                subset = rng.choice(n, size=int(rng.integers(1, min(n, 12) + 1)),
+                                    replace=False)
+                self.check(values, subset, 700, int(rng.integers(2**31)))
+
+    def test_block_edges(self):
+        rng = np.random.default_rng(61)
+        for d in (2, 4):
+            values = grid_with_duplicates(rng, 300, d)
+            subset = rng.choice(300, size=5, replace=False)
+            block = RankRegretKernel(values, sorted(subset)).block
+            for samples in (1, block - 1, block + 1, 1023, 1025):
+                self.check(values, subset, samples, int(rng.integers(2**31)))
+
+    def test_member_dominated_by_member(self):
+        rng = np.random.default_rng(62)
+        values = rng.random((80, 3)) * 0.8
+        values[3] = [0.95, 0.9, 0.92]
+        values[50] = [0.5, 0.45, 0.6]  # beaten by member 3 everywhere
+        for seed in range(5):
+            self.check(values, [3, 50], 300, seed)
+            self.check(values, [50, 3, 17], 1, seed)
+
+    def test_duplicate_of_member_with_smaller_id(self):
+        rng = np.random.default_rng(63)
+        values = rng.random((120, 2))
+        values[4] = values[90]
+        values[30] = values[90]
+        for seed in range(5):
+            self.check(values, [90], 500, seed)
+            self.check(values, [30, 90], 500, seed)
+
+    def test_row_one_ulp_below_a_member_is_kept(self):
+        # row 0 is below member 1 by one ulp on each attribute, so float
+        # scores often tie them and row 0 then ranks first by id
+        values = np.random.default_rng(66).random((50, 3)) * 0.5
+        values[0] = [0.7, 0.8, 0.9]
+        values[1] = np.nextafter(values[0], 1.0)
+        assert 0 in member_survivors(values, np.array([1]))
+        self.check(values, [1], 2000, 0)
+        assert estimate_rank_regret(Dataset(values), [1], 2000,
+                                    np.random.default_rng(0)) == 2
+
+    def test_every_non_member_pruned(self):
+        values = np.random.default_rng(64).random((200, 4)) * 0.9
+        values[7] = 1.0
+        assert member_survivors(values, np.array([7])).tolist() == [7]
+        assert estimate_rank_regret(Dataset(values), [7], 400,
+                                    np.random.default_rng(0)) == 1
+        self.check(values, [7], 400, 0)
+
+
+class TestRankRegretKernel:
+    def test_survivors_match_definition(self):
+        rng = np.random.default_rng(65)
+        for _ in range(20):
+            n, d = int(rng.integers(1, 150)), int(rng.integers(2, 5))
+            values = grid_with_duplicates(rng, n, d)
+            members = np.sort(rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)),
+                                         replace=False))
+            beaten = ((values[members][:, None, :] - values[None, :, :])
+                      > NUMERIC_TOL).all(axis=2).any(axis=0)
+            beaten[members] = False
+            assert member_survivors(values, members).tolist() == \
+                np.flatnonzero(~beaten).tolist()
+
+    def test_reference_decides_ties_within_slack(self):
+        # row 0 scores one ulp below member 1 in the block, but ties it in
+        # the reference arithmetic, so it ranks ahead by id
+        values = np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.1]])
+        kernel = RankRegretKernel(values, [1], slack=1e-15)
+        block = np.array([[np.nextafter(0.5, 0.0), 0.5, 0.1]])
+        kernel.add(block, reference=lambda: np.array([[0.5, 0.5, 0.1]]))
+        assert kernel.worst == 2
+        kernel = RankRegretKernel(values, [1])
+        kernel.add(block)
+        assert kernel.worst == 1
 
 
 class TestResolveK:

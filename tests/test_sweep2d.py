@@ -418,6 +418,22 @@ class TestExactRankRegret:
             assert exact_rank_regret_2d(ds, subset) == \
                 rational_rank_regret_2d(ds.values, subset)
 
+    def test_many_members_match_full_sweep(self):
+        rng = np.random.default_rng(58)
+        ds = random_dataset(rng, 400, 2)
+        subset = rng.choice(400, size=60, replace=False)
+        assert exact_rank_regret_2d(ds, subset) == \
+            sweep_rank_regret_2d(ds.values, subset)
+
+    def test_many_members_match_rational_oracle(self):
+        rng = np.random.default_rng(59)
+        for size in (5, 10, 15):
+            n = int(rng.integers(size, 41))
+            ds = random_dataset(rng, n, 2)
+            subset = rng.choice(n, size=size, replace=False)
+            assert exact_rank_regret_2d(ds, subset) == \
+                rational_rank_regret_2d(ds.values, subset)
+
     def test_at_least_dense_grid(self):
         rng = np.random.default_rng(51)
         for _ in range(10):
