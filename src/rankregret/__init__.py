@@ -19,6 +19,7 @@ from .core import (
     ranks,
     score,
     top_k,
+    top_k_many,
     weights_to_angles,
 )
 from .evaluate import (
@@ -93,5 +94,6 @@ __all__ = [
     "save_collection",
     "score",
     "top_k",
+    "top_k_many",
     "weights_to_angles",
 ]

@@ -258,7 +258,8 @@ def _solve_from_kset_file(dataset, path, k, seed):
         members=members, algorithm="mdrrr",
         params={"k": k, "kset_source": "file",
                 "collection_size": len(collection),
-                "complete": collection.complete},
+                "complete": collection.complete,
+                "draws": collection.draws},
         seed=seed)
 
 
@@ -275,7 +276,8 @@ def _cmd_ksets(args) -> int:
         save_collection(collection, args.output)
     else:
         sys.stdout.write("\n".join(collection_to_lines(collection)) + "\n")
-    print(f"{len(collection)} k-sets (complete={collection.complete})",
+    drawn = "" if collection.draws is None else f", draws={collection.draws}"
+    print(f"{len(collection)} k-sets (complete={collection.complete}{drawn})",
           file=sys.stderr)
     return 0
 

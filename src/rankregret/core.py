@@ -8,6 +8,7 @@ ascending tuple id, uniformly across the whole package.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -225,6 +226,53 @@ def top_k(dataset: Dataset, function: LinearFunction, k: int) -> frozenset:
     return frozenset(_select_top_k(scores, k).tolist())
 
 
+def score_slack(d: int) -> float:
+    """Twice the most by which two d-term float products of a unit weight
+    vector and values in [0, 1], summed in different orders, can differ:
+    each errs by at most about d machine epsilons times the weights' sum,
+    which is at most sqrt(d)."""
+    return 4 * d * math.sqrt(d) * np.finfo(float).eps
+
+
+def top_k_many(dataset: Dataset, weights, k: int) -> list:
+    """The :func:`top_k` set of every row of the (m, d) ``weights``.
+
+    Blocks of about SCORE_BLOCK_BYTES of scores are taken by one matrix
+    product, and one argpartition keeps each row's k+1 best.  That product
+    may round differently from :func:`top_k`'s, so a row's k best are
+    returned only where its k-th and (k+1)-th scores are more than
+    :func:`score_slack` times the weight norm apart, which no rounding
+    can reorder; every other row (ties, near-ties and k = n) is sent to
+    :func:`top_k` itself.
+    """
+    n, d = dataset.n, dataset.d
+    if not 1 <= k <= n:
+        raise KOutOfRange(f"k={k} not in [1, {n}]")
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] != d:
+        raise DimensionMismatch(f"weights must be an (m, {d}) array")
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteValue("weights contain non-finite values")
+    if w.size and (w.min() < 0 or not np.all(w.max(axis=1) > 0)):
+        raise ValueError("weights must be non-negative with a positive entry")
+    if k == n:
+        return [top_k(dataset, LinearFunction(row), k) for row in w]
+    slack = score_slack(d) * np.linalg.norm(w, axis=1)
+    values_t = dataset.values.T
+    block = max(1, SCORE_BLOCK_BYTES // (8 * n))
+    out = []
+    for lo in range(0, len(w), block):
+        rows = w[lo:lo + block]
+        scores = rows @ values_t
+        best = np.argpartition(scores, n - k - 1, axis=1)[:, n - k - 1:]
+        picked = np.take_along_axis(scores, best, axis=1)
+        clear = picked[:, 1:].min(axis=1) - picked[:, 0] > slack[lo:lo + block]
+        for row, members, ok in zip(rows, best[:, 1:].tolist(), clear.tolist()):
+            out.append(frozenset(members) if ok
+                       else top_k(dataset, LinearFunction(row), k))
+    return out
+
+
 def _select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest scores, ties resolved by ascending index.
 
@@ -343,10 +391,17 @@ def angles_to_weights(angles) -> LinearFunction:
         raise ValueError("angles must be a 1-D vector of length d-1 >= 1")
     if np.any(a < -NUMERIC_TOL) or np.any(a > HALF_PI + NUMERIC_TOL):
         raise AngleOutOfRange("angles must lie in [0, pi/2]")
-    a = np.clip(a, 0.0, HALF_PI)
-    sines = np.concatenate(([1.0], np.cumprod(np.sin(a))))
-    cosines = np.concatenate((np.cos(a), [1.0]))
-    return LinearFunction(sines * cosines)
+    return LinearFunction(angle_weights(np.clip(a, 0.0, HALF_PI)[None, :])[0])
+
+
+def angle_weights(angles: np.ndarray) -> np.ndarray:
+    """The map of :func:`angles_to_weights`, row by row, without checks:
+    an (m, d-1) array of angles in [0, pi/2] to (m, d) unit weights."""
+    a = np.asarray(angles, dtype=np.float64)
+    ones = np.ones((a.shape[0], 1))
+    sines = np.concatenate((ones, np.cumprod(np.sin(a), axis=1)), axis=1)
+    cosines = np.concatenate((np.cos(a), ones), axis=1)
+    return sines * cosines
 
 
 def weights_to_angles(function: LinearFunction | np.ndarray) -> np.ndarray:

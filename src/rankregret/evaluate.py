@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Dataset, RankRegretKernel, Representative
+from .core import Dataset, RankRegretKernel, Representative, score_slack
 from .errors import EmptySubset, KOutOfRange
 from .hitting import mdrrr
 from .kset import (
@@ -85,10 +85,7 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
     values, d = dataset.values, dataset.d
-    # two d-term products of unit weights and values in [0, 1] differ by
-    # at most about d * sqrt(d) machine epsilons
-    kernel = RankRegretKernel(values, members,
-                              slack=4 * d * math.sqrt(d) * np.finfo(float).eps)
+    kernel = RankRegretKernel(values, members, slack=score_slack(d))
     kept_t = kernel.kept.T
     chunk = max(1, min(1024, (1 << 22) // dataset.n))
     for lo in range(0, samples, chunk):
@@ -170,7 +167,8 @@ def run_algorithm(name: str, dataset: Dataset, k: int, *,
             members=members, algorithm="mdrrr",
             params={"k": k, "kset_source": source, "c": c,
                     "collection_size": len(collection),
-                    "complete": collection.complete},
+                    "complete": collection.complete,
+                    "draws": collection.draws},
             seed=seed)
     raise ValueError(f"unknown algorithm {name!r}")
 

@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from .core import Dataset, LinearFunction, top_k
+from .core import Dataset, LinearFunction, top_k, top_k_many
 from .errors import KOutOfRange, LPNumericalFailure
 from .simplex import simplex_max
 
@@ -40,13 +40,15 @@ class KSetCollection:
 
     ``complete`` distinguishes exact enumerations from sampled ones; ``d``
     is the dataset dimensionality (needed by consumers such as the
-    hitting-set solver for the VC dimension).
+    hitting-set solver for the VC dimension); ``draws`` is the number of
+    ranking functions a sampling collector drew (None for exact sources).
     """
 
     sets: List[KSet]
     k: int
     complete: bool
     d: Optional[int] = None
+    draws: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -196,6 +198,11 @@ def collect_ksets_random(dataset: Dataset, k: int, c: int,
     set is a genuine k-set by construction (it is the top-k of its
     witness), but completeness is not guaranteed: sets owning a tiny slice
     of the function space can be missed.
+
+    The functions are drawn and scored in blocks of ``c - misses``, the
+    fewest draws that could end the run, so the stop falls on a block's
+    last draw: the sets, their order, the witnesses and the generator's
+    final state are those of drawing one function at a time.
     """
     if c < 1:
         raise ValueError("termination counter c must be >= 1")
@@ -203,17 +210,19 @@ def collect_ksets_random(dataset: Dataset, k: int, c: int,
         raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
     seen = set()
     ordered: List[KSet] = []
-    misses = 0
+    misses = draws = 0
     while misses < c:
-        f = sample_function(rng, dataset.d)
-        members = top_k(dataset, f, k)
-        if members in seen:
-            misses += 1
-        else:
-            seen.add(members)
-            ordered.append(KSet(members, f))
-            misses = 0
-    return KSetCollection(sets=ordered, k=k, complete=False, d=dataset.d)
+        weights = sample_functions(rng, dataset.d, c - misses)
+        draws += len(weights)
+        for w, members in zip(weights, top_k_many(dataset, weights, k)):
+            if members in seen:
+                misses += 1
+            else:
+                seen.add(members)
+                ordered.append(KSet(members, LinearFunction(w)))
+                misses = 0
+    return KSetCollection(sets=ordered, k=k, complete=False, d=dataset.d,
+                          draws=draws)
 
 
 # --- line-delimited wire format: k=<k>;members=<id,...>;witness=<w1,...,wd> ---

@@ -5,8 +5,9 @@ Ranking functions in d dimensions form the (d-1)-dimensional angle box
 assigns that tuple to every function inside it (its rank anywhere in the
 box is at most d*k, by chaining the between-functions rank bound across
 the box faces); otherwise the box is bisected at the midpoint of the
-round-robin dimension.  Corner top-k sets are memoized: children share
-corners with their parents, so this is where the time goes.
+round-robin dimension.  The boxes are split level by level: children
+share corners with their parents and neighbours, so each level scores
+only its corners not seen before, all in one ``core.top_k_many`` call.
 """
 
 import itertools
@@ -14,7 +15,16 @@ import logging
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .core import Dataset, Representative, angles_to_weights, top_k
+import numpy as np
+
+from .core import (
+    Dataset,
+    Representative,
+    angle_weights,
+    angles_to_weights,
+    top_k,
+    top_k_many,
+)
 from .errors import KOutOfRange
 
 log = logging.getLogger(__name__)
@@ -59,12 +69,18 @@ def partition_function_space(dataset: Dataset, k: int,
                              depth_cap: Optional[int] = None):
     """Partition the angle box until every leaf has an assigned tuple.
 
-    Returns (leaves, tree): the list of leaf boxes and a JSON-ready nested
-    tree of the recursion (every internal node has exactly two children).
-    At ``depth_cap`` a box is closed by assigning the top-1 tuple of its
-    centroid function; such leaves are marked as not carrying the rank
-    bound.
+    Returns (leaves, tree): the list of leaf boxes, in depth-first order,
+    and a JSON-ready nested tree of the recursion (every internal node has
+    exactly two children).  At ``depth_cap`` a box is closed by assigning
+    the top-1 tuple of its centroid function; such leaves are marked as
+    not carrying the rank bound.
     """
+    leaves, tree, _ = _partition(dataset, k, depth_cap)
+    return leaves, tree
+
+
+def _partition(dataset: Dataset, k: int, depth_cap: Optional[int]):
+    """(leaves, tree, number of distinct corners scored)."""
     if dataset.d < 2:
         raise ValueError("partitioning requires d >= 2")
     if not 1 <= k <= dataset.n:
@@ -72,47 +88,62 @@ def partition_function_space(dataset: Dataset, k: int,
     if depth_cap is None:
         depth_cap = DEPTH_CAP_PER_DIM * (dataset.d - 1)
 
-    memo: dict = {}
-
-    def topk_at(angle: Tuple[float, ...]) -> frozenset:
-        cached = memo.get(angle)
-        if cached is None:
-            cached = top_k(dataset, angles_to_weights(angle), k)
-            memo[angle] = cached
-        return cached
+    memo: dict = {}  # corner angles -> top-k set
+    root = root_box(dataset.d)
+    tree = _node(root)
+    leaf_of = {}  # id(node) -> LeafBox
+    frontier = [(root, tree)]
+    while frontier:
+        fresh = list(dict.fromkeys(
+            c for rect, _ in frontier for c in corners(rect) if c not in memo))
+        if fresh:
+            sets = top_k_many(dataset, angle_weights(np.array(fresh)), k)
+            memo.update(zip(fresh, sets))
+        below = []
+        for rect, node in frontier:
+            shared = frozenset.intersection(*(memo[c] for c in corners(rect)))
+            if shared:
+                assigned, guaranteed = min(shared), True
+            elif rect.level >= depth_cap:
+                centroid = tuple((lo + hi) / 2.0 for lo, hi in rect.ranges)
+                assigned = min(top_k(dataset, angles_to_weights(centroid), 1))
+                guaranteed = False
+                log.warning("depth cap %d reached; assigning centroid top-1 %d "
+                            "without the rank bound", depth_cap, assigned)
+            else:
+                halves = _split(rect)
+                node["children"] = [_node(half) for half in halves]
+                below.extend(zip(halves, node["children"]))
+                continue
+            node["assigned"] = assigned
+            node["guaranteed"] = guaranteed
+            leaf_of[id(node)] = LeafBox(rect, assigned, guaranteed)
+        frontier = below
 
     leaves: List[LeafBox] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if "children" in node:
+            stack.extend(reversed(node["children"]))
+        else:
+            leaves.append(leaf_of[id(node)])
+    return leaves, tree, len(memo)
 
-    def recurse(rect: HyperRectangle) -> dict:
-        node = {"ranges": [list(r) for r in rect.ranges], "depth": rect.level}
-        shared = frozenset.intersection(*(topk_at(c) for c in corners(rect)))
-        if shared:
-            assigned = min(shared)
-            leaves.append(LeafBox(rect, assigned, True))
-            node["assigned"] = assigned
-            node["guaranteed"] = True
-            return node
-        if rect.level >= depth_cap:
-            centroid = tuple((lo + hi) / 2.0 for lo, hi in rect.ranges)
-            assigned = min(top_k(dataset, angles_to_weights(centroid), 1))
-            log.warning("depth cap %d reached; assigning centroid top-1 %d "
-                        "without the rank bound", depth_cap, assigned)
-            leaves.append(LeafBox(rect, assigned, False))
-            node["assigned"] = assigned
-            node["guaranteed"] = False
-            return node
-        i = rect.split_dim
-        lo, hi = rect.ranges[i]
-        mid = (lo + hi) / 2.0
-        left = HyperRectangle(
-            rect.ranges[:i] + ((lo, mid),) + rect.ranges[i + 1:], rect.level + 1)
-        right = HyperRectangle(
-            rect.ranges[:i] + ((mid, hi),) + rect.ranges[i + 1:], rect.level + 1)
-        node["children"] = [recurse(left), recurse(right)]
-        return node
 
-    tree = recurse(root_box(dataset.d))
-    return leaves, tree
+def _node(rect: HyperRectangle) -> dict:
+    return {"ranges": [list(r) for r in rect.ranges], "depth": rect.level}
+
+
+def _split(rect: HyperRectangle) -> Tuple[HyperRectangle, HyperRectangle]:
+    """The two halves of ``rect`` at the midpoint of its split dimension."""
+    i = rect.split_dim
+    lo, hi = rect.ranges[i]
+    mid = (lo + hi) / 2.0
+    return tuple(
+        HyperRectangle(rect.ranges[:i] + (half,) + rect.ranges[i + 1:],
+                       rect.level + 1)
+        for half in ((lo, mid), (mid, hi)))
 
 
 def mdrc(dataset: Dataset, k: int, depth_cap: Optional[int] = None) -> Representative:
@@ -121,11 +152,12 @@ def mdrc(dataset: Dataset, k: int, depth_cap: Optional[int] = None) -> Represent
     The deduplicated set of leaf assignments; its rank-regret is at most
     d*k when every leaf carries the bound (in practice usually around k).
     """
-    leaves, _ = partition_function_space(dataset, k, depth_cap=depth_cap)
+    leaves, _, scored = _partition(dataset, k, depth_cap)
     members = frozenset(leaf.assigned for leaf in leaves)
     return Representative(
         members=members,
         algorithm="mdrc",
-        params={"k": k, "depth_cap": depth_cap, "leaves": len(leaves)},
+        params={"k": k, "depth_cap": depth_cap, "leaves": len(leaves),
+                "corners": scored},
         bound_guaranteed=all(leaf.guaranteed for leaf in leaves),
     )

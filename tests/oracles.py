@@ -302,3 +302,90 @@ def rational_rank_regret_2d(values, subset):
                    for t in members)
         worst = max(worst, best)
     return worst
+
+
+def _draw_one_function(rng, d):
+    """One unit weight vector as the package's sampler draws it: |Box-Muller
+    normals| over the generator's uniform stream, normalized."""
+    pairs = (d + 1) // 2
+    u = rng.random((1, 2 * pairs))
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
+    phase = 2.0 * np.pi * u[:, 1::2]
+    z = np.empty((1, 2 * pairs))
+    z[:, 0::2] = radius * np.cos(phase)
+    z[:, 1::2] = radius * np.sin(phase)
+    w = np.abs(z[:, :d])
+    return (w / np.linalg.norm(w, axis=1)[:, None])[0]
+
+
+def one_at_a_time_ksets(values, k, c, rng):
+    """(sets, draws) of the coupon-collector run that draws one function at
+    a time, scores it against every tuple and stops after ``c`` draws in a
+    row find no new top-k set; ``sets`` holds (members, witness weights)."""
+    values = np.asarray(values, dtype=np.float64)
+    seen = set()
+    out = []
+    misses = draws = 0
+    while misses < c:
+        w = _draw_one_function(rng, values.shape[1])
+        draws += 1
+        members = topk_by_definition(values, w, k)
+        if members in seen:
+            misses += 1
+        else:
+            seen.add(members)
+            out.append((members, w))
+            misses = 0
+    return out, draws
+
+
+def _angle_map(angles):
+    """Spherical angles in [0, pi/2] to unit weights, one vector."""
+    a = np.asarray(angles, dtype=np.float64)
+    sines = np.concatenate(([1.0], np.cumprod(np.sin(a))))
+    cosines = np.concatenate((np.cos(a), [1.0]))
+    return sines * cosines
+
+
+def recursive_partition(values, k, depth_cap=None):
+    """(leaves, tree) of the angle-box bisection, recursing depth first
+    and scoring each distinct corner once; a leaf is (ranges, level,
+    assigned, guaranteed) and the tree has the package's JSON layout."""
+    values = np.asarray(values, dtype=np.float64)
+    d = values.shape[1]
+    if depth_cap is None:
+        depth_cap = 48 * (d - 1)
+    memo = {}
+
+    def topk_at(angle):
+        if angle not in memo:
+            memo[angle] = topk_by_definition(values, _angle_map(angle), k)
+        return memo[angle]
+
+    leaves = []
+
+    def recurse(ranges, level):
+        node = {"ranges": [list(r) for r in ranges], "depth": level}
+        shared = frozenset.intersection(
+            *(topk_at(c) for c in itertools.product(*ranges)))
+        if shared or level >= depth_cap:
+            if shared:
+                assigned, guaranteed = min(shared), True
+            else:
+                centroid = [(lo + hi) / 2.0 for lo, hi in ranges]
+                assigned = min(topk_by_definition(values, _angle_map(centroid), 1))
+                guaranteed = False
+            leaves.append((ranges, level, assigned, guaranteed))
+            node["assigned"] = assigned
+            node["guaranteed"] = guaranteed
+            return node
+        i = level % len(ranges)
+        lo, hi = ranges[i]
+        mid = (lo + hi) / 2.0
+        node["children"] = [
+            recurse(ranges[:i] + (half,) + ranges[i + 1:], level + 1)
+            for half in ((lo, mid), (mid, hi))]
+        return node
+
+    tree = recurse(tuple((0.0, HALF_PI) for _ in range(d - 1)), 0)
+    return leaves, tree

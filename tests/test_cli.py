@@ -82,6 +82,7 @@ class TestSolve:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["member_ids"]) == 1
+        assert payload["params"]["corners"] == 2  # the root's two ends
 
     def test_k_pct(self, fig1_csv, capsys):
         code = main(["solve", fig1_csv, "--algo", "mdrc", "--k-pct", "30",
@@ -151,7 +152,7 @@ class TestKsets:
         for seed in ("1", "2", "3"):
             assert main(["ksets", str(path), "--source", "random", "--k", "3",
                          "--c", "20", "--seed", seed, "-o", str(sets_path)]) == 0
-            capsys.readouterr()
+            summary = capsys.readouterr().err
             assert main(["solve", str(path), "--algo", "mdrrr", *common,
                          "--ksets-file", str(sets_path), "--seed", seed]) == 0
             from_file = json.loads(capsys.readouterr().out)
@@ -161,6 +162,8 @@ class TestKsets:
             assert from_file["member_ids"] == one_run["member_ids"]
             assert (from_file["params"]["collection_size"]
                     == one_run["params"]["collection_size"])
+            assert f"draws={one_run['params']['draws']})" in summary
+            assert from_file["params"]["draws"] is None
 
     def test_kset_file_k_mismatch_is_config_error(self, fig1_csv, tmp_path,
                                                   capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import rankregret.core as core
+
 from rankregret import (
     Dataset,
     LinearFunction,
@@ -11,6 +13,7 @@ from rankregret import (
     ranks,
     score,
     top_k,
+    top_k_many,
     weights_to_angles,
 )
 from rankregret.errors import (
@@ -22,7 +25,14 @@ from rankregret.errors import (
     NonFiniteValue,
 )
 
-from conftest import FIG1_VALUES, T, random_dataset, tids
+from conftest import (
+    FIG1_VALUES,
+    T,
+    anticorrelated,
+    grid_with_duplicates,
+    random_dataset,
+    tids,
+)
 from oracles import rank_by_definition
 
 HALF_PI = np.pi / 2
@@ -175,6 +185,66 @@ class TestTopK:
                 assert top_k(ds, f, k) == frozenset(order[:k].tolist())
 
 
+class TestTopKMany:
+    """top_k_many against top_k, row by row: the slack test must send
+    every row whose set rounding could change to top_k itself."""
+
+    @staticmethod
+    def weights(rng, d):
+        axes = np.eye(d)
+        return np.vstack([axes, np.ones((1, d)),
+                          np.abs(rng.standard_normal((60, d))),
+                          rng.integers(0, 3, size=(20, d)) + axes[0]])
+
+    @pytest.mark.parametrize("make", [
+        lambda rng, n, d: rng.random((n, d)), anticorrelated,
+        grid_with_duplicates])
+    def test_matches_top_k_row_by_row(self, make):
+        rng = np.random.default_rng(17)
+        for d in (2, 3, 4, 5):
+            n = int(rng.integers(20, 120))
+            ds = Dataset(make(rng, n, d))
+            w = self.weights(rng, d)
+            for k in (1, 2, n // 3, n - 1, n):
+                got = top_k_many(ds, w, k)
+                assert got == [top_k(ds, LinearFunction(row), k) for row in w]
+
+    def test_ties_go_to_top_k(self, monkeypatch):
+        calls = []
+
+        def counted(dataset, function, k):
+            calls.append(k)
+            return top_k(dataset, function, k)
+
+        monkeypatch.setattr(core, "top_k", counted)
+        rng = np.random.default_rng(18)
+        ds = Dataset(grid_with_duplicates(rng, 80, 3))
+        w = self.weights(rng, 3)
+        expected = [top_k(ds, LinearFunction(row), 5) for row in w]
+        assert top_k_many(ds, w, 5) == expected
+        assert 0 < len(calls) < len(w)
+
+    def test_blocks_and_empty_input(self, monkeypatch):
+        monkeypatch.setattr(core, "SCORE_BLOCK_BYTES", 8 * 40 * 3)
+        rng = np.random.default_rng(19)
+        ds = random_dataset(rng, 40, 3)
+        w = np.abs(rng.standard_normal((10, 3)))
+        assert top_k_many(ds, w, 4) == [top_k(ds, LinearFunction(row), 4)
+                                        for row in w]
+        assert top_k_many(ds, np.empty((0, 3)), 4) == []
+
+    def test_checks(self, fig1):
+        with pytest.raises(KOutOfRange):
+            top_k_many(fig1, [[1.0, 1.0]], 8)
+        with pytest.raises(DimensionMismatch):
+            top_k_many(fig1, [[1.0, 1.0, 1.0]], 2)
+        with pytest.raises(NonFiniteValue):
+            top_k_many(fig1, [[np.nan, 1.0]], 2)
+        for bad in ([[-1.0, 1.0]], [[0.0, 0.0]]):
+            with pytest.raises(ValueError):
+                top_k_many(fig1, bad, 2)
+
+
 class TestAngles:
     def test_diagonal(self):
         f = angles_to_weights([np.pi / 4])
@@ -207,6 +277,15 @@ class TestAngles:
             a = 0.05 + rng.random(d - 1) * (HALF_PI - 0.1)
             back = weights_to_angles(angles_to_weights(a))
             assert np.max(np.abs(back - a)) < 1e-9
+
+    def test_rows_match_single_vectors(self):
+        rng = np.random.default_rng(20)
+        for d in (2, 3, 5):
+            angles = rng.random((50, d - 1)) * HALF_PI
+            angles[:5] = rng.choice([0.0, HALF_PI], size=(5, d - 1))
+            rows = core.angle_weights(angles)
+            for a, row in zip(angles, rows):
+                assert angles_to_weights(a).weights.tobytes() == row.tobytes()
 
     def test_diagonal_matches_equal_weights_ranking(self, fig1):
         f = angles_to_weights([np.pi / 4])

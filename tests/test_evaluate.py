@@ -25,29 +25,8 @@ from rankregret.evaluate import (
     reports_to_jsonl,
 )
 
-from conftest import random_dataset, tids
+from conftest import anticorrelated, grid_with_duplicates, random_dataset, tids
 from oracles import rank_by_definition, sampled_rank_regret
-
-
-def anticorrelated(rng, n, d):
-    """Uniform points shifted onto sum(x) = d * c, c ~ N(0.5, 0.05); points
-    leaving the unit cube are drawn again."""
-    out = np.empty((0, d))
-    while len(out) < n:
-        x = rng.random((n, d))
-        c = rng.normal(0.5, 0.05, size=(n, 1))
-        x += c - x.mean(axis=1, keepdims=True)
-        out = np.vstack([out, x[((x >= 0) & (x <= 1)).all(axis=1)]])
-    return out[:n]
-
-
-def grid_with_duplicates(rng, n, d):
-    """Values i/q with q in 3..7 and a tenth of the rows copied."""
-    q = int(rng.integers(3, 8))
-    values = rng.integers(0, q + 1, size=(n, d)) / q
-    copies = rng.choice(n, size=max(1, n // 10), replace=False)
-    values[copies] = values[rng.choice(n, size=copies.size)]
-    return values
 
 
 class TestEstimate:

@@ -20,8 +20,13 @@ from rankregret.kset import (
 )
 from rankregret.sweep2d import ExchangeSweep
 
-from conftest import random_dataset, tids
-from oracles import exhaustive_lp_ksets
+from conftest import (
+    anticorrelated,
+    grid_with_duplicates,
+    random_dataset,
+    tids,
+)
+from oracles import exhaustive_lp_ksets, one_at_a_time_ksets
 
 HALF_PI = np.pi / 2
 
@@ -167,6 +172,32 @@ class TestRandomCollector:
     def test_invalid_c(self, fig1):
         with pytest.raises(ValueError):
             collect_ksets_random(fig1, 2, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("c", [1, 7, 100])
+    def test_same_run_as_one_draw_at_a_time(self, c):
+        # same sets, same order, bit-identical witnesses and the generator
+        # left in the same state as drawing and scoring one function a time
+        rng = np.random.default_rng(21)
+        makers = (lambda g, n, d: g.random((n, d)), anticorrelated,
+                  grid_with_duplicates)
+        for trial in range(9):
+            d = 2 + trial % 3
+            n = int(rng.integers(8, 150))
+            k = int(rng.integers(1, min(n, 8) + 1))
+            values = makers[trial % 3](rng, n, d)
+            ours = np.random.default_rng(trial)
+            theirs = np.random.default_rng(trial)
+            got = collect_ksets_random(Dataset(values), k, c, ours)
+            expected, draws = one_at_a_time_ksets(values, k, c, theirs)
+            assert [s.members for s in got.sets] == [m for m, _ in expected]
+            for s, (_, w) in zip(got.sets, expected):
+                assert s.witness.weights.tobytes() == w.tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert got.draws == draws
+
+    def test_exact_sources_have_no_draws(self, fig1):
+        assert enumerate_ksets_graph(fig1, 2).draws is None
+        assert enumerate_ksets_2d(fig1, 2).draws is None
 
 
 def _min_wedge(ds, k):

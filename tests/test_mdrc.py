@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from rankregret import (
 )
 from rankregret.errors import KOutOfRange
 
-from conftest import random_dataset
+from conftest import anticorrelated, grid_with_duplicates, random_dataset
+from oracles import recursive_partition
 
 HALF_PI = np.pi / 2
 
@@ -137,8 +140,51 @@ class TestPartition:
         assert walk(tree) == len(leaves)
 
     def test_tree_is_json_serializable(self, fig1):
-        import json
-
         _, tree = partition_function_space(fig1, 2)
         parsed = json.loads(json.dumps(tree))
         assert parsed["ranges"] == [[0.0, HALF_PI]]
+
+
+class TestSameAsDepthFirst:
+    """The level-by-level partition against a depth-first recursion that
+    scores one corner at a time: same leaves, same order, same tree."""
+
+    @staticmethod
+    def check(values, k, depth_cap=None):
+        leaves, tree = partition_function_space(Dataset(values), k, depth_cap)
+        expected_leaves, expected_tree = recursive_partition(values, k, depth_cap)
+        assert [(leaf.box.ranges, leaf.box.level, leaf.assigned, leaf.guaranteed)
+                for leaf in leaves] == expected_leaves
+        assert json.dumps(tree) == json.dumps(expected_tree)
+        return leaves
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_uniform_and_anticorrelated(self, d):
+        rng = np.random.default_rng(65 + d)
+        for make in (lambda g, n, dim: g.random((n, dim)), anticorrelated):
+            n = int(rng.integers(30, 150))
+            self.check(make(rng, n, d), int(rng.integers(d, 9)))
+
+    def test_grid_data(self):
+        # exact ties put corners on top-k boundaries, so boxes along them
+        # split to the cap; a low cap keeps the recursion small
+        rng = np.random.default_rng(70)
+        for d in (2, 3):
+            for _ in range(4):
+                n = int(rng.integers(20, 100))
+                self.check(grid_with_duplicates(rng, n, d),
+                           int(rng.integers(2, 6)), depth_cap=6 * (d - 1))
+
+    def test_depth_capped_run(self):
+        leaves = self.check(np.array([[1.0, 0.0], [0.0, 1.0]]), 1, depth_cap=10)
+        assert not all(leaf.guaranteed for leaf in leaves)
+        leaves = self.check(grid_with_duplicates(np.random.default_rng(71), 60, 4),
+                            4, depth_cap=6)
+        assert not all(leaf.guaranteed for leaf in leaves)
+
+    def test_corners_counted(self, fig1):
+        rep = mdrc(fig1, 2)
+        leaves, _ = partition_function_space(fig1, 2)
+        distinct = {c for leaf in leaves for c in corners(leaf.box)}
+        # every corner of a leaf was scored; 2-D leaves share their ends
+        assert rep.params["corners"] == len(distinct) == len(leaves) + 1
