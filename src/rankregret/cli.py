@@ -257,9 +257,7 @@ def _solve_from_kset_file(dataset, path, k, seed):
     return Representative(
         members=members, algorithm="mdrrr",
         params={"k": k, "kset_source": "file",
-                "collection_size": len(collection),
-                "complete": collection.complete,
-                "draws": collection.draws},
+                **ev.collection_params(collection)},
         seed=seed)
 
 
@@ -276,8 +274,10 @@ def _cmd_ksets(args) -> int:
         save_collection(collection, args.output)
     else:
         sys.stdout.write("\n".join(collection_to_lines(collection)) + "\n")
-    drawn = "" if collection.draws is None else f", draws={collection.draws}"
-    print(f"{len(collection)} k-sets (complete={collection.complete}{drawn})",
+    counts = "".join(f", {key}={value}" for key, value in (
+        ("draws", collection.draws), ("lps", collection.lps),
+        ("filtered", collection.filtered)) if value is not None)
+    print(f"{len(collection)} k-sets (complete={collection.complete}{counts})",
           file=sys.stderr)
     return 0
 

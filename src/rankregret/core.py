@@ -135,7 +135,6 @@ class Representative:
     params: dict = field(default_factory=dict)
     seed: Optional[int] = None
     bound_guaranteed: bool = True
-    evaluation: Optional[object] = None
 
     @property
     def size(self) -> int:

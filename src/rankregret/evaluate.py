@@ -166,11 +166,20 @@ def run_algorithm(name: str, dataset: Dataset, k: int, *,
         return Representative(
             members=members, algorithm="mdrrr",
             params={"k": k, "kset_source": source, "c": c,
-                    "collection_size": len(collection),
-                    "complete": collection.complete,
-                    "draws": collection.draws},
+                    **collection_params(collection)},
             seed=seed)
     raise ValueError(f"unknown algorithm {name!r}")
+
+
+def collection_params(collection: KSetCollection) -> dict:
+    """What an mdrrr run reports about its k-set collection: its size,
+    whether it is complete, and the collector's draws or the graph's LPs
+    and dominance-filtered candidates (None where they do not apply)."""
+    return {"collection_size": len(collection),
+            "complete": collection.complete,
+            "draws": collection.draws,
+            "lps": collection.lps,
+            "filtered": collection.filtered}
 
 
 def dual_problem(dataset: Dataset, size_budget: int, solver: str = "mdrc",

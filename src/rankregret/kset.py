@@ -41,7 +41,10 @@ class KSetCollection:
     ``complete`` distinguishes exact enumerations from sampled ones; ``d``
     is the dataset dimensionality (needed by consumers such as the
     hitting-set solver for the VC dimension); ``draws`` is the number of
-    ranking functions a sampling collector drew (None for exact sources).
+    ranking functions a sampling collector drew (None for exact sources);
+    ``lps`` and ``filtered`` are the separation LPs the k-set graph solved
+    and the candidates its dominance test rejected without one (None for
+    other sources).
     """
 
     sets: List[KSet]
@@ -49,6 +52,8 @@ class KSetCollection:
     complete: bool
     d: Optional[int] = None
     draws: Optional[int] = None
+    lps: Optional[int] = None
+    filtered: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -79,13 +84,15 @@ def is_valid_kset(dataset: Dataset, members: Iterable[int]) -> Optional[LinearFu
     nv = d + 4
     c = np.zeros(nv)
     c[d + 2], c[d + 3] = 1.0, -1.0
-    rows = []
-    for t in inside:  # v.t - s - delta >= 0  ->  -v.t + s + delta <= 0
-        rows.append(np.concatenate([-dataset.values[t], [1.0, -1.0, 1.0, -1.0]]))
-    for t in outside:  # s - v.t >= 0  ->  v.t - s <= 0
-        rows.append(np.concatenate([dataset.values[t], [-1.0, 1.0, 0.0, 0.0]]))
-    A_ub = np.array(rows)
-    b_ub = np.zeros(len(rows))
+    A_ub = np.empty((n, nv))
+    split = len(inside)
+    # members: v.t - s - delta >= 0  ->  -v.t + s + delta <= 0
+    A_ub[:split, :d] = -dataset.values[inside]
+    A_ub[:split, d:] = (1.0, -1.0, 1.0, -1.0)
+    # the rest: s - v.t >= 0  ->  v.t - s <= 0
+    A_ub[split:, :d] = dataset.values[outside]
+    A_ub[split:, d:] = (-1.0, 1.0, 0.0, 0.0)
+    b_ub = np.zeros(n)
     A_eq = np.concatenate([np.ones(d), np.zeros(4)])[None, :]
     b_eq = np.ones(1)
 
@@ -106,15 +113,42 @@ def enumerate_ksets_graph(dataset: Dataset, k: int) -> KSetCollection:
     Seeds with the top-k on the first attribute, then explores neighbors
     obtained by swapping one member for one non-member (in ascending
     (removed, added) order), keeping LP-valid sets.  Connectivity of the
-    k-set graph makes this traversal complete.  Each LP costs a dense
-    simplex solve, so this is a verification-scale tool; use the
+    k-set graph makes this traversal complete.
+
+    Each distinct candidate is decided at most once: ``is_valid_kset`` is
+    a pure function of the set, so a candidate already found valid or
+    rejected is skipped.  A candidate in which some non-member weakly
+    dominates (>= on every attribute) a member is rejected without an LP:
+    v.u >= v.t for every v >= 0 leaves that LP no positive margin, so it
+    would reject the candidate too.  Neither shortcut changes a decision,
+    so the sets, their order and their witnesses are those of solving
+    every LP.  ``lps`` and ``filtered`` on the result count the LPs solved
+    and the candidates the dominance test rejected.  Each LP is still a
+    dense simplex solve, so this is a verification-scale tool; use the
     randomized collector for large inputs.
     """
     n = dataset.n
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} not in [1, {n}]")
-    seed_set, seed_witness = _seed_kset(dataset, k)
+    dominators = _weak_dominators(dataset.values)
+    rejected = set()
+    lps = filtered = 0
 
+    def witness_of(candidate):
+        nonlocal lps, filtered
+        if candidate in rejected:
+            return None
+        if any(not dominators[t] <= candidate for t in candidate):
+            filtered += 1
+            rejected.add(candidate)
+            return None
+        lps += 1
+        witness = is_valid_kset(dataset, candidate)
+        if witness is None:
+            rejected.add(candidate)
+        return witness
+
+    seed_set, seed_witness = _seed_kset(dataset, k, witness_of)
     discovered = {seed_set}
     ordered = [KSet(seed_set, seed_witness)]
     queue = deque([seed_set])
@@ -128,32 +162,45 @@ def enumerate_ksets_graph(dataset: Dataset, k: int) -> KSetCollection:
                 candidate = base | {added}
                 if candidate in discovered:
                     continue
-                witness = is_valid_kset(dataset, candidate)
+                witness = witness_of(candidate)
                 if witness is not None:
                     discovered.add(candidate)
                     ordered.append(KSet(candidate, witness))
                     queue.append(candidate)
-    return KSetCollection(sets=ordered, k=k, complete=True, d=dataset.d)
+    return KSetCollection(sets=ordered, k=k, complete=True, d=dataset.d,
+                          lps=lps, filtered=filtered)
 
 
-def _seed_kset(dataset: Dataset, k: int):
+def _weak_dominators(values: np.ndarray) -> List[frozenset]:
+    """Per tuple t, the other tuples u with values[u] >= values[t] on every
+    attribute; exact duplicates count."""
+    return [frozenset(np.flatnonzero((values >= row).all(axis=1)).tolist()) - {t}
+            for t, row in enumerate(values)]
+
+
+def _seed_kset(dataset: Dataset, k: int, witness_of):
     """A starting k-set: top-k on the first attribute, with fallbacks.
 
     On degenerate data the attribute-axis top-k may not be strictly
-    separable; a few deterministic random directions are tried before
-    giving up.
+    separable; up to 16 deterministic random directions are tried, drawn
+    only as needed, before giving up.  ``witness_of`` decides each
+    candidate.
     """
-    axis = np.zeros(dataset.d)
-    axis[0] = 1.0
-    candidates = [LinearFunction(axis)]
-    rng = np.random.Generator(np.random.PCG64(0))
-    candidates += [sample_function(rng, dataset.d) for _ in range(16)]
-    for f in candidates:
+    for f in _seed_functions(dataset.d):
         members = top_k(dataset, f, k)
-        witness = is_valid_kset(dataset, members)
+        witness = witness_of(members)
         if witness is not None:
             return members, witness
     raise LPNumericalFailure("no strictly separable seed k-set found")
+
+
+def _seed_functions(d: int):
+    axis = np.zeros(d)
+    axis[0] = 1.0
+    yield LinearFunction(axis)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for _ in range(16):
+        yield sample_function(rng, d)
 
 
 def sample_functions(rng: np.random.Generator, d: int, count: int) -> np.ndarray:

@@ -6,6 +6,15 @@ throughout, which makes the solver deterministic and immune to cycling on
 the heavily degenerate separation problems it is used for (every
 inequality row has b = 0).  Problem sizes here are tiny (d + a handful of
 variables, n + 1 rows), so a dense tableau is the right tool.
+
+Each pivot step is a few array operations: the entering column is the
+first reduced cost above PIVOT_TOL, the eligible rows of the ratio test
+are found in one comparison, and the pivot is one rank-1 update of the
+rows with a non-zero entry in the pivot column.  Every tableau entry
+gets the same multiply and subtract as in a row-by-row loop, so the
+pivots, and with them the solution bits, are those of the loop.  Only
+the choice of the leaving row stays a sequential fold: Bland's rule
+with a PIVOT_TOL tie band is not an argmin.
 """
 
 from dataclasses import dataclass
@@ -64,11 +73,8 @@ def simplex_max(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
         # phase 1: maximize -(sum of artificials)
         obj = np.zeros(width)
         obj[n + n_slack:n + n_slack + n_art] = -1.0
-        T[-1, :] = obj
-        for i in range(m):
-            if obj[basis[i]] != 0.0:
-                T[-1, :] -= obj[basis[i]] * T[i, :]
-        status = _pivot_loop(T, basis, lambda j: j < width - 1, max_iter)
+        _set_objective(T, basis, obj)
+        status = _pivot_loop(T, basis, width - 1, max_iter)
         if status != "optimal":
             return SimplexResult(status, None, np.nan)
         # the objective row's rhs is the negative of the phase-1 optimum
@@ -79,60 +85,74 @@ def simplex_max(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     # phase 2 on the real objective, restricted to non-artificial columns
     obj = np.zeros(width)
     obj[:n] = c
-    T[-1, :] = obj
-    for i in range(m):
-        if obj[basis[i]] != 0.0:
-            T[-1, :] -= obj[basis[i]] * T[i, :]
-    allowed = lambda j: j < n + n_slack
-    status = _pivot_loop(T, basis, allowed, max_iter)
+    _set_objective(T, basis, obj)
+    status = _pivot_loop(T, basis, n + n_slack, max_iter)
     if status != "optimal":
         return SimplexResult(status, None, np.nan)
 
     x = np.zeros(n)
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = T[i, -1]
+    real = basis < n
+    x[basis[real]] = T[:m][real, -1]
     return SimplexResult("optimal", x, float(c @ x))
 
 
-def _pivot_loop(T, basis, allowed, max_iter: int) -> str:
+def _set_objective(T, basis, obj) -> None:
+    """Load ``obj`` as reduced costs by subtracting each basic row that
+    carries a cost, one row at a time in row order."""
+    T[-1, :] = obj
+    for i in obj[basis].nonzero()[0]:
+        T[-1, :] -= obj[basis[i]] * T[i, :]
+
+
+def _pivot_loop(T, basis, limit: int, max_iter: int) -> str:
     """Run Bland-rule pivots until optimal, unbounded, or out of budget.
 
     The objective row holds reduced costs for maximization: optimal when
-    none exceeds the tolerance.  ``allowed`` filters enterable columns.
+    none of the first ``limit`` columns exceeds the tolerance.
     """
     m = T.shape[0] - 1
     for _ in range(max_iter):
-        enter = -1
-        for j in range(T.shape[1] - 1):
-            if allowed(j) and T[-1, j] > PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        entering = (T[-1, :limit] > PIVOT_TOL).nonzero()[0]
+        if entering.size == 0:
             return "optimal"
-        best_ratio = np.inf
-        leave = -1
-        for i in range(m):
-            a = T[i, enter]
-            if a > PIVOT_TOL:
-                ratio = T[i, -1] / a
-                if ratio < best_ratio - PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
+        enter = entering[0]
+        column = T[:m, enter]
+        rows = (column > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
             return "unbounded"
+        leave = _leaving_row(rows.tolist(), (T[rows, -1] / column[rows]).tolist(),
+                             basis[rows].tolist())
         _pivot(T, basis, leave, enter)
     return "iteration_limit"
 
 
+def _leaving_row(rows, ratios, basics) -> int:
+    """Bland's ratio test over the eligible rows, in row order.
+
+    A ratio more than PIVOT_TOL below the best so far takes over; one
+    within PIVOT_TOL of it takes over only with a smaller basic index.
+    The band moves with the best ratio, so the winner can depend on the
+    order the rows are seen in, which an argmin would not reproduce.
+    """
+    best_ratio = np.inf
+    leave = best_basic = -1
+    for i, ratio, basic in zip(rows, ratios, basics):
+        if ratio < best_ratio - PIVOT_TOL or (
+            abs(ratio - best_ratio) <= PIVOT_TOL
+            and (leave < 0 or basic < best_basic)
+        ):
+            best_ratio = ratio
+            leave, best_basic = i, basic
+    return leave
+
+
 def _pivot(T, basis, row: int, col: int) -> None:
     T[row, :] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i, :] -= T[i, col] * T[row, :]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    # rows with a zero factor are left alone, so no -0.0 turns into 0.0
+    np.subtract(T, np.multiply.outer(factors, T[row]), out=T,
+                where=(factors != 0.0)[:, None])
     basis[row] = col
 
 
@@ -145,12 +165,8 @@ def _evict_artificials(T, basis, n_real: int) -> None:
     m = T.shape[0] - 1
     for i in range(m):
         if basis[i] >= n_real:
-            pivot_col = -1
-            for j in range(n_real):
-                if abs(T[i, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(T, basis, i, pivot_col)
+            usable = (np.abs(T[i, :n_real]) > PIVOT_TOL).nonzero()[0]
+            if usable.size:
+                _pivot(T, basis, i, usable[0])
             else:
                 T[i, :] = 0.0

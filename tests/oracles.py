@@ -389,3 +389,150 @@ def recursive_partition(values, k, depth_cap=None):
 
     tree = recurse(tuple((0.0, HALF_PI) for _ in range(d - 1)), 0)
     return leaves, tree
+
+
+def loop_simplex_max(c, A_ub, b_ub, A_eq, b_eq, tol=1e-9, feas_tol=1e-7):
+    """(status, x) of a dense two-phase Bland-rule simplex that walks the
+    tableau one row and one column at a time: maximize c.x subject to
+    A_ub x <= b_ub, A_eq x = b_eq, x >= 0, with non-negative right-hand
+    sides.  ``x`` is None unless the status is "optimal"."""
+    c = np.asarray(c, dtype=np.float64)
+    A_ub = np.asarray(A_ub, dtype=np.float64).reshape(-1, c.size)
+    A_eq = np.asarray(A_eq, dtype=np.float64).reshape(-1, c.size)
+    n, m_ub, m_eq = c.size, A_ub.shape[0], A_eq.shape[0]
+    m = m_ub + m_eq
+    width = n + m + 1
+    T = np.zeros((m + 1, width))
+    T[:m_ub, :n] = A_ub
+    T[:m_ub, n:n + m_ub] = np.eye(m_ub)
+    T[:m_ub, -1] = b_ub
+    T[m_ub:m, :n] = A_eq
+    T[m_ub:m, n + m_ub:n + m] = np.eye(m_eq)
+    T[m_ub:m, -1] = b_eq
+    basis = list(range(n, n + m))
+    max_iter = 2000 + 50 * (m + n)
+
+    def pivot(row, col):
+        T[row, :] /= T[row, col]
+        for i in range(m + 1):
+            if i != row and T[i, col] != 0.0:
+                T[i, :] -= T[i, col] * T[row, :]
+        basis[row] = col
+
+    def load(obj):
+        T[-1, :] = obj
+        for i in range(m):
+            if obj[basis[i]] != 0.0:
+                T[-1, :] -= obj[basis[i]] * T[i, :]
+
+    def run(columns):
+        for _ in range(max_iter):
+            enter = next((j for j in range(columns) if T[-1, j] > tol), -1)
+            if enter < 0:
+                return "optimal"
+            best, leave = np.inf, -1
+            for i in range(m):
+                a = T[i, enter]
+                if a > tol:
+                    ratio = T[i, -1] / a
+                    if ratio < best - tol or (
+                            abs(ratio - best) <= tol
+                            and (leave < 0 or basis[i] < basis[leave])):
+                        best, leave = ratio, i
+            if leave < 0:
+                return "unbounded"
+            pivot(leave, enter)
+        return "iteration_limit"
+
+    if m_eq:
+        obj = np.zeros(width)
+        obj[n + m_ub:n + m] = -1.0
+        load(obj)
+        status = run(width - 1)
+        if status != "optimal":
+            return status, None
+        if T[-1, -1] > feas_tol:
+            return "infeasible", None
+        for i in range(m):
+            if basis[i] >= n + m_ub:
+                col = next((j for j in range(n + m_ub) if abs(T[i, j]) > tol), -1)
+                if col >= 0:
+                    pivot(i, col)
+                else:
+                    T[i, :] = 0.0
+    obj = np.zeros(width)
+    obj[:n] = c
+    load(obj)
+    status = run(n + m_ub)
+    if status != "optimal":
+        return status, None
+    x = np.zeros(n)
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = T[i, -1]
+    return "optimal", x
+
+
+def lp_separation_witness(values, members, margin_tol=1e-7):
+    """Weights whose top-|members| is exactly ``members``, by maximizing
+    the separating margin with ``loop_simplex_max``; None when the best
+    margin is not positive (or the LP fails)."""
+    values = np.asarray(values, dtype=np.float64)
+    n, d = values.shape
+    inside = sorted(members)
+    if len(inside) == n:
+        return np.full(d, 1.0 / d)
+    outside = sorted(set(range(n)) - set(inside))
+    c = np.zeros(d + 4)
+    c[d + 2], c[d + 3] = 1.0, -1.0
+    rows = [np.concatenate([-values[t], [1.0, -1.0, 1.0, -1.0]]) for t in inside]
+    rows += [np.concatenate([values[t], [-1.0, 1.0, 0.0, 0.0]]) for t in outside]
+    A_eq = np.concatenate([np.ones(d), np.zeros(4)])[None, :]
+    status, x = loop_simplex_max(c, np.array(rows), np.zeros(n), A_eq, np.ones(1))
+    if status != "optimal" or float(c @ x) <= margin_tol:
+        return None
+    return np.clip(x[:d], 0.0, None)
+
+
+def has_weakly_dominated_member(values, members):
+    """Whether some tuple outside ``members`` is >= on every attribute
+    than some member (equal rows count)."""
+    values = np.asarray(values)
+    return any(np.all(values[u] >= values[t])
+               for t in members for u in range(len(values)) if u not in members)
+
+
+def lp_graph_ksets(values, k):
+    """[(members, witness weights)] of the k-set graph BFS that solves the
+    separation LP for every candidate it generates: seeded by the first
+    separable top-k among the first axis and 16 functions drawn from
+    PCG64(0), then every swap of one member for one non-member in
+    ascending (removed, added) order, keeping the separable ones."""
+    values = np.asarray(values, dtype=np.float64)
+    n, d = values.shape
+    rng = np.random.Generator(np.random.PCG64(0))
+    functions = [np.eye(d)[0]] + [_draw_one_function(rng, d) for _ in range(16)]
+    for w in functions:
+        seed = topk_by_definition(values, w, k)
+        witness = lp_separation_witness(values, seed)
+        if witness is not None:
+            break
+    else:
+        raise AssertionError("no separable seed k-set")
+    out = [(seed, witness)]
+    found = {seed}
+    queue = [seed]
+    while queue:
+        current = queue.pop(0)
+        rest = sorted(set(range(n)) - current)
+        for removed in sorted(current):
+            for added in rest:
+                candidate = (current - {removed}) | {added}
+                if candidate in found:
+                    continue
+                witness = lp_separation_witness(values, candidate)
+                if witness is not None:
+                    found.add(candidate)
+                    out.append((candidate, witness))
+                    queue.append(candidate)
+    return out

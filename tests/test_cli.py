@@ -164,6 +164,33 @@ class TestKsets:
                     == one_run["params"]["collection_size"])
             assert f"draws={one_run['params']['draws']})" in summary
             assert from_file["params"]["draws"] is None
+            assert one_run["params"]["lps"] is None
+
+    def test_graph_kset_file_solves_like_one_run(self, tmp_path, capsys):
+        # the graph's LP and filter counts reach the ksets summary and the
+        # solve params; a collection read back from a file has neither
+        path = tmp_path / "three.csv"
+        np.savetxt(path, np.random.default_rng(6).random((12, 3)),
+                   delimiter=",", header="a,b,c", comments="")
+        sets_path = tmp_path / "sets.txt"
+        common = ["--k", "2", "--samples", "20", "--seed", "4"]
+        assert main(["ksets", str(path), "--source", "graph", "--k", "2",
+                     "-o", str(sets_path)]) == 0
+        summary = capsys.readouterr().err
+        assert main(["solve", str(path), "--algo", "mdrrr", *common,
+                     "--ksets-file", str(sets_path)]) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        assert main(["solve", str(path), "--algo", "mdrrr", *common,
+                     "--source", "graph"]) == 0
+        one_run = json.loads(capsys.readouterr().out)
+        params = one_run["params"]
+        assert from_file["member_ids"] == one_run["member_ids"]
+        assert summary.startswith(
+            f"{params['collection_size']} k-sets (complete=True, "
+            f"lps={params['lps']}, filtered={params['filtered']})")
+        assert params["lps"] > 0 and params["draws"] is None
+        assert from_file["params"]["lps"] is None
+        assert from_file["params"]["filtered"] is None
 
     def test_kset_file_k_mismatch_is_config_error(self, fig1_csv, tmp_path,
                                                   capsys):

@@ -12,6 +12,7 @@ from rankregret import (
     top_k,
     weights_to_angles,
 )
+from rankregret import kset
 from rankregret.kset import (
     collection_from_lines,
     collection_to_lines,
@@ -26,7 +27,12 @@ from conftest import (
     random_dataset,
     tids,
 )
-from oracles import exhaustive_lp_ksets, one_at_a_time_ksets
+from oracles import (
+    exhaustive_lp_ksets,
+    has_weakly_dominated_member,
+    lp_graph_ksets,
+    one_at_a_time_ksets,
+)
 
 HALF_PI = np.pi / 2
 
@@ -94,6 +100,48 @@ class TestGraphEnumeration:
     def test_k_equals_n(self, fig1):
         col = enumerate_ksets_graph(fig1, 7)
         assert len(col) == 1 and col.complete
+
+    @pytest.mark.parametrize("maker", ["uniform", "anticorrelated", "grid"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_same_run_as_solving_every_lp(self, maker, d, monkeypatch):
+        # same sets, same order and bit-identical witnesses as a BFS that
+        # solves the LP of every candidate it generates, with at most one
+        # LP per distinct candidate and none on a candidate in which a
+        # non-member weakly dominates a member
+        make = {"uniform": lambda g, n, d: g.random((n, d)),
+                "anticorrelated": anticorrelated,
+                "grid": grid_with_duplicates}[maker]
+        solved = []
+        real = kset.is_valid_kset
+
+        def counted(dataset, members):
+            solved.append(frozenset(members))
+            return real(dataset, members)
+
+        monkeypatch.setattr(kset, "is_valid_kset", counted)
+        rng = np.random.default_rng([d, len(maker)])
+        for k in (1, 2, 3):
+            for _ in range(2):
+                values = make(rng, int(rng.integers(8, 14)), d)
+                solved.clear()
+                expected = lp_graph_ksets(values, k)
+                got = enumerate_ksets_graph(Dataset(values), k)
+                assert [s.members for s in got.sets] == [m for m, _ in expected]
+                for s, (_, w) in zip(got.sets, expected):
+                    assert s.witness.weights.tobytes() == w.tobytes()
+                assert len(solved) == len(set(solved)) == got.lps
+                assert not any(has_weakly_dominated_member(values, c)
+                               for c in solved)
+
+    def test_counts_lps_and_filtered_candidates(self):
+        # (0, 0) is dominated by every other row, so the swaps that add it
+        # are filtered; (1, 1) dominates all, so no set may leave it out
+        ds = Dataset([[1.0, 1.0], [0.9, 0.1], [0.1, 0.9], [0.0, 0.0]])
+        col = enumerate_ksets_graph(ds, 2)
+        assert {s.members for s in col.sets} == \
+            {frozenset({0, 1}), frozenset({0, 2})}
+        assert col.filtered > 0
+        assert col.lps + col.filtered <= 6  # C(4, 2) candidates
 
 
 class TestSampler:
@@ -198,6 +246,13 @@ class TestRandomCollector:
     def test_exact_sources_have_no_draws(self, fig1):
         assert enumerate_ksets_graph(fig1, 2).draws is None
         assert enumerate_ksets_2d(fig1, 2).draws is None
+
+    def test_only_the_graph_counts_lps(self, fig1):
+        graph = enumerate_ksets_graph(fig1, 2)
+        assert graph.lps > 0 and graph.filtered >= 0
+        for col in (enumerate_ksets_2d(fig1, 2),
+                    collect_ksets_random(fig1, 2, 10, np.random.default_rng(0))):
+            assert col.lps is None and col.filtered is None
 
 
 def _min_wedge(ds, k):

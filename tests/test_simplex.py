@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rankregret.simplex import simplex_max
+from rankregret.simplex import PIVOT_TOL, _pivot_loop, simplex_max
+
+from oracles import loop_simplex_max
 
 
 def test_basic_maximization():
@@ -60,6 +62,47 @@ def test_matches_vertex_enumeration():
         assert res.ok
         best = _brute_force_vertex_max(c, A_full, b_full)
         assert res.objective == pytest.approx(best, abs=1e-7)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5 * PIVOT_TOL])
+def test_ratio_tie_leaves_the_smaller_basic_index(offset):
+    # columns x0, x1, s0, s1 | rhs; row 0 has s0 (index 2) basic, row 1
+    # has x1 (index 1).  x0 enters, and both rows bound it at ratio 1, the
+    # second within PIVOT_TOL of the first.  Bland's rule leaves row 1,
+    # the smaller basic index, although row 0 comes first.
+    T = np.array([[2.0, 0.0, 1.0, 0.0, 2.0],
+                  [1.0, 1.0, 0.0, 0.0, 1.0 + offset],
+                  [1.0, 0.0, 0.0, 0.0, 0.0]])
+    basis = np.array([2, 1])
+    assert _pivot_loop(T, basis, 4, max_iter=1) == "iteration_limit"
+    assert basis.tolist() == [2, 0]
+
+
+def test_degenerate_lps_match_the_loop_solver():
+    # b_ub = 0 and one equality row, as in the k-set separation LPs: rows
+    # t.v - s <= 0 with a free s = s+ - s-, and sum(v) = 1.  Half of the
+    # rows come from i/q grids, so ratios tie exactly.  The status and
+    # every bit of x match a solver that pivots row by row.
+    rng = np.random.default_rng(8)
+    statuses = []
+    for trial in range(200):
+        d = int(rng.integers(2, 6))
+        nrow = int(rng.integers(2, 12))
+        if trial % 2:
+            q = int(rng.integers(2, 6))
+            values = rng.integers(-q, q + 1, size=(nrow, d)) / q
+        else:
+            values = rng.standard_normal((nrow, d))
+        A = np.hstack([values, -np.ones((nrow, 1)), np.ones((nrow, 1))])
+        c = np.append(rng.integers(-1, 2, size=d), rng.integers(-1, 2, size=2))
+        A_eq = np.append(np.ones(d), [0.0, 0.0])[None, :]
+        res = simplex_max(c, A, np.zeros(nrow), A_eq, np.ones(1))
+        status, x = loop_simplex_max(c, A, np.zeros(nrow), A_eq, np.ones(1))
+        assert res.status == status
+        if status == "optimal":
+            assert res.x.tobytes() == x.tobytes()
+        statuses.append(status)
+    assert statuses.count("optimal") > 100 and "unbounded" in statuses
 
 
 def _brute_force_vertex_max(c, A, b):
