@@ -7,8 +7,10 @@ selected columns are dropped (and counted).  Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import csv
 import json
+import logging
 import secrets
 import sys
 import time
@@ -34,6 +36,8 @@ from .errors import (
     UncoverableSpace,
 )
 from .kset import collection_to_lines, save_collection
+
+log = logging.getLogger(__name__)
 
 INPUT_ERRORS = (FileNotFoundError, NoUsableRows, ConstantAttribute, NonFiniteValue)
 CONFIG_ERRORS = (ConfigError, KOutOfRange, DimensionNot2D, DimensionMismatch,
@@ -91,8 +95,8 @@ def ingest(path: str, cols: Optional[Sequence[str]] = None,
         except (ValueError, IndexError):
             dropped += 1
     if dropped:
-        print(f"dropped {dropped} rows with missing or non-numeric values",
-              file=sys.stderr)
+        log.warning("dropped %d rows with missing or non-numeric values",
+                    dropped)
     if not rows:
         raise NoUsableRows(f"no usable rows in {path}")
 
@@ -112,7 +116,7 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     seed = secrets.randbits(32)
-    print(f"seed: {seed}", file=sys.stderr)
+    log.info("seed: %d", seed)
     return seed
 
 
@@ -277,8 +281,8 @@ def _cmd_ksets(args) -> int:
     counts = "".join(f", {key}={value}" for key, value in (
         ("draws", collection.draws), ("lps", collection.lps),
         ("filtered", collection.filtered)) if value is not None)
-    print(f"{len(collection)} k-sets (complete={collection.complete}{counts})",
-          file=sys.stderr)
+    log.info("%d k-sets (complete=%s%s)", len(collection), collection.complete,
+             counts)
     return 0
 
 
@@ -356,20 +360,38 @@ COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    with _diagnostics_to_stderr():
+        try:
+            return COMMANDS[args.command](args)
+        except INPUT_ERRORS as exc:
+            _emit_error(exc, 2)
+            return 2
+        except NUMERIC_ERRORS as exc:
+            _emit_error(exc, 4)
+            return 4
+        except CONFIG_ERRORS as exc:
+            _emit_error(exc, 3)
+            return 3
+        except RankRegretError as exc:
+            _emit_error(exc, 4)
+            return 4
+
+
+@contextlib.contextmanager
+def _diagnostics_to_stderr():
+    """While a command runs, the package's log records from INFO up go to
+    stderr as plain message lines."""
+    package = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = package.level
+    package.addHandler(handler)
+    package.setLevel(logging.INFO)
     try:
-        return COMMANDS[args.command](args)
-    except INPUT_ERRORS as exc:
-        _emit_error(exc, 2)
-        return 2
-    except NUMERIC_ERRORS as exc:
-        _emit_error(exc, 4)
-        return 4
-    except CONFIG_ERRORS as exc:
-        _emit_error(exc, 3)
-        return 3
-    except RankRegretError as exc:
-        _emit_error(exc, 4)
-        return 4
+        yield
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
 
 
 def _emit_error(exc: Exception, code: int) -> None:

@@ -73,7 +73,7 @@ def partition_function_space(dataset: Dataset, k: int,
     and a JSON-ready nested tree of the recursion (every internal node has
     exactly two children).  At ``depth_cap`` a box is closed by assigning
     the top-1 tuple of its centroid function; such leaves are marked as
-    not carrying the rank bound.
+    not carrying the rank bound, and one warning per run counts them.
     """
     leaves, tree, _ = _partition(dataset, k, depth_cap)
     return leaves, tree
@@ -93,6 +93,7 @@ def _partition(dataset: Dataset, k: int, depth_cap: Optional[int]):
     tree = _node(root)
     leaf_of = {}  # id(node) -> LeafBox
     frontier = [(root, tree)]
+    capped = 0
     while frontier:
         fresh = list(dict.fromkeys(
             c for rect, _ in frontier for c in corners(rect) if c not in memo))
@@ -108,8 +109,7 @@ def _partition(dataset: Dataset, k: int, depth_cap: Optional[int]):
                 centroid = tuple((lo + hi) / 2.0 for lo, hi in rect.ranges)
                 assigned = min(top_k(dataset, angles_to_weights(centroid), 1))
                 guaranteed = False
-                log.warning("depth cap %d reached; assigning centroid top-1 %d "
-                            "without the rank bound", depth_cap, assigned)
+                capped += 1
             else:
                 halves = _split(rect)
                 node["children"] = [_node(half) for half in halves]
@@ -119,6 +119,9 @@ def _partition(dataset: Dataset, k: int, depth_cap: Optional[int]):
             node["guaranteed"] = guaranteed
             leaf_of[id(node)] = LeafBox(rect, assigned, guaranteed)
         frontier = below
+    if capped:
+        log.warning("depth cap %d reached in %d leaves; each is assigned its "
+                    "centroid's top-1 without the rank bound", depth_cap, capped)
 
     leaves: List[LeafBox] = []
     stack = [tree]
@@ -154,10 +157,11 @@ def mdrc(dataset: Dataset, k: int, depth_cap: Optional[int] = None) -> Represent
     """
     leaves, _, scored = _partition(dataset, k, depth_cap)
     members = frozenset(leaf.assigned for leaf in leaves)
+    capped = sum(not leaf.guaranteed for leaf in leaves)
     return Representative(
         members=members,
         algorithm="mdrc",
         params={"k": k, "depth_cap": depth_cap, "leaves": len(leaves),
-                "corners": scored},
-        bound_guaranteed=all(leaf.guaranteed for leaf in leaves),
+                "corners": scored, "capped_leaves": capped},
+        bound_guaranteed=not capped,
     )

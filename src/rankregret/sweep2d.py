@@ -4,13 +4,21 @@ The function space in 2-D is the single angle theta in [0, pi/2] of the
 ray (cos theta, sin theta).  Two tuples exchange ranking order at most
 once along it, so a tuple's rank is a step function of theta that moves
 by one at each of its crossing angles with another tuple.
+``_rank_trajectories`` computes these step functions for a block of
+tuples at once, as (block x rows) arrays: every row's crossing angles
+sorted, the running rank after each, and a mark on the last entry of
+each group of equal angles, where the running rank is the rank just
+after that angle whatever order the group was sorted in.
 ``find_ranges`` reads, from these rank trajectories, the first and last
 angle at which every tuple is ranked in the top k; covering [0, pi/2]
 with the fewest such ranges yields a representative that is never larger
 than the optimal one and whose exact rank-regret is at most 2k (each
-range's interior rank is bounded by the sum of its endpoint ranks).  The
-event sweep of adjacent transpositions (``ExchangeSweep``) serves the
-k-set enumeration only.
+range's interior rank is bounded by the sum of its endpoint ranks).  At
+the two axis endpoints a claim stays closed while the tuple's id
+tie-broken rank there is within 2k and is moved one representable angle
+inward otherwise.  ``exact_rank_regret_2d`` reads the same trajectories
+of the members.  The event sweep of adjacent transpositions
+(``ExchangeSweep``) serves the k-set enumeration only.
 """
 
 import heapq
@@ -21,6 +29,7 @@ import numpy as np
 
 from .core import (
     HALF_PI,
+    SCORE_BLOCK_BYTES,
     Dataset,
     RankRegretKernel,
     Representative,
@@ -149,13 +158,20 @@ def find_ranges(dataset: Dataset, k: int) -> List[AngularRange]:
 
     Tuples in the top k at angle 0 start their range there; tuples in the
     top k at pi/2 end it there.  Tuples never reaching the top k are
-    omitted.  Each range is read off the tuple's rank trajectory
-    (``_trajectory``), vectorized over the other tuples.  Tuples with at
-    least k dominators can never reach the top k and are skipped.  Every
-    decision below compares a rank with k or 2k, and a tuple with 2k
-    strict dominators outranks nobody ranked within 2k at any angle, so
-    the trajectories count only the other tuples: ranks up to 2k come out
+    omitted.  Tuples with at least k dominators can never reach the top k
+    and are skipped; the others are read off their rank trajectories
+    (``_rank_trajectories``), one block of tuples at a time.  Every
+    decision compares a rank with k or 2k, and a tuple with 2k strict
+    dominators outranks nobody ranked within 2k at any angle, so the
+    trajectories count only the other tuples: ranks up to 2k come out
     exact and larger ranks stay above 2k.
+
+    A range begins at the angle of the first crossing group after which
+    the tuple is in the top k and ends at the group after which it last
+    leaves it.  A tuple in the top k just after angle 0 but not at 0
+    itself (an id tie-break there) keeps the closed claim at 0 while its
+    tie-broken rank at 0 is within 2k, and starts one representable angle
+    later otherwise; the same rule, mirrored, holds at pi/2.
     """
     _require_2d(dataset)
     if not 1 <= k <= dataset.n:
@@ -165,72 +181,111 @@ def find_ranges(dataset: Dataset, k: int) -> List[AngularRange]:
         return [AngularRange(t, 0.0, HALF_PI) for t in range(n)]
     candidates = np.flatnonzero(dominator_counts(values) < k)
     ids = np.flatnonzero(dominator_counts(values, strict=True) < 2 * k)
-    x1, x2 = values[ids, 0], values[ids, 1]
+    points = values[ids]
+    step = _block_size(ids.size)
     out: List[AngularRange] = []
-    for t in candidates:
-        du = x1 - values[t, 0]
-        dv = x2 - values[t, 1]
-        angles, states = _trajectory(du, dv, ids, t)
-        # tie-broken ranks at the exact endpoints
-        rank_at_0 = 1 + int(np.count_nonzero(du > 0)
-                            + np.count_nonzero((du == 0) & (ids < t)))
-        rank_at_end = 1 + int(np.count_nonzero(dv > 0)
-                              + np.count_nonzero((dv == 0) & (ids < t)))
-        inside = states <= k
-        if not (inside.any() or rank_at_0 <= k or rank_at_end <= k):
-            continue
-        if rank_at_0 <= k:
-            b = 0.0
-        elif inside[0]:
-            # keep the claim closed unless a tie group pushes the rank at
-            # the exact endpoint beyond what the coverage guarantee allows
-            b = 0.0 if rank_at_0 <= 2 * k else float(np.nextafter(0.0, np.inf))
-        elif inside.any():
-            b = float(angles[np.flatnonzero(inside)[0] - 1])
-        else:
-            b = HALF_PI  # in the top k only at the very endpoint
-        if rank_at_end <= k:
-            e = HALF_PI
-        elif inside[-1]:
-            e = HALF_PI if rank_at_end <= 2 * k \
-                else float(np.nextafter(HALF_PI, -np.inf))
-        elif inside.any():
-            exits = np.flatnonzero(inside[:-1] & ~inside[1:])
-            e = float(angles[exits[-1]])
-        else:
-            e = 0.0  # in the top k only at angle 0 exactly
-        if b <= e:
-            out.append(AngularRange(int(t), b, e))
+    for lo in range(0, candidates.size, step):
+        block = candidates[lo:lo + step]
+        tr = _rank_trajectories(points, ids, values[block], block)
+        out.extend(_block_ranges(block, tr, k))
     return out
 
 
-def _trajectory(du: np.ndarray, dv: np.ndarray, ids: np.ndarray,
-                t: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Rank trajectory of tuple t from its offsets to the other tuples.
+def _block_ranges(block: np.ndarray, tr: "_Trajectories",
+                  k: int) -> List[AngularRange]:
+    """The top-k ranges of a block of tuples from their trajectories."""
+    inside = tr.last & (tr.states <= k)  # group ends with the tuple in the top k
+    entered = inside.any(axis=1)
+    rows = np.arange(block.size)
+    first = np.argmax(inside, axis=1)
+    final = inside.shape[1] - 1 - np.argmax(inside[:, ::-1], axis=1)
+    # the exit follows the last state in the top k: the group after the
+    # last inside group end, or the first group when only rank0 is inside
+    exit_at = np.where(entered, np.minimum(final + 1, inside.shape[1] - 1), 0)
+    in0 = tr.rank0 <= k
+    in_end = tr.states[:, -1] <= k
+    ever = in0 | entered
+    b = np.select(
+        [tr.at_0 <= k, in0, entered],
+        [0.0, np.where(tr.at_0 <= 2 * k, 0.0, np.nextafter(0.0, np.inf)),
+         tr.angles[rows, first]],
+        HALF_PI)  # in the top k only at the very endpoint
+    e = np.select(
+        [tr.at_end <= k, in_end, ever],
+        [HALF_PI,
+         np.where(tr.at_end <= 2 * k, HALF_PI, np.nextafter(HALF_PI, -np.inf)),
+         tr.angles[rows, exit_at]],
+        0.0)  # in the top k only at angle 0 exactly
+    keep = b <= e  # a tuple never in the top k gets [pi/2, 0]
+    return [AngularRange(int(t), float(lo), float(hi))
+            for t, lo, hi in zip(block[keep], b[keep], e[keep])]
 
-    ``du``/``dv`` are the other tuples' attribute values minus t's and
-    ``ids`` their ids.  Returns the distinct crossing angles in ascending
-    order and the ranks: ``states[0]`` just after angle 0, ``states[i+1]``
-    just after ``angles[i]`` (after every crossing at that angle).
+
+#: sort keys of the trajectory kernel: one bit, and the key of +inf
+_ONE = np.uint64(1)
+_NEVER = np.float64(np.inf).view(np.uint64) << _ONE
+
+
+def _block_size(rows: int) -> int:
+    """Tuples per trajectory block: about SCORE_BLOCK_BYTES per array."""
+    return max(1, SCORE_BLOCK_BYTES // (8 * rows))
+
+
+@dataclass(frozen=True)
+class _Trajectories:
+    """Rank trajectories of a block of tuples, one row per tuple.
+
+    ``angles`` holds a row's crossing angles in ascending order, +inf for
+    the pairs that never cross.  ``states[:, j]`` is the rank once entries
+    0..j have crossed.  Equal angles stay separate entries, so a state is
+    the rank just after its angle only where ``last`` marks the end of
+    its angle group.
+    ``rank0`` is the rank just after angle 0; ``at_0`` and ``at_end`` are
+    the tie-broken ranks at exactly 0 and pi/2.
     """
-    rank0 = 1 + int(
-        np.count_nonzero(du > 0)
-        + np.count_nonzero((du == 0) & (dv > 0))
-        + np.count_nonzero((du == 0) & (dv == 0) & (ids < t))
-    )
-    crossing = ((du > 0) & (dv < 0)) | ((du < 0) & (dv > 0))
-    angles = np.arctan(du[crossing] / -dv[crossing])
-    deltas = np.where(dv[crossing] > 0, 1, -1)
-    sorter = np.argsort(angles, kind="stable")
-    angles = angles[sorter]
-    ranksums = rank0 + np.cumsum(deltas[sorter])
-    # take the state after all events at equal angles
-    if angles.size:
-        last = np.flatnonzero(np.diff(angles) > 0)
-        last = np.concatenate([last, [angles.size - 1]])
-        angles = angles[last]
-        ranksums = ranksums[last]
-    return angles, np.concatenate([[rank0], ranksums])
+
+    angles: np.ndarray
+    states: np.ndarray
+    last: np.ndarray
+    rank0: np.ndarray
+    at_0: np.ndarray
+    at_end: np.ndarray
+
+
+def _rank_trajectories(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
+                       own_ids: np.ndarray) -> _Trajectories:
+    """Trajectories of the tuples ``own`` (ids ``own_ids``) against the
+    rows ``points`` (ids ``ids``), as (block x rows) arrays.
+
+    A row with a smaller x1 and a larger x2 passes the tuple at
+    arctan(du / -dv) and one with a larger x1 and a smaller x2 falls
+    behind it there.  Each crossing is sorted as one integer key: its
+    angle's bits, which order like the angle since it is non-negative,
+    shifted left by one with the low bit set for a row passing.  Rows
+    that never cross get the key of +inf.  The state after a group of
+    equal angles does not depend on the order within the group.
+    """
+    du = points[:, 0] - own[:, 0, None]
+    dv = points[:, 1] - own[:, 1, None]
+    ahead = ids < own_ids[:, None]
+    at_0 = 1 + np.count_nonzero((du > 0) | (du == 0) & ahead, axis=1)
+    at_end = 1 + np.count_nonzero((dv > 0) | (dv == 0) & ahead, axis=1)
+    rank0 = 1 + np.count_nonzero(
+        (du > 0) | (du == 0) & ((dv > 0) | (dv == 0) & ahead), axis=1)
+    passing = (du < 0) & (dv > 0)
+    crossing = passing | (du > 0) & (dv < 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angles = np.arctan(du / -dv)
+    keys = np.where(crossing, (angles.view(np.uint64) << _ONE) | passing,
+                    _NEVER)
+    keys.sort(axis=1)
+    angles = (keys >> _ONE).view(np.float64)
+    delta = np.where(keys < _NEVER, (keys & _ONE).view(np.int64) * 2 - 1, 0)
+    states = rank0[:, None] + np.cumsum(delta, axis=1)
+    last = np.empty(angles.shape, dtype=bool)
+    last[:, :-1] = angles[:, 1:] != angles[:, :-1]
+    last[:, -1] = True
+    return _Trajectories(angles, states, last, rank0, at_0, at_end)
 
 
 def dominator_counts(values: np.ndarray, strict: bool = False) -> np.ndarray:
@@ -460,9 +515,11 @@ def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
 
     Member ranks only change at the members' crossing angles, so the best
     member rank is constant between consecutive angles of their union: the
-    members' rank trajectories give it on every open interval, and the
-    angles themselves (where score ties resolve by id) plus the two
-    endpoints are scored directly by ``core.RankRegretKernel``.  Both parts
+    members' rank trajectories (``_rank_trajectories``, blocks of members)
+    give it on every open interval, as the state after each member's last
+    crossing at or before the angle, and the angles themselves (where
+    score ties resolve by id) plus the two endpoints are scored directly
+    by ``core.RankRegretKernel``.  Both parts
     see only the rows that no member beats by more than NUMERIC_TOL on
     both attributes: such a row never outranks the best member, and every
     other member still ranks behind the best one among the remaining
@@ -477,15 +534,20 @@ def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
         raise ValueError("subset contains unknown tuple ids")
     kernel = RankRegretKernel(dataset.values, members)
     kept, rows = kernel.kept, kernel.rows
-    trajectories = [_trajectory(kept[:, 0] - kept[c, 0], kept[:, 1] - kept[c, 1],
-                                rows, t)
-                    for c, t in zip(kernel.member_cols, members)]
-    angles = np.unique(np.concatenate([[0.0]] + [a for a, _ in trajectories]))
-    # the best member rank just after each angle (just after 0 included)
+    step = _block_size(rows.size)
+    blocks = [_rank_trajectories(kept, rows, kept[kernel.member_cols[lo:lo + step]],
+                                 kernel.members[lo:lo + step])
+              for lo in range(0, len(members), step)]
+    angles = np.unique(np.concatenate(
+        [[0.0]] + [tr.angles[np.isfinite(tr.angles)] for tr in blocks]))
+    # the best member rank just after each angle (just after 0 included):
+    # a row's state after its last entry at or before the angle
     after = np.full(angles.size, dataset.n, dtype=np.int64)
-    for a, states in trajectories:
-        np.minimum(after, states[np.searchsorted(a, angles, side="right")],
-                   out=after)
+    for tr in blocks:
+        for a, states, rank0 in zip(tr.angles, tr.states, tr.rank0):
+            count = np.searchsorted(a, angles, side="right")
+            np.minimum(after, np.where(count > 0, states[count - 1], rank0),
+                       out=after)
     at = _score_angles(kernel, np.append(angles, HALF_PI))
     return int(max(after.max(), at))
 

@@ -536,3 +536,77 @@ def lp_graph_ksets(values, k):
                     out.append((candidate, witness))
                     queue.append(candidate)
     return out
+
+
+def loop_find_ranges(values, k):
+    """``sweep2d.find_ranges`` as a per-tuple loop: each skyband tuple's
+    rank trajectory, one tuple at a time, as (tuple id, begin, end).
+
+    The trajectory counts only the tuples with fewer than 2k strict
+    dominators, which leaves every rank up to 2k exact.  Endpoint claims
+    stay closed while the tie-broken rank at the exact endpoint is within
+    2k and are shrunk by one representable angle otherwise.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    if k >= n:
+        return [(t, 0.0, HALF_PI) for t in range(n)]
+    candidates = np.flatnonzero(dominators_by_definition(values) < k)
+    ids = np.flatnonzero(dominators_by_definition(values, strict=True) < 2 * k)
+    x1, x2 = values[ids, 0], values[ids, 1]
+    out = []
+    for t in candidates:
+        du = x1 - values[t, 0]
+        dv = x2 - values[t, 1]
+        angles, states = _loop_trajectory(du, dv, ids, t)
+        rank_at_0 = 1 + int(np.count_nonzero(du > 0)
+                            + np.count_nonzero((du == 0) & (ids < t)))
+        rank_at_end = 1 + int(np.count_nonzero(dv > 0)
+                              + np.count_nonzero((dv == 0) & (ids < t)))
+        inside = states <= k
+        if not (inside.any() or rank_at_0 <= k or rank_at_end <= k):
+            continue
+        if rank_at_0 <= k:
+            b = 0.0
+        elif inside[0]:
+            b = 0.0 if rank_at_0 <= 2 * k else float(np.nextafter(0.0, np.inf))
+        elif inside.any():
+            b = float(angles[np.flatnonzero(inside)[0] - 1])
+        else:
+            b = HALF_PI
+        if rank_at_end <= k:
+            e = HALF_PI
+        elif inside[-1]:
+            e = HALF_PI if rank_at_end <= 2 * k \
+                else float(np.nextafter(HALF_PI, -np.inf))
+        elif inside.any():
+            exits = np.flatnonzero(inside[:-1] & ~inside[1:])
+            e = float(angles[exits[-1]])
+        else:
+            e = 0.0
+        if b <= e:
+            out.append((int(t), b, e))
+    return out
+
+
+def _loop_trajectory(du, dv, ids, t):
+    """Distinct crossing angles of tuple t, ascending, and its ranks:
+    ``states[0]`` just after angle 0, ``states[i+1]`` just after
+    ``angles[i]``, from the other tuples' offsets ``du``/``dv``."""
+    rank0 = 1 + int(
+        np.count_nonzero(du > 0)
+        + np.count_nonzero((du == 0) & (dv > 0))
+        + np.count_nonzero((du == 0) & (dv == 0) & (ids < t))
+    )
+    crossing = ((du > 0) & (dv < 0)) | ((du < 0) & (dv > 0))
+    angles = np.arctan(du[crossing] / -dv[crossing])
+    deltas = np.where(dv[crossing] > 0, 1, -1)
+    sorter = np.argsort(angles, kind="stable")
+    angles = angles[sorter]
+    ranksums = rank0 + np.cumsum(deltas[sorter])
+    if angles.size:
+        last = np.flatnonzero(np.diff(angles) > 0)
+        last = np.concatenate([last, [angles.size - 1]])
+        angles = angles[last]
+        ranksums = ranksums[last]
+    return angles, np.concatenate([[rank0], ranksums])

@@ -26,13 +26,22 @@ class TestIngest:
         assert result.dropped_rows == 0
         assert np.allclose(result.raw_values, FIG1_VALUES)
 
-    def test_missing_value_row_dropped(self, tmp_path, capsys):
+    def test_missing_value_row_dropped(self, tmp_path, caplog):
         path = tmp_path / "gaps.csv"
         path.write_text("a,b\n1,2\n3,\n5,6\n")
         result = ingest(str(path))
         assert result.dataset.n == 2
         assert result.dropped_rows == 1
-        assert "dropped 1 rows" in capsys.readouterr().err
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropped 1 rows with missing or non-numeric values"]
+
+    def test_diagnostics_reach_stderr_as_plain_lines(self, tmp_path, capsys):
+        path = tmp_path / "gaps.csv"
+        path.write_text("a,b\n1,2\n3,\n5,6\n")
+        assert main(["solve", str(path), "--algo", "2drrr", "--k", "1",
+                     "--seed", "0"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "dropped 1 rows with missing or non-numeric values"]
 
     def test_constant_column_named(self, tmp_path):
         path = tmp_path / "const.csv"

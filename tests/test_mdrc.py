@@ -80,6 +80,19 @@ class TestMdrc:
         assert any(not leaf.guaranteed for leaf in leaves)
         assert any(leaf.box.level == 10 for leaf in leaves)
 
+    def test_depth_capped_leaves_logged_once_and_counted(self, caplog):
+        ds = Dataset(grid_with_duplicates(np.random.default_rng(0), 56, 5))
+        leaves, _ = partition_function_space(ds, 5, depth_cap=12)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="rankregret.mdrc"):
+            rep = mdrc(ds, 5, depth_cap=12)
+        assert len(caplog.records) == 1
+        capped = sum(not leaf.guaranteed for leaf in leaves)
+        assert capped > 1
+        assert rep.params["capped_leaves"] == capped
+        assert f"in {capped} leaves" in caplog.records[0].getMessage()
+        assert not rep.bound_guaranteed
+
 
 class TestPartition:
     def test_leaves_tile_the_angle_box(self):

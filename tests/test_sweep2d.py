@@ -19,6 +19,7 @@ from rankregret.errors import (
     KOutOfRange,
     UncoverableSpace,
 )
+from rankregret import sweep2d
 from rankregret.sweep2d import (
     AngularRange,
     ExchangeSweep,
@@ -26,7 +27,14 @@ from rankregret.sweep2d import (
     dominator_counts,
 )
 
-from conftest import FIG1_VALUES, T, random_dataset, tids
+from conftest import (
+    FIG1_VALUES,
+    T,
+    anticorrelated,
+    grid_with_duplicates,
+    random_dataset,
+    tids,
+)
 from oracles import (
     dense_sweep_ksets,
     dense_sweep_max_rank,
@@ -34,6 +42,7 @@ from oracles import (
     dominators_by_definition,
     exhaustive_lp_ksets,
     exhaustive_min_hitting_size,
+    loop_find_ranges,
     rational_rank_regret_2d,
     sweep_find_ranges,
     sweep_ksets_2d,
@@ -132,6 +141,54 @@ class TestFindRanges:
             for _ in sweep.batches():
                 pass
             assert sweep.swap_count <= n * (n - 1) // 2
+
+
+IDENTITY_INPUTS = {
+    "uniform": lambda rng, n: rng.random((n, 2)),
+    "anticorrelated": lambda rng, n: anticorrelated(rng, n, 2),
+    "rounded": lambda rng, n: np.round(anticorrelated(rng, n, 2), 2),
+    "grid": lambda rng, n: grid_with_duplicates(rng, n, 2),
+}
+
+
+def range_bits(ranges):
+    """(id, begin, end) with the floats as hex strings: equal bit for bit."""
+    return [(int(t), float(b).hex(), float(e).hex()) for t, b, e in ranges]
+
+
+class TestBatchedTrajectories:
+    """The batched trajectory kernel equals the per-tuple loop of the
+    oracle bit for bit; blocks of one and two tuples exercise the block
+    edges."""
+
+    @pytest.mark.parametrize("block", [None, 1, 2])
+    @pytest.mark.parametrize("kind", sorted(IDENTITY_INPUTS))
+    def test_same_ranges_as_the_loop(self, kind, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(sweep2d, "_block_size", lambda rows: block)
+        rng = np.random.default_rng(sorted(IDENTITY_INPUTS).index(kind) + 70)
+        for _ in range(10):
+            n = int(rng.integers(2, 50))
+            ds = Dataset(IDENTITY_INPUTS[kind](rng, n))
+            for k in sorted({1, 2, max(1, n // 3), n - 1, n} - {0}):
+                got = [(r.tuple_id, r.begin, r.end) for r in find_ranges(ds, k)]
+                assert range_bits(got) == range_bits(loop_find_ranges(ds.values, k))
+
+    @pytest.mark.parametrize("block", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(IDENTITY_INPUTS))
+    def test_exact_regret_does_not_depend_on_blocks(self, kind, block,
+                                                    monkeypatch):
+        rng = np.random.default_rng(sorted(IDENTITY_INPUTS).index(kind) + 80)
+        cases = []
+        for _ in range(10):
+            n = int(rng.integers(2, 60))
+            ds = Dataset(IDENTITY_INPUTS[kind](rng, n))
+            subset = rng.choice(n, size=int(rng.integers(1, min(n, 7) + 1)),
+                                replace=False)
+            cases.append((ds, subset, exact_rank_regret_2d(ds, subset)))
+        monkeypatch.setattr(sweep2d, "_block_size", lambda rows: block)
+        for ds, subset, expected in cases:
+            assert exact_rank_regret_2d(ds, subset) == expected
 
 
 def grid_values(rng, n, steps=4):
