@@ -278,11 +278,11 @@ def _cmd_ksets(args) -> int:
         save_collection(collection, args.output)
     else:
         sys.stdout.write("\n".join(collection_to_lines(collection)) + "\n")
-    counts = "".join(f", {key}={value}" for key, value in (
-        ("draws", collection.draws), ("lps", collection.lps),
-        ("filtered", collection.filtered)) if value is not None)
-    log.info("%d k-sets (complete=%s%s)", len(collection), collection.complete,
-             counts)
+    params = ev.collection_params(collection)
+    size, complete = params.pop("collection_size"), params.pop("complete")
+    counts = "".join(f", {key}={value}" for key, value in params.items()
+                     if value is not None)
+    log.info("%d k-sets (complete=%s%s)", size, complete, counts)
     return 0
 
 

@@ -173,13 +173,15 @@ def run_algorithm(name: str, dataset: Dataset, k: int, *,
 
 def collection_params(collection: KSetCollection) -> dict:
     """What an mdrrr run reports about its k-set collection: its size,
-    whether it is complete, and the collector's draws or the graph's LPs
-    and dominance-filtered candidates (None where they do not apply)."""
+    whether it is complete, and the collector's draws, the graph's LPs
+    and dominance-filtered candidates or whether the 2-D enumeration fell
+    back to the exchange sweep (None where they do not apply)."""
     return {"collection_size": len(collection),
             "complete": collection.complete,
             "draws": collection.draws,
             "lps": collection.lps,
-            "filtered": collection.filtered}
+            "filtered": collection.filtered,
+            "swept": collection.swept}
 
 
 def dual_problem(dataset: Dataset, size_budget: int, solver: str = "mdrc",

@@ -44,7 +44,8 @@ class KSetCollection:
     ranking functions a sampling collector drew (None for exact sources);
     ``lps`` and ``filtered`` are the separation LPs the k-set graph solved
     and the candidates its dominance test rejected without one (None for
-    other sources).
+    other sources); ``swept`` says whether the 2-D enumeration fell back
+    to the exchange sweep at a float near-tie (None for other sources).
     """
 
     sets: List[KSet]
@@ -54,6 +55,7 @@ class KSetCollection:
     draws: Optional[int] = None
     lps: Optional[int] = None
     filtered: Optional[int] = None
+    swept: Optional[bool] = None
 
     def __len__(self) -> int:
         return len(self.sets)

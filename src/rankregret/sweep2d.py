@@ -17,13 +17,16 @@ range's interior rank is bounded by the sum of its endpoint ranks).  At
 the two axis endpoints a claim stays closed while the tuple's id
 tie-broken rank there is within 2k and is moved one representable angle
 inward otherwise.  ``exact_rank_regret_2d`` reads the same trajectories
-of the members.  The event sweep of adjacent transpositions
-(``ExchangeSweep``) serves the k-set enumeration only.
+of the members, and ``enumerate_ksets_2d`` reads the k-sets off the
+k-level of the k-skyband's trajectories (``ExchangeSweep`` with k): the
+top-k set changes only where a tuple's rank crosses k.  Its walk of every
+adjacent transposition decides the enumeration only where float crossing
+angles lie too close to trust their order.
 """
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,10 +34,11 @@ from .core import (
     HALF_PI,
     SCORE_BLOCK_BYTES,
     Dataset,
+    LinearFunction,
     RankRegretKernel,
     Representative,
     _select_top_k,
-    angles_to_weights,
+    angle_weights,
 )
 from .errors import (
     DimensionNot2D,
@@ -59,31 +63,60 @@ class AngularRange:
 
 
 class ExchangeSweep:
-    """Event engine maintaining the full ranking order across the sweep.
+    """The ranking exchanges along the sweep, in ascending angle.
 
-    The order starts at the theta=0 ranking (descending first attribute,
-    ties by ascending id) and is updated by adjacent transpositions popped
-    from a min-heap in ascending angle; equal angles resolve by ascending
-    (low id, high id).  Events carry the pair's ids, not positions: an
-    event whose pair is no longer adjacent in the expected orientation is
-    stale and skipped, which also absorbs duplicate pushes.
+    Without ``k`` it walks every adjacent transposition of the full
+    ranking order.  The order starts at the theta=0 ranking (descending
+    first attribute, ties by ascending id) and is updated by the
+    transpositions popped from a min-heap in ascending angle; equal
+    angles resolve by ascending (low id, high id).  Events carry the
+    pair's ids, not positions: an event whose pair is no longer adjacent
+    in the expected orientation is stale and skipped, which also absorbs
+    duplicate pushes.
+
+    With ``k`` it walks only the exchanges across the rank-k boundary,
+    read off the k-level of the rank trajectories (``_level_events``):
+    each group of equal crossing angles swaps the tuples leaving the top
+    k with those entering it.  Where floats may misorder two crossings,
+    it walks every transposition instead, and ``swept`` says so.  The
+    benchmark tracer counts swaps through ``batches()``.  Once crossings
+    are grouped exactly, that fallback has no work left, and when the
+    tracer stops patching ``batches()`` the transposition walk can move
+    to the test oracles.
+
+    ``ids`` (ascending; the row numbers by default) name the tuples in
+    ``top()`` and on the k-level.
     """
 
-    def __init__(self, values: np.ndarray):
+    def __init__(self, values: np.ndarray, k: Optional[int] = None,
+                 ids: Optional[np.ndarray] = None):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != 2:
             raise DimensionNot2D("the angular sweep requires d = 2")
         self.values = values
         n = values.shape[0]
         self.n = n
-        ids = np.arange(n)
-        self.order = [int(t) for t in np.lexsort((ids, -values[:, 0]))]
-        self.position = np.empty(n, dtype=np.int64)
-        self.position[self.order] = ids
+        self.k = k
+        self.ids = np.arange(n) if ids is None else np.asarray(ids)
         self.swap_count = 0
+        level = None if k is None else _level_events(values, self.ids, k)
+        self.swept = level is None
+        if not self.swept:
+            self._top, self._events = level
+            return
+        rows = np.arange(n)
+        self.order = [int(t) for t in np.lexsort((rows, -values[:, 0]))]
+        self.position = np.empty(n, dtype=np.int64)
+        self.position[self.order] = rows
         self._heap: list = []
         for i in range(n - 1):
             self._push_if_crossing(self.order[i], self.order[i + 1])
+
+    def top(self) -> frozenset:
+        """The ids of the tuples in the top k (all without k)."""
+        if self.swept:
+            return frozenset(self.ids[self.order[:self.k]].tolist())
+        return frozenset(self._top)
 
     def _push_if_crossing(self, upper: int, lower: int) -> None:
         # an adjacent pair exchanges later in the sweep iff the lower tuple
@@ -99,9 +132,22 @@ class ExchangeSweep:
         """Yield (theta, swaps) with all simultaneous events grouped.
 
         Each swap is (position, upper, lower): the pair that exchanged at
-        that position (upper moved down).  The maintained order is already
-        updated when a batch is yielded.
+        that position (upper moved down), as rows of ``values``.  On the
+        k-level every swap is at position k - 1, the id of a leaving tuple
+        paired with that of an entering one.  The order and ``top()`` are
+        already updated when a batch is yielded.
         """
+        if self.swept:
+            yield from self._transpositions()
+            return
+        top, k = self._top, self.k
+        for theta, leaving, entering in self._events:
+            top.difference_update(leaving)
+            top.update(entering)
+            self.swap_count += len(leaving)
+            yield theta, [(k - 1, a, b) for a, b in zip(leaving, entering)]
+
+    def _transpositions(self):
         heap = self._heap
         position = self.position
         order = self.order
@@ -179,8 +225,9 @@ def find_ranges(dataset: Dataset, k: int) -> List[AngularRange]:
     values, n = dataset.values, dataset.n
     if k >= n:
         return [AngularRange(t, 0.0, HALF_PI) for t in range(n)]
-    candidates = np.flatnonzero(dominator_counts(values) < k)
-    ids = np.flatnonzero(dominator_counts(values, strict=True) < 2 * k)
+    weak, strict = dominator_counts(values)
+    candidates = np.flatnonzero(weak < k)
+    ids = np.flatnonzero(strict < 2 * k)
     points = values[ids]
     step = _block_size(ids.size)
     out: List[AngularRange] = []
@@ -288,48 +335,52 @@ def _rank_trajectories(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
     return _Trajectories(angles, states, last, rank0, at_0, at_end)
 
 
-def dominator_counts(values: np.ndarray, strict: bool = False) -> np.ndarray:
-    """For each tuple, how many others dominate it.
+def dominator_counts(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For each tuple, how many others dominate it: (weak, strict).
 
-    A dominator is >= on both attributes and > on one; with ``strict`` it
-    must be > on both.  Tuples with k dominators are in no top-k (the
+    A weak dominator is >= on both attributes and > on one; a strict one
+    is > on both.  Tuples with k weak dominators are in no top-k (the
     k-skyband), and tuples with k strict dominators rank below k at every
     angle, the axis endpoints included.
 
-    The tuples are ordered by descending x1 so that the dominators of a
-    tuple all precede it (ties on x1 are ordered so that the preceding
-    ones qualify exactly when their x2 does); the count of preceding
-    tuples with a large enough x2 is then summed over the O(log n) levels
-    of a bottom-up merge, each one vectorized sort and searchsorted.
+    The tuples are ordered by descending x1, then descending x2, so that
+    the dominators of a tuple all precede it; the count of preceding
+    tuples with x2 >= and > its own is summed over the O(log n) levels of
+    a bottom-up merge, each one vectorized sort and two searchsorted.
+    Preceding tuples that are not dominators are subtracted at the end:
+    exact duplicates from the weak count, and the larger x2 of an equal
+    x1 from the strict one.
     """
     n = values.shape[0]
     x1, x2 = values[:, 0], values[:, 1]
-    # weak: x2 descending within x1 ties, so those ahead have x2 >= own;
-    # strict: x2 ascending, so none of them has a strictly larger x2
-    order = np.lexsort((x2 if strict else -x2, -x1))
+    order = np.lexsort((-x2, -x1))
     rank = np.unique(x2, return_inverse=True)[1].reshape(-1)[order]
     stride = n + 1  # block * stride + rank sorts by block, then by rank
-    side = "right" if strict else "left"
     pos = np.arange(n)
-    before = np.zeros(n, dtype=np.int64)
+    weak = np.zeros(n, dtype=np.int64)
+    strict = np.zeros(n, dtype=np.int64)
     width = 1
     while width < n:
         block = pos // (2 * width)
         right = (pos // width) % 2 == 1
         left_keys = np.sort(block[~right] * stride + rank[~right])
-        q_block = block[right]
-        before[right] += (
-            np.searchsorted(left_keys, (q_block + 1) * stride, side="left")
-            - np.searchsorted(left_keys, q_block * stride + rank[right], side=side))
+        q_block, q_keys = block[right], block[right] * stride + rank[right]
+        ahead = np.searchsorted(left_keys, (q_block + 1) * stride, side="left")
+        weak[right] += ahead - np.searchsorted(left_keys, q_keys, side="left")
+        strict[right] += ahead - np.searchsorted(left_keys, q_keys, side="right")
         width *= 2
-    if not strict:
-        # exact duplicates precede each other but do not dominate
-        same = np.zeros(n, dtype=bool)
-        same[1:] = (x1[order][1:] == x1[order][:-1]) & (rank[1:] == rank[:-1])
-        before -= pos - np.maximum.accumulate(np.where(same, 0, pos))
-    out = np.empty(n, dtype=np.int64)
-    out[order] = before
-    return out
+    x1_sorted = x1[order]
+    same_x1 = np.zeros(n, dtype=bool)
+    same_x1[1:] = x1_sorted[1:] == x1_sorted[:-1]
+    same = same_x1.copy()
+    same[1:] &= rank[1:] == rank[:-1]
+    x1_start = np.maximum.accumulate(np.where(same_x1, 0, pos))
+    row_start = np.maximum.accumulate(np.where(same, 0, pos))
+    weak -= pos - row_start
+    strict -= row_start - x1_start
+    out = np.empty((2, n), dtype=np.int64)
+    out[:, order] = weak, strict
+    return out[0], out[1]
 
 
 class UncoveredIntervals:
@@ -473,41 +524,104 @@ def rrr_2d(dataset: Dataset, k: int) -> Representative:
                           params={"k": k})
 
 
+#: two distinct crossing angles of one tuple this many ulps apart or
+#: closer may be ordered differently in floats than in exact arithmetic
+NEAR_TIE_ULPS = 4
+
+
 def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
     """All distinct top-k outcomes along the sweep, in order of appearance.
 
-    The top-k set changes exactly when an exchange crosses the rank-k
-    boundary; each recorded set carries a witness function from the middle
-    of the angle interval on which it is the top-k.  Only the k-skyband
-    is swept: every tuple that outranks a top-k member is itself in the
-    top k, so dropping the tuples with k dominators changes neither the
-    top-k sets nor the angles at which they change.
+    The top-k set just after angle 0 comes first; after that the set
+    changes exactly where a tuple's rank crosses k, so the sets are read
+    off the k-level of the rank trajectories (``ExchangeSweep`` with k).
+    Each set carries a witness function (``angles_to_weights``) from the
+    middle of the first angle interval on which it is the top-k.  Only
+    the k-skyband is walked: every tuple that outranks a top-k member is
+    itself in the top k, so dropping the tuples with k dominators changes
+    neither the top-k sets nor the angles at which they change.
+
+    Float crossing angles can order two crossings differently from exact
+    arithmetic.  Where a tuple has two distinct crossing angles within
+    ``NEAR_TIE_ULPS`` of each other, or a group of equal angles leaves
+    other than k tuples in the top k, the walk of every adjacent
+    transposition decides the whole call instead; ``swept`` on the result
+    says so.
     """
     _require_2d(dataset)
     if not 1 <= k <= dataset.n:
         raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
-    skyband = np.flatnonzero(dominator_counts(dataset.values) < k)
-    sweep = ExchangeSweep(dataset.values[skyband])
-
-    def top():  # ascending ids in the skyband keep the id tie-break
-        return frozenset(skyband[sweep.order[:k]].tolist())
-
-    segments: List[Tuple[frozenset, float]] = [(top(), 0.0)]
+    skyband = np.flatnonzero(dominator_counts(dataset.values)[0] < k)
+    sweep = ExchangeSweep(dataset.values[skyband], k, skyband)
+    segments = [(sweep.top(), 0.0)]
     for theta, swaps in sweep.batches():
         if any(i == k - 1 for i, _, _ in swaps):
-            current = top()
+            current = sweep.top()
             if current != segments[-1][0]:
                 segments.append((current, theta))
-    discovered: dict = {}
+    middles: dict = {}  # each set's first interval, by its middle angle
     for j, (members, start) in enumerate(segments):
         stop = segments[j + 1][1] if j + 1 < len(segments) else HALF_PI
         if stop <= start:
             continue  # zero-width segment from concurrent boundary events
-        if members not in discovered:
-            witness = angles_to_weights([(start + stop) / 2.0])
-            discovered[members] = KSet(members, witness)
-    return KSetCollection(sets=list(discovered.values()), k=k, complete=True,
-                          d=2)
+        middles.setdefault(members, (start + stop) / 2.0)
+    witnesses = angle_weights(np.array(list(middles.values()))[:, None])
+    sets = [KSet(members, LinearFunction(w))
+            for members, w in zip(middles, witnesses)]
+    return KSetCollection(sets=sets, k=k, complete=True, d=2,
+                          swept=sweep.swept)
+
+
+def _level_events(points: np.ndarray, ids: np.ndarray, k: int):
+    """The k-level of the tuples ``points`` (ids ``ids``): (the ids in
+    the top k just after angle 0, [(angle, leaving ids, entering ids)] in
+    ascending angle), or None at a float near-tie.
+
+    A tuple enters or leaves the top k at a group end whose state is on
+    the other side of k than the state at its previous group end (or
+    than ``rank0``).  The events of all tuples are sorted by angle and
+    grouped by equal angles; each group must leave k tuples in the top k.
+    """
+    step = _block_size(ids.size)
+    initial, angles, tuples, enters = [], [], [], []
+    for lo in range(0, ids.size, step):
+        block = ids[lo:lo + step]
+        tr = _rank_trajectories(points, ids, points[lo:lo + step], block)
+        bits = tr.angles.view(np.int64)  # ordered like the angles, all >= 0
+        gap = bits[:, 1:] - bits[:, :-1]
+        if np.any((gap > 0) & (gap <= NEAR_TIE_ULPS)):
+            return None
+        in0 = tr.rank0 <= k
+        row, col = np.nonzero(tr.last)
+        inside = tr.states[row, col] <= k
+        before = np.empty_like(inside)
+        before[1:] = inside[:-1]
+        first = np.ones(row.size, dtype=bool)
+        first[1:] = row[1:] != row[:-1]
+        before[first] = in0  # every row has a group end
+        moved = inside != before
+        initial.append(block[in0])
+        angles.append(tr.angles[row[moved], col[moved]])
+        tuples.append(block[row[moved]])
+        enters.append(inside[moved])
+    angles = np.concatenate(angles)
+    order = np.argsort(angles)
+    angles = angles[order]
+    tuples = np.concatenate(tuples)[order]
+    enters = np.concatenate(enters)[order]
+    new = np.ones(angles.size, dtype=bool)
+    new[1:] = angles[1:] != angles[:-1]
+    bounds = np.append(np.flatnonzero(new), angles.size)
+    # a tuple's events alternate, so the top k has k + (enters - leaves)
+    # tuples; the initial top k has k
+    if np.any(np.cumsum(np.where(enters, 1, -1))[bounds[1:] - 1] != 0):
+        return None
+    events = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        group, enter = tuples[lo:hi], enters[lo:hi]
+        events.append((float(angles[lo]), group[~enter].tolist(),
+                       group[enter].tolist()))
+    return set(np.concatenate(initial).tolist()), events
 
 
 def exact_rank_regret_2d(dataset: Dataset, subset) -> int:

@@ -250,9 +250,13 @@ class TestRandomCollector:
     def test_only_the_graph_counts_lps(self, fig1):
         graph = enumerate_ksets_graph(fig1, 2)
         assert graph.lps > 0 and graph.filtered >= 0
-        for col in (enumerate_ksets_2d(fig1, 2),
-                    collect_ksets_random(fig1, 2, 10, np.random.default_rng(0))):
+        plane = enumerate_ksets_2d(fig1, 2)
+        drawn = collect_ksets_random(fig1, 2, 10, np.random.default_rng(0))
+        for col in (plane, drawn):
             assert col.lps is None and col.filtered is None
+        # only the 2-D enumeration says whether the transposition walk ran
+        assert plane.swept is False
+        assert graph.swept is None and drawn.swept is None
 
 
 def _min_wedge(ds, k):

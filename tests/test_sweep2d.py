@@ -207,14 +207,17 @@ def anticorrelated_values(rng, n):
 class TestDominatorCounts:
     @pytest.mark.parametrize("strict", [False, True])
     def test_matches_definition(self, strict):
-        # grid data with duplicate rows, plus one larger tie-free input
+        # grid data with duplicate rows, plus one larger tie-free input;
+        # one call returns both counts
         rng = np.random.default_rng(53)
         inputs = [grid_values(rng, int(rng.integers(1, 60)),
                               steps=int(rng.integers(1, 5))) for _ in range(60)]
+        inputs += [grid_with_duplicates(rng, int(rng.integers(1, 60)), 2)
+                   for _ in range(30)]
         inputs.append(rng.random((300, 2)))
         for vals in inputs:
-            assert np.array_equal(dominator_counts(vals, strict=strict),
-                                  dominators_by_definition(vals, strict=strict))
+            got = dominator_counts(vals)[1 if strict else 0]
+            assert np.array_equal(got, dominators_by_definition(vals, strict=strict))
 
 
 class TestCover:
@@ -326,6 +329,17 @@ class TestRrr2d:
             assert exact_rank_regret_2d(ds, rep.members) <= 2 * k
 
 
+#: values i/7 whose crossings near pi/4 lie a few ulps apart and are
+#: misordered by floats: read off the k-level at k=23, they give a set
+#: that the exact order does not have
+MISORDERED = np.array([
+    [4, 5], [5, 7], [3, 5], [6, 1], [1, 5], [1, 1], [7, 0], [5, 2],
+    [0, 4], [4, 1], [6, 5], [6, 2], [7, 6], [3, 5], [0, 4], [7, 0],
+    [7, 0], [7, 1], [2, 6], [2, 2], [2, 3], [6, 2], [2, 3], [0, 2],
+    [6, 7], [5, 4], [6, 4], [7, 0], [7, 0], [3, 3], [4, 4], [7, 1],
+    [1, 6], [3, 6], [7, 1], [7, 0]]) / 7
+
+
 class TestEnumerate2d:
     def test_fig1_2sets(self, fig1):
         got = {s.members for s in enumerate_ksets_2d(fig1, 2).sets}
@@ -375,6 +389,61 @@ class TestEnumerate2d:
             got = [(s.members, tuple(s.witness.weights))
                    for s in enumerate_ksets_2d(Dataset(vals), k).sets]
             assert got == sweep_ksets_2d(vals, k)
+
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_identical_to_full_sweep_on_tied_data(self, block, monkeypatch):
+        # rounded anti-correlated and grid data with duplicate rows, k up
+        # to n, through both the k-level and the sweep fallback
+        if block is not None:
+            monkeypatch.setattr(sweep2d, "_block_size", lambda rows: block)
+        rng = np.random.default_rng(57)
+        inputs = [(MISORDERED, 23), (np.array([[0.3, 0.6]]), 1),
+                  (np.array([[0.2, 0.9], [0.9, 0.2]]), 1),
+                  (np.array([[0.5, 0.5], [0.5, 0.5]]), 1),
+                  (np.array([[0.5, 0.5], [0.5, 0.5]]), 2)]
+        for i in range(240):
+            n = int(rng.integers(1, 80))
+            vals = (np.round(anticorrelated(rng, n, 2), 3) if i % 2
+                    else grid_with_duplicates(rng, n, 2))
+            inputs.append((vals, int(rng.integers(1, n + 1))))
+        swept = 0
+        for vals, k in inputs:
+            col = enumerate_ksets_2d(Dataset(vals), k)
+            got = [(s.members, tuple(s.witness.weights)) for s in col.sets]
+            assert got == sweep_ksets_2d(vals, k)
+            swept += col.swept
+        assert 0 < swept < len(inputs)
+
+    def test_sweep_decides_only_near_ties(self, monkeypatch):
+        sweeps = []
+        walk = ExchangeSweep._transpositions
+
+        def counting_walk(sweep):
+            sweeps.append(sweep.n)
+            return walk(sweep)
+
+        monkeypatch.setattr(sweep2d.ExchangeSweep, "_transpositions",
+                            counting_walk)
+        rng = np.random.default_rng(58)
+        # benchmark-sized uniform (n=250, k=10) and anti-correlated inputs
+        for vals, k in [(rng.random((250, 2)), 10), (rng.random((60, 2)), 3),
+                        (anticorrelated(rng, 250, 2), 10),
+                        (anticorrelated(rng, 400, 2), 40)]:
+            assert enumerate_ksets_2d(Dataset(vals), k).swept is False
+        assert sweeps == []
+        assert enumerate_ksets_2d(Dataset(MISORDERED), 23).swept is True
+        assert len(sweeps) == 1
+
+    def test_a_group_leaving_other_than_k_falls_back(self, monkeypatch):
+        # without the near-tie rule, floats misorder these i/7 crossings so
+        # that one group leaves 7 tuples in the top 6
+        monkeypatch.setattr(sweep2d, "NEAR_TIE_ULPS", 0)
+        vals = np.array([[3, 7], [5, 2], [7, 1], [1, 4], [6, 6], [2, 7],
+                         [3, 2], [6, 6], [0, 1], [0, 2]]) / 7
+        col = enumerate_ksets_2d(Dataset(vals), 6)
+        assert col.swept is True
+        got = [(s.members, tuple(s.witness.weights)) for s in col.sets]
+        assert got == sweep_ksets_2d(vals, 6)
 
     def test_consecutive_sets_differ_in_one_member(self):
         rng = np.random.default_rng(50)
