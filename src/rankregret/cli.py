@@ -30,6 +30,7 @@ from .errors import (
     EmptySubset,
     KOutOfRange,
     LPNumericalFailure,
+    MalformedKSetFile,
     NoUsableRows,
     NonFiniteValue,
     RankRegretError,
@@ -39,7 +40,8 @@ from .kset import collection_to_lines, save_collection
 
 log = logging.getLogger(__name__)
 
-INPUT_ERRORS = (FileNotFoundError, NoUsableRows, ConstantAttribute, NonFiniteValue)
+INPUT_ERRORS = (FileNotFoundError, NoUsableRows, ConstantAttribute, NonFiniteValue,
+                MalformedKSetFile)
 CONFIG_ERRORS = (ConfigError, KOutOfRange, DimensionNot2D, DimensionMismatch,
                  EmptySubset, ValueError)
 NUMERIC_ERRORS = (LPNumericalFailure, UncoverableSpace, EmptyCollection)
@@ -254,6 +256,12 @@ def _solve_from_kset_file(dataset, path, k, seed):
     from .kset import load_collection
 
     collection = load_collection(path, d=dataset.d)
+    unknown = sorted({t for s in collection.sets for t in s.members
+                      if not 0 <= t < dataset.n})
+    if unknown:
+        raise MalformedKSetFile(
+            f"k-set file names {len(unknown)} tuple ids outside "
+            f"[0, {dataset.n}), the first {unknown[:5]}")
     if collection.k != k:
         raise ConfigError(f"k-set file has k={collection.k}, requested k={k}")
     _, net_rng = ev.mdrrr_rngs(seed)

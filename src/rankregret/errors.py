@@ -53,5 +53,9 @@ class NoUsableRows(RankRegretError):
     """Ingestion dropped every row of the input file."""
 
 
+class MalformedKSetFile(RankRegretError, ValueError):
+    """A k-set file does not parse, or names a tuple the dataset lacks."""
+
+
 class ConfigError(RankRegretError):
     """Invalid run configuration (bad algorithm/k/dimension combination)."""

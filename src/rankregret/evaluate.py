@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import logging
 import math
 import time
 from dataclasses import asdict, dataclass, replace
@@ -28,7 +29,15 @@ from .kset import (
     sample_functions,
 )
 from .mdrc import mdrc
-from .sweep2d import enumerate_ksets_2d, exact_rank_regret_2d, rrr_2d
+from .sweep2d import (
+    enumerate_ksets_2d,
+    exact_rank_regret_2d,
+    float_order_radius,
+    member_rank_steps,
+    rrr_2d,
+)
+
+log = logging.getLogger(__name__)
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SAMPLER_C = 100
@@ -74,6 +83,18 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     product rounds differently in the last bits, so where another row
     scores within a few ulps of the best member the full product decides
     the ties.  The estimate is the same as scoring all n rows.
+
+    In 2-D a function's rank is read off the members' rank steps
+    (``sweep2d.member_rank_steps``) at its angle ``arctan2(w2, w1)``.
+    Only the functions within ``sweep2d.float_order_radius`` of a
+    crossing angle of the members or of an axis go to the kernel: farther
+    out, every member-row score gap exceeds any rounding, so the full
+    product ranks as exact arithmetic does.  Where a member has an exact
+    duplicate among the kept rows, every function goes to the kernel.
+
+    The BLAS product can score identical rows differently by their
+    position, so the estimate can rank a duplicate with a larger id ahead
+    of its member, one rank above the exact rank under that function.
     """
     members = np.array(sorted({int(t) for t in subset}))
     if members.size == 0:
@@ -86,15 +107,30 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
         rng = np.random.Generator(np.random.PCG64(0))
     values, d = dataset.values, dataset.d
     kernel = RankRegretKernel(values, members, slack=score_slack(d))
+    radius = float_order_radius(kernel) if d == 2 else math.inf
+    steps = member_rank_steps(kernel) if radius < math.inf else None
     kept_t = kernel.kept.T
     chunk = max(1, min(1024, (1 << 22) // dataset.n))
+    worst = sent = 0
     for lo in range(0, samples, chunk):
         weights = sample_functions(rng, d, min(chunk, samples - lo))
         full = functools.cache(lambda w=weights: w @ values.T)
+        if steps is not None:
+            thetas = np.arctan2(weights[:, 1], weights[:, 0])
+            ranks, near = steps.at(thetas, radius)
+            worst = max(worst, int(ranks[~near].max(initial=0)))
+            weights = weights[near]
+            full = lambda f=full, near=near: f()[near]
+        sent += len(weights)
         for start in range(0, len(weights), kernel.block):
             block = slice(start, start + kernel.block)
             kernel.add(weights[block] @ kept_t, lambda f=full, b=block: f()[b])
-    return kernel.worst
+    if d == 2:
+        log.debug("2-D estimate: %d of %d sampled functions scored by the "
+                  "kernel%s", sent, samples,
+                  "" if steps is not None
+                  else " (a member has an exact duplicate)")
+    return max(worst, kernel.worst)
 
 
 def resolve_k(n: int, k: Optional[int] = None, k_pct: Optional[float] = None) -> int:

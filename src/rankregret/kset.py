@@ -17,7 +17,7 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from .core import Dataset, LinearFunction, top_k, top_k_many
-from .errors import KOutOfRange, LPNumericalFailure
+from .errors import KOutOfRange, LPNumericalFailure, MalformedKSetFile
 from .simplex import simplex_max
 
 log = logging.getLogger(__name__)
@@ -289,29 +289,47 @@ def collection_to_lines(collection: KSetCollection) -> List[str]:
 
 def collection_from_lines(lines: Iterable[str], complete: bool = False,
                           d: Optional[int] = None) -> KSetCollection:
+    """Parse the wire format; a line that does not parse, a set without k
+    members, mixed k values, a witness whose length is not ``d`` (or that
+    of the first witness) and an empty input raise MalformedKSetFile."""
     sets: List[KSet] = []
     k = None
-    for raw in lines:
+    for number, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
-        fields = dict(part.split("=", 1) for part in line.split(";"))
-        line_k = int(fields["k"])
+        try:
+            fields = dict(part.split("=", 1) for part in line.split(";"))
+            line_k = int(fields["k"])
+            members = frozenset(int(t) for t in fields["members"].split(","))
+            witness = None
+            if "witness" in fields:
+                witness = LinearFunction(
+                    [float(w) for w in fields["witness"].split(",")])
+        except KeyError as exc:
+            raise MalformedKSetFile(
+                f"k-set line {number} has no {exc.args[0]}= field") from None
+        except ValueError as exc:
+            raise MalformedKSetFile(f"k-set line {number}: {exc}") from None
         if k is None:
             k = line_k
         elif k != line_k:
-            raise ValueError("mixed k values in k-set file")
-        members = frozenset(int(t) for t in fields["members"].split(","))
+            raise MalformedKSetFile(
+                f"k-set line {number} has k={line_k}, an earlier line k={k}")
         if len(members) != k:
-            raise ValueError(f"set {sorted(members)} does not have k={k} members")
-        witness = None
-        if "witness" in fields:
-            witness = LinearFunction([float(w) for w in fields["witness"].split(",")])
+            raise MalformedKSetFile(
+                f"k-set line {number}: set {sorted(members)} does not have "
+                f"k={k} members")
+        if witness is not None:
             if d is None:
                 d = witness.d
+            elif witness.d != d:
+                raise MalformedKSetFile(
+                    f"k-set line {number} has a witness of {witness.d} "
+                    f"weights, not {d}")
         sets.append(KSet(members, witness))
     if k is None:
-        raise ValueError("no k-sets in input")
+        raise MalformedKSetFile("no k-sets in input")
     return KSetCollection(sets=sets, k=k, complete=complete, d=d)
 
 

@@ -16,8 +16,18 @@ than the optimal one and whose exact rank-regret is at most 2k (each
 range's interior rank is bounded by the sum of its endpoint ranks).  At
 the two axis endpoints a claim stays closed while the tuple's id
 tie-broken rank there is within 2k and is moved one representable angle
-inward otherwise.  ``exact_rank_regret_2d`` reads the same trajectories
-of the members, and ``enumerate_ksets_2d`` reads the k-sets off the
+inward otherwise.  ``member_rank_steps`` reads the best member rank of a
+subset, as a step function of theta, off the members' trajectories
+(``RankSteps``): ``exact_rank_regret_2d`` takes its maximum and scores
+the crossing angles themselves, and ``evaluate.estimate_rank_regret``
+looks each sampled function's rank up at its angle.  A sample within
+``float_order_radius`` of a crossing angle or of 0 or pi/2 is scored by
+its matrix product instead; the radius, (pi/2) score_slack(2) / min|D|
++ 16 ulps of pi/2 over the nonzero member-row differences D, puts every
+score gap of a farther sample beyond float rounding.  A member with an
+exact duplicate makes the radius infinite: a BLAS product can round the
+two copies differently, so all samples are scored.
+``enumerate_ksets_2d`` reads the k-sets off the
 k-level of the k-skyband's trajectories (``ExchangeSweep`` with k): the
 top-k set changes only where a tuple's rank crosses k.  Its walk of every
 adjacent transposition decides the enumeration only where float crossing
@@ -25,6 +35,7 @@ angles lie too close to trust their order.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -39,6 +50,7 @@ from .core import (
     Representative,
     _select_top_k,
     angle_weights,
+    score_slack,
 )
 from .errors import (
     DimensionNot2D,
@@ -628,14 +640,12 @@ def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
     """max over theta of (best rank among ``subset`` members), exactly.
 
     Member ranks only change at the members' crossing angles, so the best
-    member rank is constant between consecutive angles of their union: the
-    members' rank trajectories (``_rank_trajectories``, blocks of members)
-    give it on every open interval, as the state after each member's last
-    crossing at or before the angle, and the angles themselves (where
-    score ties resolve by id) plus the two endpoints are scored directly
-    by ``core.RankRegretKernel``.  Both parts
-    see only the rows that no member beats by more than NUMERIC_TOL on
-    both attributes: such a row never outranks the best member, and every
+    member rank is constant between consecutive angles of their union:
+    ``member_rank_steps`` gives it on every open interval, and the angles
+    themselves (where score ties resolve by id) plus the two endpoints
+    are scored directly by ``core.RankRegretKernel``.  Both parts see
+    only the rows that no member beats by more than NUMERIC_TOL on both
+    attributes: such a row never outranks the best member, and every
     other member still ranks behind the best one among the remaining
     rows, so the best member's rank is unchanged.  Exact up to
     floating-point score ties at interior crossing angles.
@@ -647,23 +657,85 @@ def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
     if not all(0 <= t < dataset.n for t in members):
         raise ValueError("subset contains unknown tuple ids")
     kernel = RankRegretKernel(dataset.values, members)
+    steps = member_rank_steps(kernel)
+    at = _score_angles(kernel, np.append(steps.angles, HALF_PI))
+    return int(max(steps.after.max(), at))
+
+
+@dataclass(frozen=True)
+class RankSteps:
+    """The best member rank as a step function of the angle.
+
+    ``angles`` holds 0 and the union of the members' crossing angles,
+    ascending and distinct; ``after[j]`` is the best member rank on the
+    open interval just after ``angles[j]``.
+    """
+
+    angles: np.ndarray
+    after: np.ndarray
+
+    def at(self, thetas: np.ndarray,
+           radius: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(rank, near) at each theta in [0, pi/2]: the rank on the open
+        interval just after the last angle at or before theta, and whether
+        theta lies within ``radius`` of an angle or of 0 or pi/2."""
+        fence = np.append(self.angles, HALF_PI)  # angles[0] is 0
+        right = np.searchsorted(fence, thetas, side="right")
+        near = ((thetas - fence[right - 1] <= radius)
+                | (fence[np.minimum(right, fence.size - 1)] - thetas <= radius))
+        return self.after[np.minimum(right, self.after.size) - 1], near
+
+
+def member_rank_steps(kernel: RankRegretKernel) -> RankSteps:
+    """The best rank of ``kernel``'s members among its kept rows, read off
+    the members' rank trajectories (``_rank_trajectories``, blocks of
+    members): just after an angle, a member's rank is its state after
+    its last crossing at or before the angle (``rank0`` before its first)."""
     kept, rows = kernel.kept, kernel.rows
     step = _block_size(rows.size)
     blocks = [_rank_trajectories(kept, rows, kept[kernel.member_cols[lo:lo + step]],
                                  kernel.members[lo:lo + step])
-              for lo in range(0, len(members), step)]
+              for lo in range(0, kernel.members.size, step)]
     angles = np.unique(np.concatenate(
         [[0.0]] + [tr.angles[np.isfinite(tr.angles)] for tr in blocks]))
-    # the best member rank just after each angle (just after 0 included):
-    # a row's state after its last entry at or before the angle
-    after = np.full(angles.size, dataset.n, dtype=np.int64)
+    after = np.full(angles.size, rows.size, dtype=np.int64)
     for tr in blocks:
         for a, states, rank0 in zip(tr.angles, tr.states, tr.rank0):
             count = np.searchsorted(a, angles, side="right")
             np.minimum(after, np.where(count > 0, states[count - 1], rank0),
                        out=after)
-    at = _score_angles(kernel, np.append(angles, HALF_PI))
-    return int(max(after.max(), at))
+    return RankSteps(angles, after)
+
+
+def float_order_radius(kernel: RankRegretKernel) -> float:
+    """How far a unit ray must lie from the members' crossing angles and
+    from 0 and pi/2 for a float matrix product to order every member-row
+    pair of ``kernel`` as exact arithmetic does; inf where a member has an
+    exact duplicate among the kept rows.
+
+    A pair with difference D scores a gap of |D| sin(x) under the ray,
+    where x is the distance from the ray's angle to the nearest angle at
+    which the gap vanishes.  In [0, pi/2] those are the pair's crossing
+    angle and, where D has a zero entry, an axis; the others lie beyond 0
+    or pi/2.  So past (pi/2) score_slack(2) / |D| from those angles the
+    gap exceeds the slack that no two roundings of a score can span.  The
+    radius takes the smallest nonzero |D| of any pair, plus 16 ulps of
+    pi/2 for the rounding of the float crossing angles and of the ray's
+    own ``arctan2`` angle.  An exact duplicate has no gap at any angle,
+    and a BLAS product can round its two copies differently.
+    """
+    kept, cols = kernel.kept, kernel.member_cols
+    closest = math.inf
+    step = _block_size(kept.shape[0])
+    for lo in range(0, cols.size, step):
+        block = cols[lo:lo + step]
+        gap = np.hypot(kept[:, 0] - kept[block, 0, None],
+                       kept[:, 1] - kept[block, 1, None])
+        gap[np.arange(block.size), block] = np.inf  # each member itself
+        closest = min(closest, float(gap.min()))
+    if closest == 0.0:
+        return math.inf
+    return HALF_PI * score_slack(2) / closest + 16 * float(np.spacing(HALF_PI))
 
 
 def _require_2d(dataset: Dataset) -> None:

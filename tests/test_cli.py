@@ -215,6 +215,39 @@ class TestKsets:
                      "--ksets-file", str(sets_path), "--seed", "0"])
         assert code == 3
 
+    @staticmethod
+    def solve_from_lines(fig1_csv, tmp_path, capsys, text):
+        sets_path = tmp_path / "sets.txt"
+        sets_path.write_text(text)
+        code = main(["solve", fig1_csv, "--algo", "mdrrr", "--k", "2",
+                     "--ksets-file", str(sets_path), "--seed", "0"])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_kset_line_without_members_is_input_error(self, fig1_csv, tmp_path,
+                                                      capsys):
+        code, payload = self.solve_from_lines(
+            fig1_csv, tmp_path, capsys, "k=2;members=0,2\nk=2;witness=0.5,0.5\n")
+        assert code == 2
+        assert payload["error"] == "MalformedKSetFile"
+        assert payload["exit_code"] == 2
+        assert payload["message"] == "k-set line 2 has no members= field"
+
+    def test_kset_non_integer_id_is_input_error(self, fig1_csv, tmp_path,
+                                                capsys):
+        code, payload = self.solve_from_lines(
+            fig1_csv, tmp_path, capsys, "k=2;members=0,x\n")
+        assert code == 2
+        assert payload["error"] == "MalformedKSetFile"
+        assert payload["message"].startswith("k-set line 1: ")
+
+    def test_kset_id_out_of_range_is_input_error(self, fig1_csv, tmp_path,
+                                                 capsys):
+        code, payload = self.solve_from_lines(
+            fig1_csv, tmp_path, capsys, "k=2;members=0,2\nk=2;members=3,7\n")
+        assert code == 2
+        assert payload["error"] == "MalformedKSetFile"
+        assert "[0, 7)" in payload["message"] and "[7]" in payload["message"]
+
 
 class TestEval:
     def test_members_flag(self, fig1_csv, capsys):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from rankregret import (
     run_benchmark,
     sample_functions,
 )
-from rankregret.core import NUMERIC_TOL, RankRegretKernel, member_survivors
+from rankregret import evaluate
+from rankregret.core import (
+    HALF_PI,
+    NUMERIC_TOL,
+    RankRegretKernel,
+    member_survivors,
+    score_slack,
+)
 from rankregret.errors import EmptySubset, KOutOfRange
 from rankregret.evaluate import (
     CSV_COLUMNS,
@@ -24,6 +32,7 @@ from rankregret.evaluate import (
     reports_to_csv,
     reports_to_jsonl,
 )
+from rankregret.sweep2d import float_order_radius, member_rank_steps
 
 from conftest import anticorrelated, grid_with_duplicates, random_dataset, tids
 from oracles import rank_by_definition, sampled_rank_regret
@@ -152,6 +161,109 @@ class TestEstimateMatchesTwoPass:
         assert estimate_rank_regret(Dataset(values), [7], 400,
                                     np.random.default_rng(0)) == 1
         self.check(values, [7], 400, 0)
+
+
+class TestEstimate2DSteps:
+    """The 2-D estimate, which reads ranks off the members' rank steps and
+    scores only the functions near a crossing or an axis, against the
+    two-pass estimator over all rows (``oracles.sampled_rank_regret``)."""
+
+    check = staticmethod(TestEstimateMatchesTwoPass.check)
+
+    @staticmethod
+    def kernel_lines(caplog):
+        return [r.getMessage() for r in caplog.records
+                if r.name == "rankregret.evaluate"]
+
+    @pytest.mark.parametrize("make", [
+        grid_with_duplicates,
+        lambda rng, n, d: np.round(anticorrelated(rng, n, d), 2),
+        lambda rng, n, d: rng.random((n, d))])
+    def test_data_kinds(self, make):
+        rng = np.random.default_rng(70)
+        for _ in range(30):
+            n = int(rng.integers(2, 400))
+            values = make(rng, n, 2)
+            if rng.random() < 0.5:
+                k = int(rng.integers(1, max(2, n // 10)))
+                subset = sorted(rrr_2d(Dataset(values), k).members)
+            else:
+                subset = rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)),
+                                    replace=False)
+            self.check(values, subset, 1500, int(rng.integers(2**31)))
+
+    @pytest.mark.parametrize("n", [196, 1500])
+    def test_member_duplicated_in_last_row(self, n, caplog):
+        # the BLAS product can score the last column's copy above its
+        # member, which the estimate then ranks ahead by one
+        rng = np.random.default_rng(71)
+        values = rng.random((n, 2))
+        values[-1] = values[n // 2]
+        with caplog.at_level(logging.DEBUG, logger="rankregret.evaluate"):
+            for seed in range(3):
+                for members in ([n // 2], [n - 1]):
+                    caplog.clear()
+                    self.check(values, members, 10_000, seed)
+                    assert self.kernel_lines(caplog) == [
+                        "2-D estimate: 10000 of 10000 sampled functions scored "
+                        "by the kernel (a member has an exact duplicate)"]
+                self.check(values, [3, n // 2], 2000, seed)
+
+    def test_all_rows_and_one_row(self):
+        rng = np.random.default_rng(72)
+        values = rng.random((60, 2))
+        self.check(values, range(60), 500, 0)
+        assert estimate_rank_regret(Dataset(values), range(60), 500) == 1
+        self.check(grid_with_duplicates(rng, 60, 2), range(60), 500, 1)
+        self.check(rng.random((1, 2)), [0], 500, 2)
+
+    def test_far_samples_skip_the_kernel(self, caplog):
+        values = np.random.default_rng(73).random((300, 2))
+        with caplog.at_level(logging.DEBUG, logger="rankregret.evaluate"):
+            self.check(values, [5, 40], 2000, 3)
+        assert self.kernel_lines(caplog) == [
+            "2-D estimate: 0 of 2000 sampled functions scored by the kernel"]
+
+    # member 0 is passed by row 1 at pi/4, by row 3 at arctan(5/3) and by
+    # row 2 at arctan(3)
+    TIE_VALUES = np.array([[0.6, 0.2], [0.2, 0.6], [0.3, 0.3], [0.1, 0.5]])
+
+    def test_near_tie_mask(self):
+        kernel = RankRegretKernel(self.TIE_VALUES, [0], slack=score_slack(2))
+        steps = member_rank_steps(kernel)
+        radius = float_order_radius(kernel)
+        assert steps.angles.tolist() == [0.0, np.pi / 4, np.arctan(5 / 3),
+                                         np.arctan(3)]
+        assert steps.after.tolist() == [1, 2, 3, 4]
+        cross = steps.angles[1]
+        near = [cross, np.nextafter(cross, 0), np.nextafter(cross, 1),
+                cross + radius / 2, 0.0, radius / 2, HALF_PI]
+        far = (steps.angles + np.append(steps.angles[1:], HALF_PI)) / 2
+        thetas = np.array(near + [cross + 2 * radius] + far.tolist())
+        ranks, mask = steps.at(thetas, radius)
+        assert mask.tolist() == [True] * len(near) + [False] * 5
+        assert ranks[len(near):].tolist() == [2, 1, 2, 3, 4]
+        for theta, rank in zip(far, ranks[len(near) + 1:]):
+            assert rank == rank_by_definition(
+                self.TIE_VALUES, [np.cos(theta), np.sin(theta)], 0)
+
+    def test_samples_at_a_crossing_go_to_the_kernel(self, monkeypatch, caplog):
+        cross = np.pi / 4
+        thetas = np.array([cross, np.nextafter(cross, 0),
+                           np.nextafter(cross, 1), 0.0, HALF_PI, 0.3])
+        weights = np.column_stack((np.cos(thetas), np.sin(thetas)))
+        weights[thetas == HALF_PI] = [0.0, 1.0]
+        monkeypatch.setattr(evaluate, "sample_functions",
+                            lambda rng, d, count: weights[:count])
+        scores = weights @ self.TIE_VALUES.T  # the estimate's reference
+        best = scores[:, 0][:, None]
+        want = int((1 + np.count_nonzero(scores > best, axis=1)).max())
+        with caplog.at_level(logging.DEBUG, logger="rankregret.evaluate"):
+            got = estimate_rank_regret(Dataset(self.TIE_VALUES), [0],
+                                       len(weights))
+        assert got == want
+        assert self.kernel_lines(caplog) == [
+            "2-D estimate: 5 of 6 sampled functions scored by the kernel"]
 
 
 class TestRankRegretKernel:

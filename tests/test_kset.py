@@ -13,6 +13,7 @@ from rankregret import (
     weights_to_angles,
 )
 from rankregret import kset
+from rankregret.errors import MalformedKSetFile
 from rankregret.kset import (
     collection_from_lines,
     collection_to_lines,
@@ -313,3 +314,10 @@ class TestSerialization:
     def test_mixed_k_rejected(self):
         with pytest.raises(ValueError):
             collection_from_lines(["k=2;members=1,3", "k=3;members=0,1,2"])
+
+    def test_witness_of_another_dimension_rejected(self):
+        with pytest.raises(MalformedKSetFile, match="line 2 has a witness of 3"):
+            collection_from_lines(["k=2;members=1,3;witness=0.6,0.8",
+                                   "k=2;members=0,2;witness=0.6,0.8,0"])
+        with pytest.raises(MalformedKSetFile, match="line 1 has a witness of 3"):
+            collection_from_lines(["k=2;members=1,3;witness=0.6,0.8,0"], d=2)
