@@ -36,7 +36,7 @@ from .errors import (
     RankRegretError,
     UncoverableSpace,
 )
-from .kset import collection_to_lines, save_collection
+from .kset import collection_to_lines, load_collection, save_collection
 
 log = logging.getLogger(__name__)
 
@@ -251,10 +251,6 @@ def _cmd_solve(args) -> int:
 
 
 def _solve_from_kset_file(dataset, path, k, seed):
-    from .core import Representative
-    from .hitting import mdrrr
-    from .kset import load_collection
-
     collection = load_collection(path, d=dataset.d)
     unknown = sorted({t for s in collection.sets for t in s.members
                       if not 0 <= t < dataset.n})
@@ -264,13 +260,8 @@ def _solve_from_kset_file(dataset, path, k, seed):
             f"[0, {dataset.n}), the first {unknown[:5]}")
     if collection.k != k:
         raise ConfigError(f"k-set file has k={collection.k}, requested k={k}")
-    _, net_rng = ev.mdrrr_rngs(seed)
-    members = mdrrr(collection, rng=net_rng)
-    return Representative(
-        members=members, algorithm="mdrrr",
-        params={"k": k, "kset_source": "file",
-                **ev.collection_params(collection)},
-        seed=seed)
+    return ev.mdrrr_representative(collection, k, "file", seed,
+                                   ev.mdrrr_rngs(seed)[1])
 
 
 def _cmd_ksets(args) -> int:

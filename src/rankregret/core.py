@@ -19,6 +19,7 @@ from .errors import (
     ConstantAttribute,
     DimensionMismatch,
     DimensionNot2D,
+    EmptySubset,
     KOutOfRange,
     NonFiniteValue,
 )
@@ -31,6 +32,11 @@ NUMERIC_TOL = 1e-9
 #: size of one block of scores in :class:`RankRegretKernel`; blocks
 #: between 256 KB and 1 MB score fastest
 SCORE_BLOCK_BYTES = 1 << 19
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` float64 values in about SCORE_BLOCK_BYTES."""
+    return max(1, SCORE_BLOCK_BYTES // (8 * width))
 
 
 class Dataset:
@@ -258,7 +264,7 @@ def top_k_many(dataset: Dataset, weights, k: int) -> list:
         return [top_k(dataset, LinearFunction(row), k) for row in w]
     slack = score_slack(d) * np.linalg.norm(w, axis=1)
     values_t = dataset.values.T
-    block = max(1, SCORE_BLOCK_BYTES // (8 * n))
+    block = block_rows(n)
     out = []
     for lo in range(0, len(w), block):
         rows = w[lo:lo + block]
@@ -332,14 +338,22 @@ class RankRegretKernel:
     the caller's reference arithmetic.  A rank is read off the block only
     where no other row scores within ``slack`` of the best member;
     otherwise the ``reference`` scores over all n rows decide the ties.
+
+    ``subset`` names at least one row of ``values``; ``members`` holds
+    its ids distinct and ascending.
     """
 
-    def __init__(self, values: np.ndarray, members, slack: float = 0.0):
-        self.members = np.asarray(members, dtype=np.int64)  # ascending
+    def __init__(self, values: np.ndarray, subset, slack: float = 0.0):
+        members = sorted({int(t) for t in subset})
+        if not members:
+            raise EmptySubset("subset must contain at least one tuple id")
+        if members[0] < 0 or members[-1] >= values.shape[0]:
+            raise ValueError("subset contains unknown tuple ids")
+        self.members = np.array(members, dtype=np.int64)  # ascending
         self.rows = member_survivors(values, self.members)
         self.kept = values[self.rows]
         self.member_cols = np.searchsorted(self.rows, self.members)
-        self.block = max(1, SCORE_BLOCK_BYTES // (8 * self.rows.size))
+        self.block = block_rows(self.rows.size)
         self.slack = slack
         self.worst = 0
 

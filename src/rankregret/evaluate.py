@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Dataset, RankRegretKernel, Representative, score_slack
-from .errors import EmptySubset, KOutOfRange
+from .errors import KOutOfRange
 from .hitting import mdrrr
 from .kset import (
     KSetCollection,
@@ -96,17 +96,12 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     position, so the estimate can rank a duplicate with a larger id ahead
     of its member, one rank above the exact rank under that function.
     """
-    members = np.array(sorted({int(t) for t in subset}))
-    if members.size == 0:
-        raise EmptySubset("subset must contain at least one tuple id")
-    if members.min() < 0 or members.max() >= dataset.n:
-        raise ValueError("subset contains unknown tuple ids")
+    values, d = dataset.values, dataset.d
+    kernel = RankRegretKernel(values, subset, slack=score_slack(d))
     if samples < 1:
         raise ValueError("samples must be positive")
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
-    values, d = dataset.values, dataset.d
-    kernel = RankRegretKernel(values, members, slack=score_slack(d))
     radius = float_order_radius(kernel) if d == 2 else math.inf
     steps = member_rank_steps(kernel) if radius < math.inf else None
     kept_t = kernel.kept.T
@@ -198,26 +193,33 @@ def run_algorithm(name: str, dataset: Dataset, k: int, *,
         source = kset_source or ("sweep2d" if dataset.d == 2 else "random")
         collector_rng, net_rng = mdrrr_rngs(seed)
         collection = collect_ksets(dataset, k, source, c=c, rng=collector_rng)
-        members = mdrrr(collection, rng=net_rng)
-        return Representative(
-            members=members, algorithm="mdrrr",
-            params={"k": k, "kset_source": source, "c": c,
-                    **collection_params(collection)},
-            seed=seed)
+        return mdrrr_representative(collection, k, source, seed, net_rng, c=c)
     raise ValueError(f"unknown algorithm {name!r}")
+
+
+def mdrrr_representative(collection: KSetCollection, k: int, source: str,
+                         seed: Optional[int], net_rng: np.random.Generator,
+                         **params) -> Representative:
+    """The mdrrr representative of ``collection``, its net drawn from
+    ``net_rng`` (``mdrrr_rngs(seed)[1]``), with params k, ``source``, the
+    collector's ``params`` and the collection's counters, in that order."""
+    members = mdrrr(collection, rng=net_rng)
+    return Representative(
+        members=members, algorithm="mdrrr",
+        params={"k": k, "kset_source": source, **params,
+                **collection_params(collection)},
+        seed=seed)
 
 
 def collection_params(collection: KSetCollection) -> dict:
     """What an mdrrr run reports about its k-set collection: its size,
-    whether it is complete, and the collector's draws, the graph's LPs
-    and dominance-filtered candidates or whether the 2-D enumeration fell
-    back to the exchange sweep (None where they do not apply)."""
+    whether it is complete, and the collector's draws or the graph's LPs
+    and dominance-filtered candidates (None where they do not apply)."""
     return {"collection_size": len(collection),
             "complete": collection.complete,
             "draws": collection.draws,
             "lps": collection.lps,
-            "filtered": collection.filtered,
-            "swept": collection.swept}
+            "filtered": collection.filtered}
 
 
 def dual_problem(dataset: Dataset, size_budget: int, solver: str = "mdrc",

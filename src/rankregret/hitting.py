@@ -87,19 +87,7 @@ def mdrrr(collection: KSetCollection, opt_guess: Optional[int] = None,
             missed = [j for j, slots in enumerate(member_slots)
                       if not net_mask[slots].any()]
             if not missed:
-                members = _prune(ground, net, member_slots, weights)
-                if return_stats:
-                    stats = MdrrrStats(
-                        final_guess=guess,
-                        rounds_at_final_guess=round_at_guess,
-                        total_rounds=total_rounds,
-                        net_size=net_size,
-                        raw_net_size=int(net.size),
-                        doublings=doublings,
-                        weight_totals=weight_totals,
-                    )
-                    return members, stats
-                return members
+                break
             targets = missed if double_all_missed else missed[:1]
             for j in targets:
                 weights[member_slots[j]] *= 2.0
@@ -109,16 +97,19 @@ def mdrrr(collection: KSetCollection, opt_guess: Optional[int] = None,
                 weights /= 2.0 ** 400  # proportions are all that matter
                 total = weights.sum()
             weight_totals.append(float(total))
+        if not missed:
+            break
         guess *= 2
         if guess > 2 * n_prime:
             # the guess has overshot any possible optimum; the ground set
             # itself hits everything, so prune that instead of looping
-            members = _prune(ground, np.arange(n_prime), member_slots, weights)
-            if return_stats:
-                stats = MdrrrStats(guess, 0, total_rounds, n_prime,
-                                   n_prime, doublings, weight_totals)
-                return members, stats
-            return members
+            round_at_guess, net_size, net = 0, n_prime, np.arange(n_prime)
+            break
+    members = _prune(ground, net, member_slots, weights)
+    if not return_stats:
+        return members
+    return members, MdrrrStats(guess, round_at_guess, total_rounds, net_size,
+                               int(net.size), doublings, weight_totals)
 
 
 def _prune(ground, net, member_slots, weights) -> frozenset:

@@ -27,37 +27,33 @@ its matrix product instead; the radius, (pi/2) score_slack(2) / min|D|
 score gap of a farther sample beyond float rounding.  A member with an
 exact duplicate makes the radius infinite: a BLAS product can round the
 two copies differently, so all samples are scored.
-``enumerate_ksets_2d`` reads the k-sets off the
-k-level of the k-skyband's trajectories (``ExchangeSweep`` with k): the
-top-k set changes only where a tuple's rank crosses k.  Its walk of every
-adjacent transposition decides the enumeration only where float crossing
-angles lie too close to trust their order.
+``enumerate_ksets_2d`` reads the k-sets off the k-level of the
+k-skyband's trajectories (``ExchangeSweep``): the top-k set changes only
+where a tuple's rank crosses k.  Floats order crossings more than
+NEAR_TIE_ULPS apart; closer ones that can move a rank across k are
+ordered and grouped by their exact ratios.
 """
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from fractions import Fraction
+from typing import List, Tuple
 
 import numpy as np
 
 from .core import (
     HALF_PI,
-    SCORE_BLOCK_BYTES,
     Dataset,
     LinearFunction,
     RankRegretKernel,
     Representative,
     _select_top_k,
     angle_weights,
+    block_rows as _block_size,
     score_slack,
 )
-from .errors import (
-    DimensionNot2D,
-    EmptySubset,
-    KOutOfRange,
-    UncoverableSpace,
-)
+from .errors import DimensionNot2D, KOutOfRange, UncoverableSpace
 from .kset import KSet, KSetCollection
 
 #: coverage bookkeeping ignores gaps up to this width (endpoint claims
@@ -75,114 +71,35 @@ class AngularRange:
 
 
 class ExchangeSweep:
-    """The ranking exchanges along the sweep, in ascending angle.
-
-    Without ``k`` it walks every adjacent transposition of the full
-    ranking order.  The order starts at the theta=0 ranking (descending
-    first attribute, ties by ascending id) and is updated by the
-    transpositions popped from a min-heap in ascending angle; equal
-    angles resolve by ascending (low id, high id).  Events carry the
-    pair's ids, not positions: an event whose pair is no longer adjacent
-    in the expected orientation is stale and skipped, which also absorbs
-    duplicate pushes.
-
-    With ``k`` it walks only the exchanges across the rank-k boundary,
-    read off the k-level of the rank trajectories (``_level_events``):
-    each group of equal crossing angles swaps the tuples leaving the top
-    k with those entering it.  Where floats may misorder two crossings,
-    it walks every transposition instead, and ``swept`` says so.  The
-    benchmark tracer counts swaps through ``batches()``.  Once crossings
-    are grouped exactly, that fallback has no work left, and when the
-    tracer stops patching ``batches()`` the transposition walk can move
-    to the test oracles.
-
-    ``ids`` (ascending; the row numbers by default) name the tuples in
-    ``top()`` and on the k-level.
+    """The exchanges across the rank-k boundary along the sweep, in
+    ascending angle, read off the k-level of the rank trajectories of
+    ``values`` (``_level_events``), whose rows ``ids`` (ascending) name:
+    each group of exactly equal crossings swaps the tuples leaving the
+    top k with those entering it.  The benchmark tracer counts swaps
+    through ``batches()``.
     """
 
-    def __init__(self, values: np.ndarray, k: Optional[int] = None,
-                 ids: Optional[np.ndarray] = None):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != 2:
-            raise DimensionNot2D("the angular sweep requires d = 2")
-        self.values = values
-        n = values.shape[0]
-        self.n = n
+    def __init__(self, values: np.ndarray, k: int, ids: np.ndarray):
         self.k = k
-        self.ids = np.arange(n) if ids is None else np.asarray(ids)
         self.swap_count = 0
-        level = None if k is None else _level_events(values, self.ids, k)
-        self.swept = level is None
-        if not self.swept:
-            self._top, self._events = level
-            return
-        rows = np.arange(n)
-        self.order = [int(t) for t in np.lexsort((rows, -values[:, 0]))]
-        self.position = np.empty(n, dtype=np.int64)
-        self.position[self.order] = rows
-        self._heap: list = []
-        for i in range(n - 1):
-            self._push_if_crossing(self.order[i], self.order[i + 1])
+        self._top, self._events = _level_events(values, ids, k)
 
     def top(self) -> frozenset:
-        """The ids of the tuples in the top k (all without k)."""
-        if self.swept:
-            return frozenset(self.ids[self.order[:self.k]].tolist())
+        """The ids of the tuples in the top k."""
         return frozenset(self._top)
 
-    def _push_if_crossing(self, upper: int, lower: int) -> None:
-        # an adjacent pair exchanges later in the sweep iff the lower tuple
-        # wins on x2 while not losing on x1; equal x1 crosses at theta = 0
-        du = self.values[upper, 0] - self.values[lower, 0]
-        dv = self.values[upper, 1] - self.values[lower, 1]
-        if dv < 0.0 and du >= 0.0:
-            theta = float(np.arctan(du / -dv)) if du > 0.0 else 0.0
-            lo, hi = (upper, lower) if upper < lower else (lower, upper)
-            heapq.heappush(self._heap, (theta, lo, hi, upper))
-
     def batches(self):
-        """Yield (theta, swaps) with all simultaneous events grouped.
+        """Yield (theta, swaps), one batch per group of exactly equal
+        crossings, ``top()`` already updated past it.
 
-        Each swap is (position, upper, lower): the pair that exchanged at
-        that position (upper moved down), as rows of ``values``.  On the
-        k-level every swap is at position k - 1, the id of a leaving tuple
-        paired with that of an entering one.  The order and ``top()`` are
-        already updated when a batch is yielded.
+        Each swap is (k - 1, leaving id, entering id).
         """
-        if self.swept:
-            yield from self._transpositions()
-            return
         top, k = self._top, self.k
         for theta, leaving, entering in self._events:
             top.difference_update(leaving)
             top.update(entering)
             self.swap_count += len(leaving)
             yield theta, [(k - 1, a, b) for a, b in zip(leaving, entering)]
-
-    def _transpositions(self):
-        heap = self._heap
-        position = self.position
-        order = self.order
-        while heap:
-            theta = heap[0][0]
-            swaps: List[Tuple[int, int, int]] = []
-            while heap and heap[0][0] == theta:
-                _, lo, hi, upper = heapq.heappop(heap)
-                lower = hi if upper == lo else lo
-                i = position[upper]
-                if i + 1 >= self.n or order[i + 1] != lower:
-                    continue  # stale: the pair separated or already swapped
-                order[i], order[i + 1] = lower, upper
-                position[upper] = i + 1
-                position[lower] = i
-                self.swap_count += 1
-                swaps.append((i, upper, lower))
-                if i > 0:
-                    self._push_if_crossing(order[i - 1], lower)
-                if i + 2 < self.n:
-                    self._push_if_crossing(upper, order[i + 2])
-            if swaps:
-                yield theta, swaps
 
 
 def _angle_scores(values: np.ndarray, thetas) -> np.ndarray:
@@ -285,11 +202,6 @@ _ONE = np.uint64(1)
 _NEVER = np.float64(np.inf).view(np.uint64) << _ONE
 
 
-def _block_size(rows: int) -> int:
-    """Tuples per trajectory block: about SCORE_BLOCK_BYTES per array."""
-    return max(1, SCORE_BLOCK_BYTES // (8 * rows))
-
-
 @dataclass(frozen=True)
 class _Trajectories:
     """Rank trajectories of a block of tuples, one row per tuple.
@@ -331,12 +243,8 @@ def _rank_trajectories(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
     at_end = 1 + np.count_nonzero((dv > 0) | (dv == 0) & ahead, axis=1)
     rank0 = 1 + np.count_nonzero(
         (du > 0) | (du == 0) & ((dv > 0) | (dv == 0) & ahead), axis=1)
-    passing = (du < 0) & (dv > 0)
-    crossing = passing | (du > 0) & (dv < 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        angles = np.arctan(du / -dv)
-    keys = np.where(crossing, (angles.view(np.uint64) << _ONE) | passing,
-                    _NEVER)
+    angles, passing = _crossings(du, dv)
+    keys = (angles.view(np.uint64) << _ONE) | passing  # +inf: _NEVER
     keys.sort(axis=1)
     angles = (keys >> _ONE).view(np.float64)
     delta = np.where(keys < _NEVER, (keys & _ONE).view(np.int64) * 2 - 1, 0)
@@ -345,6 +253,18 @@ def _rank_trajectories(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
     last[:, :-1] = angles[:, 1:] != angles[:, :-1]
     last[:, -1] = True
     return _Trajectories(angles, states, last, rank0, at_0, at_end)
+
+
+def _crossings(du: np.ndarray,
+               dv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Float crossing angles, arctan(du / -dv), of tuples with the rows
+    ahead of them by ``du`` and ``dv``, +inf where the two never cross,
+    and whether the row passes the tuple there."""
+    passing = (du < 0) & (dv > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angles = np.where(passing | (du > 0) & (dv < 0),
+                          np.arctan(du / -dv), np.inf)
+    return angles, passing
 
 
 def dominator_counts(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -527,18 +447,20 @@ def rrr_2d(dataset: Dataset, k: int) -> Representative:
     check_angles.update(r.end for r in selected)
     # the kernel's running maximum stays within 2k until an angle needs a
     # patch, after which it restarts for the new members
-    kernel = RankRegretKernel(dataset.values, sorted(members))
+    kernel = RankRegretKernel(dataset.values, members)
     for theta in sorted(check_angles):
         if _score_angles(kernel, theta) > 2 * k:
             members.add(min(_topk_at(dataset.values, theta, k)))
-            kernel = RankRegretKernel(dataset.values, sorted(members))
+            kernel = RankRegretKernel(dataset.values, members)
     return Representative(members=frozenset(members), algorithm="2drrr",
                           params={"k": k})
 
 
-#: two distinct crossing angles of one tuple this many ulps apart or
-#: closer may be ordered differently in floats than in exact arithmetic
-NEAR_TIE_ULPS = 4
+#: a float crossing angle lies within 4 representable steps of the exact
+#: one (3 from rounding du, dv and their quotient, under 1 from arctan),
+#: so crossings whose float angles are more than 8 steps apart are
+#: ordered as their exact ratios
+NEAR_TIE_ULPS = 8
 
 
 def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
@@ -546,19 +468,16 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
 
     The top-k set just after angle 0 comes first; after that the set
     changes exactly where a tuple's rank crosses k, so the sets are read
-    off the k-level of the rank trajectories (``ExchangeSweep`` with k).
-    Each set carries a witness function (``angles_to_weights``) from the
+    off the k-level of the rank trajectories (``ExchangeSweep``).  Each
+    set carries a witness function (``angles_to_weights``) from the
     middle of the first angle interval on which it is the top-k.  Only
     the k-skyband is walked: every tuple that outranks a top-k member is
     itself in the top k, so dropping the tuples with k dominators changes
     neither the top-k sets nor the angles at which they change.
 
-    Float crossing angles can order two crossings differently from exact
-    arithmetic.  Where a tuple has two distinct crossing angles within
-    ``NEAR_TIE_ULPS`` of each other, or a group of equal angles leaves
-    other than k tuples in the top k, the walk of every adjacent
-    transposition decides the whole call instead; ``swept`` on the result
-    says so.
+    The crossings are ordered and grouped exactly (``_level_events``).  A
+    set that holds only between two groups at the same float angle has no
+    float interval to witness it and is left out.
     """
     _require_2d(dataset)
     if not 1 <= k <= dataset.n:
@@ -566,74 +485,163 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
     skyband = np.flatnonzero(dominator_counts(dataset.values)[0] < k)
     sweep = ExchangeSweep(dataset.values[skyband], k, skyband)
     segments = [(sweep.top(), 0.0)]
-    for theta, swaps in sweep.batches():
-        if any(i == k - 1 for i, _, _ in swaps):
-            current = sweep.top()
-            if current != segments[-1][0]:
-                segments.append((current, theta))
+    for theta, _ in sweep.batches():
+        current = sweep.top()
+        if current != segments[-1][0]:
+            segments.append((current, theta))
     middles: dict = {}  # each set's first interval, by its middle angle
     for j, (members, start) in enumerate(segments):
         stop = segments[j + 1][1] if j + 1 < len(segments) else HALF_PI
         if stop <= start:
-            continue  # zero-width segment from concurrent boundary events
+            continue  # a zero-width segment
         middles.setdefault(members, (start + stop) / 2.0)
     witnesses = angle_weights(np.array(list(middles.values()))[:, None])
     sets = [KSet(members, LinearFunction(w))
             for members, w in zip(middles, witnesses)]
-    return KSetCollection(sets=sets, k=k, complete=True, d=2,
-                          swept=sweep.swept)
+    return KSetCollection(sets=sets, k=k, complete=True, d=2)
 
 
 def _level_events(points: np.ndarray, ids: np.ndarray, k: int):
     """The k-level of the tuples ``points`` (ids ``ids``): (the ids in
     the top k just after angle 0, [(angle, leaving ids, entering ids)] in
-    ascending angle), or None at a float near-tie.
+    ascending angle).
 
-    A tuple enters or leaves the top k at a group end whose state is on
-    the other side of k than the state at its previous group end (or
-    than ``rank0``).  The events of all tuples are sorted by angle and
-    grouped by equal angles; each group must leave k tuples in the top k.
+    The events of all tuples (``_block_events``) are sorted by float
+    angle.  A run of more than two, each within NEAR_TIE_ULPS of the
+    next, is re-sorted by exact crossing ratio (``_ratio``), and the
+    events of one ratio form a group; any other run is one group.  A
+    group sits at the smallest float angle in it (or at the previous
+    group's, where larger) and must leave k tuples in the top k.
     """
     step = _block_size(ids.size)
-    initial, angles, tuples, enters = [], [], [], []
+    initial, found = [], []
     for lo in range(0, ids.size, step):
         block = ids[lo:lo + step]
         tr = _rank_trajectories(points, ids, points[lo:lo + step], block)
-        bits = tr.angles.view(np.int64)  # ordered like the angles, all >= 0
-        gap = bits[:, 1:] - bits[:, :-1]
-        if np.any((gap > 0) & (gap <= NEAR_TIE_ULPS)):
-            return None
-        in0 = tr.rank0 <= k
-        row, col = np.nonzero(tr.last)
-        inside = tr.states[row, col] <= k
-        before = np.empty_like(inside)
-        before[1:] = inside[:-1]
-        first = np.ones(row.size, dtype=bool)
-        first[1:] = row[1:] != row[:-1]
-        before[first] = in0  # every row has a group end
-        moved = inside != before
-        initial.append(block[in0])
-        angles.append(tr.angles[row[moved], col[moved]])
-        tuples.append(block[row[moved]])
-        enters.append(inside[moved])
-    angles = np.concatenate(angles)
-    order = np.argsort(angles)
-    angles = angles[order]
-    tuples = np.concatenate(tuples)[order]
-    enters = np.concatenate(enters)[order]
-    new = np.ones(angles.size, dtype=bool)
-    new[1:] = angles[1:] != angles[:-1]
-    bounds = np.append(np.flatnonzero(new), angles.size)
+        initial.append(block[tr.rank0 <= k])
+        found.extend(_block_events(points, lo, tr, k))
+    found = [np.concatenate(c) for c in zip(*found)]
+    order = np.argsort(found[0], kind="stable")
+    angles, rows, enters, partners = (c[order] for c in found)
+    new = np.ones(angles.size, dtype=bool)  # the event opens a group
+    new[1:] = np.diff(angles.view(np.int64)) > NEAR_TIE_ULPS
+    runs = np.append(np.flatnonzero(new), angles.size)
+    # two events form one group in exact arithmetic too: apart, each
+    # would change the size of the top k
+    near = np.flatnonzero(np.diff(runs) > 2)
+    for lo, hi in zip(runs[near].tolist(), runs[near + 1].tolist()):
+        ratios = [_ratio(points, t, u if u >= 0 else _partner(points, t, a))
+                  for t, u, a in zip(rows[lo:hi].tolist(),
+                                     partners[lo:hi].tolist(),
+                                     angles[lo:hi].tolist())]
+        perm = sorted(range(hi - lo), key=ratios.__getitem__)
+        at = lo + np.array(perm)
+        angles[lo:hi], rows[lo:hi], enters[lo:hi] = angles[at], rows[at], enters[at]
+        new[lo + 1:hi] = [ratios[a] != ratios[b] for a, b in zip(perm, perm[1:])]
+    bounds = np.flatnonzero(new)
+    level = np.maximum.accumulate(np.minimum.reduceat(angles, bounds))
+    bounds = np.append(bounds, angles.size)
     # a tuple's events alternate, so the top k has k + (enters - leaves)
     # tuples; the initial top k has k
     if np.any(np.cumsum(np.where(enters, 1, -1))[bounds[1:] - 1] != 0):
-        return None
+        raise RuntimeError("a k-level group leaves other than k tuples "
+                           "in the top k")
+    tuples = ids[rows]
     events = []
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    for theta, lo, hi in zip(level.tolist(), bounds[:-1].tolist(),
+                             bounds[1:].tolist()):
         group, enter = tuples[lo:hi], enters[lo:hi]
-        events.append((float(angles[lo]), group[~enter].tolist(),
-                       group[enter].tolist()))
+        events.append((theta, group[~enter].tolist(), group[enter].tolist()))
     return set(np.concatenate(initial).tolist()), events
+
+
+def _block_events(points: np.ndarray, lo: int, tr: "_Trajectories", k: int):
+    """The k-level events of the rows ``lo``.. of ``points``, whose
+    trajectories are ``tr``: a list of (angle, row, enters, partner)
+    arrays, ``partner`` the row crossed or -1 where not looked up.
+
+    A tuple enters or leaves the top k at a group end whose state is on
+    the other side of k than the state at its previous group end (or
+    than ``rank0``).  Crossings whose float angles are each within
+    NEAR_TIE_ULPS of the next form a run, whose float order may not be
+    the exact one.  A run whose states, in any order of its crossings,
+    stay on one side of k (from the state before it, down by its leaving
+    crossings and up by its passing ones) has no event, and the state
+    after it does not depend on the order; ``_exact_run`` reads the events
+    of every other run.
+    """
+    bits = tr.angles.view(np.int64)  # ordered like the angles, all >= 0
+    near = ((bits[:, 1:] - bits[:, :-1] <= NEAR_TIE_ULPS)
+            & np.isfinite(tr.angles[:, 1:]))
+    settled, exact = [], None  # exact: the entries of runs read exactly
+    if near.any():
+        linked = np.pad(near, ((0, 0), (1, 1)))  # entry j - 1 with entry j
+        exact = np.zeros(bits.shape, dtype=bool)
+        run_row, first = np.nonzero(linked[:, 1:] & ~linked[:, :-1])
+        final = np.nonzero(linked[:, :-1] & ~linked[:, 1:])[1]
+        before = np.where(first > 0, tr.states[run_row, first - 1],
+                          tr.rank0[run_row])
+        net, span = tr.states[run_row, final] - before, final - first + 1
+        straddles = ((before - (span - net) // 2 <= k)
+                     & (before + (span + net) // 2 > k))
+        for r, a, b, state in zip(run_row[straddles].tolist(),
+                                  first[straddles].tolist(),
+                                  final[straddles].tolist(),
+                                  before[straddles].tolist()):
+            exact[r, a:b + 1] = True
+            settled.extend(_exact_run(points, lo + r, tr.angles[r, a],
+                                      tr.angles[r, b], state, k))
+    row, col = np.nonzero(tr.last)
+    inside = tr.states[row, col] <= k
+    was = np.empty_like(inside)
+    was[1:] = inside[:-1]
+    opens = np.ones(row.size, dtype=bool)
+    opens[1:] = row[1:] != row[:-1]
+    was[opens] = tr.rank0 <= k  # every row has a group end
+    moved = inside != was
+    if exact is not None:
+        moved &= ~exact[row, col]
+    row, col = row[moved], col[moved]
+    found = [(tr.angles[row, col], lo + row, inside[moved],
+              np.full(row.size, -1))]
+    if settled:
+        found.append(tuple(np.array(c) for c in zip(*settled)))
+    return found
+
+
+def _exact_run(points: np.ndarray, t: int, lo: float, hi: float,
+               state: int, k: int):
+    """Row ``t``'s k-level events, (angle, row, enters, partner), on its
+    run of crossings with float angles in [lo, hi], entered at rank
+    ``state``: the crossings sorted and grouped by exact ratio, each group
+    at its smallest float angle."""
+    angles, passing = _crossings(points[:, 0] - points[t, 0],
+                                 points[:, 1] - points[t, 1])
+    partners = np.flatnonzero((angles >= lo) & (angles <= hi))
+    ratios = [_ratio(points, t, u) for u in partners.tolist()]
+    order = sorted(range(partners.size), key=ratios.__getitem__)
+    inside, events = state <= k, []
+    for _, group in itertools.groupby(order, key=ratios.__getitem__):
+        group = partners[list(group)]
+        state += 2 * int(np.count_nonzero(passing[group])) - group.size
+        if (state <= k) != inside:
+            inside = not inside
+            events.append((angles[group].min(), t, inside, group[0]))
+    return events
+
+
+def _partner(points: np.ndarray, t: int, angle: float) -> int:
+    """The row that row ``t`` crosses at the float ``angle``."""
+    crossed = _crossings(points[:, 0] - points[t, 0],
+                         points[:, 1] - points[t, 1])[0]
+    return int(np.argmax(crossed == angle))
+
+
+def _ratio(points: np.ndarray, t: int, u: int) -> Fraction:
+    """tan of the exact angle at which rows ``t`` and ``u`` score equally,
+    from the stored doubles."""
+    return ((Fraction(points[u, 0]) - Fraction(points[t, 0]))
+            / (Fraction(points[t, 1]) - Fraction(points[u, 1])))
 
 
 def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
@@ -651,12 +659,7 @@ def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
     floating-point score ties at interior crossing angles.
     """
     _require_2d(dataset)
-    members = sorted({int(t) for t in subset})
-    if not members:
-        raise EmptySubset("subset must contain at least one tuple id")
-    if not all(0 <= t < dataset.n for t in members):
-        raise ValueError("subset contains unknown tuple ids")
-    kernel = RankRegretKernel(dataset.values, members)
+    kernel = RankRegretKernel(dataset.values, subset)
     steps = member_rank_steps(kernel)
     at = _score_angles(kernel, np.append(steps.angles, HALF_PI))
     return int(max(steps.after.max(), at))

@@ -304,6 +304,44 @@ def rational_rank_regret_2d(values, subset):
     return worst
 
 
+def rational_ksets_2d(values, k):
+    """Every top-k set along the sweep, in exact arithmetic, in order of
+    first appearance.
+
+    With w = (1, r), r = tan(theta) >= 0, the ratios r at which two
+    tuples score equally are computed exactly from the stored doubles.
+    The top k is taken at the midpoint of each open interval between
+    consecutive ratios (from 0, and one past the last), with scores in
+    integers and ties broken by ascending id, so every set is listed,
+    also on intervals too narrow for any float angle.
+    """
+    from fractions import Fraction
+
+    pts = [(Fraction(float(a)), Fraction(float(b))) for a, b in values]
+    n = len(pts)
+    ratios = set()
+    for i, (a1, a2) in enumerate(pts):
+        for b1, b2 in pts[i + 1:]:
+            if a2 != b2:
+                r = (a1 - b1) / (b2 - a2)
+                if r > 0:
+                    ratios.add(r)
+    cuts = [Fraction(0)] + sorted(ratios)
+    probes = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])] + [cuts[-1] + 1]
+    # the denominators are powers of two: the largest is a multiple of all
+    scale = max(max(a.denominator, b.denominator) for a, b in pts)
+    ints = [(int(a * scale), int(b * scale)) for a, b in pts]
+    out = []
+    for r in probes:
+        p, q = r.numerator, r.denominator
+        # -score * n + id orders by descending score, then ascending id
+        keys = sorted(-(q * a + p * b) * n + t for t, (a, b) in enumerate(ints))
+        members = frozenset(key % n for key in keys[:k])
+        if members not in out:
+            out.append(members)
+    return out
+
+
 def _draw_one_function(rng, d):
     """One unit weight vector as the package's sampler draws it: |Box-Muller
     normals| over the generator's uniform stream, normalized."""

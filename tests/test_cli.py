@@ -128,7 +128,7 @@ class TestKsets:
         assert len(lines) == 3
         members = {line.split(";")[1] for line in lines}
         assert members == {"members=0,6", "members=2,6", "members=2,4"}
-        assert "3 k-sets (complete=True, swept=False)" in captured.err
+        assert "3 k-sets (complete=True)" in captured.err
 
     def test_random_source_to_file(self, fig1_csv, tmp_path):
         out = tmp_path / "sets.txt"
@@ -148,11 +148,7 @@ class TestKsets:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["params"]["kset_source"] == "file"
-        assert payload["params"]["swept"] is None
         assert payload["evaluation"]["rank_regret"] <= 2
-        assert main(["solve", fig1_csv, "--algo", "mdrrr", "--k", "2",
-                     "--source", "sweep2d", "--seed", "0"]) == 0
-        assert json.loads(capsys.readouterr().out)["params"]["swept"] is False
 
     def test_random_kset_file_solves_like_one_run(self, tmp_path, capsys):
         # collecting to a file and solving from it derives the collector

@@ -51,6 +51,13 @@ class TestEstimate:
         with pytest.raises(EmptySubset):
             estimate_rank_regret(fig1, set(), 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("subset", [[0, 7], [-1, 2]])
+    @pytest.mark.parametrize("measure", [estimate_rank_regret,
+                                         exact_rank_regret_2d])
+    def test_unknown_ids_rejected(self, fig1, measure, subset):
+        with pytest.raises(ValueError, match="unknown tuple ids"):
+            measure(fig1, subset)
+
     def test_single_sample_matches_definition(self):
         # with one sampled function the estimate is exactly the best
         # member rank under that function

@@ -83,6 +83,22 @@ class TestMdrrr:
             mdrrr(KSetCollection([], k=2, complete=True, d=2),
                   rng=np.random.default_rng(0))
 
+    def test_a_guess_past_twice_the_ground_set_prunes_the_ground_set(self):
+        class FirstSlotOnly:
+            """Draws nets that hold only the smallest id."""
+
+            def choice(self, n, size, replace, p):
+                return np.zeros(size, dtype=np.int64)
+
+        col = make_collection(FIG1_2SETS)
+        got, stats = mdrrr(col, rng=FirstSlotOnly(), return_stats=True)
+        assert hits_all(got, FIG1_2SETS)
+        assert mdrrr(col, rng=FirstSlotOnly()) == got
+        ground = len(frozenset().union(*FIG1_2SETS))
+        assert stats.final_guess > 2 * ground
+        assert stats.rounds_at_final_guess == 0
+        assert stats.net_size == stats.raw_net_size == ground
+
     def test_hits_complete_collections_of_real_data(self):
         # hitting every achievable top-k implies rank-regret at most k,
         # which the 2-D sweep can confirm exactly

@@ -22,7 +22,6 @@ from rankregret.errors import (
 from rankregret import sweep2d
 from rankregret.sweep2d import (
     AngularRange,
-    ExchangeSweep,
     UncoveredIntervals,
     dominator_counts,
 )
@@ -36,6 +35,7 @@ from conftest import (
     tids,
 )
 from oracles import (
+    FullExchangeSweep,
     dense_sweep_ksets,
     dense_sweep_max_rank,
     dense_sweep_topk_membership,
@@ -43,6 +43,7 @@ from oracles import (
     exhaustive_lp_ksets,
     exhaustive_min_hitting_size,
     loop_find_ranges,
+    rational_ksets_2d,
     rational_rank_regret_2d,
     sweep_find_ranges,
     sweep_ksets_2d,
@@ -137,10 +138,9 @@ class TestFindRanges:
         rng = np.random.default_rng(44)
         for _ in range(10):
             n = int(rng.integers(2, 120))
-            sweep = ExchangeSweep(random_dataset(rng, n, 2).values)
-            for _ in sweep.batches():
-                pass
-            assert sweep.swap_count <= n * (n - 1) // 2
+            sweep = FullExchangeSweep(random_dataset(rng, n, 2).values)
+            swaps = sum(len(batch) for _, batch in sweep.batches())
+            assert swaps <= n * (n - 1) // 2
 
 
 IDENTITY_INPUTS = {
@@ -339,6 +339,10 @@ MISORDERED = np.array([
     [6, 7], [5, 4], [6, 4], [7, 0], [7, 0], [3, 3], [4, 4], [7, 1],
     [1, 6], [3, 6], [7, 1], [7, 0]]) / 7
 
+#: floats put the crossings of these values in an order that is not exact
+SEVENTHS = np.array([[3, 7], [5, 2], [7, 1], [1, 4], [6, 6], [2, 7], [3, 2],
+                     [6, 6], [0, 1], [0, 2]]) / 7
+
 
 class TestEnumerate2d:
     def test_fig1_2sets(self, fig1):
@@ -393,7 +397,8 @@ class TestEnumerate2d:
     @pytest.mark.parametrize("block", [None, 1])
     def test_identical_to_full_sweep_on_tied_data(self, block, monkeypatch):
         # rounded anti-correlated and grid data with duplicate rows, k up
-        # to n, through both the k-level and the sweep fallback
+        # to n: identical to the float walk where it lists the same sets;
+        # elsewhere every set is an exact k-set and the walk's are kept
         if block is not None:
             monkeypatch.setattr(sweep2d, "_block_size", lambda rows: block)
         rng = np.random.default_rng(57)
@@ -406,44 +411,51 @@ class TestEnumerate2d:
             vals = (np.round(anticorrelated(rng, n, 2), 3) if i % 2
                     else grid_with_duplicates(rng, n, 2))
             inputs.append((vals, int(rng.integers(1, n + 1))))
-        swept = 0
+        differ = 0
         for vals, k in inputs:
-            col = enumerate_ksets_2d(Dataset(vals), k)
-            got = [(s.members, tuple(s.witness.weights)) for s in col.sets]
-            assert got == sweep_ksets_2d(vals, k)
-            swept += col.swept
-        assert 0 < swept < len(inputs)
+            got = [(s.members, tuple(s.witness.weights))
+                   for s in enumerate_ksets_2d(Dataset(vals), k).sets]
+            walk = sweep_ksets_2d(vals, k)
+            if [m for m, _ in got] == [m for m, _ in walk]:
+                assert got == walk
+                continue
+            differ += 1
+            exact = rational_ksets_2d(vals, k)
+            assert all(m in exact for m, _ in got)
+            assert {m for m, _ in walk} <= {m for m, _ in got}
+        assert differ < len(inputs) // 10
 
-    def test_sweep_decides_only_near_ties(self, monkeypatch):
-        sweeps = []
-        walk = ExchangeSweep._transpositions
+    @pytest.mark.parametrize("vals, k", [(MISORDERED, 23), (SEVENTHS, 6)],
+                             ids=["misordered", "sevenths"])
+    def test_near_ties_match_the_rational_oracle(self, vals, k):
+        # floats misorder crossings of these i/7 inputs; the float walk
+        # misses a set of MISORDERED that holds for one float step
+        got = [s.members for s in enumerate_ksets_2d(Dataset(vals), k).sets]
+        assert got == rational_ksets_2d(vals, k)
 
-        def counting_walk(sweep):
-            sweeps.append(sweep.n)
-            return walk(sweep)
+    def test_floats_decide_away_from_near_ties(self, monkeypatch):
+        calls, ratio = [], sweep2d._ratio
 
-        monkeypatch.setattr(sweep2d.ExchangeSweep, "_transpositions",
-                            counting_walk)
+        def counting_ratio(*args):
+            calls.append(args)
+            return ratio(*args)
+
+        monkeypatch.setattr(sweep2d, "_ratio", counting_ratio)
         rng = np.random.default_rng(58)
         # benchmark-sized uniform (n=250, k=10) and anti-correlated inputs
         for vals, k in [(rng.random((250, 2)), 10), (rng.random((60, 2)), 3),
                         (anticorrelated(rng, 250, 2), 10),
                         (anticorrelated(rng, 400, 2), 40)]:
-            assert enumerate_ksets_2d(Dataset(vals), k).swept is False
-        assert sweeps == []
-        assert enumerate_ksets_2d(Dataset(MISORDERED), 23).swept is True
-        assert len(sweeps) == 1
+            enumerate_ksets_2d(Dataset(vals), k)
+        assert calls == []
+        enumerate_ksets_2d(Dataset(MISORDERED), 23)
+        assert calls
 
-    def test_a_group_leaving_other_than_k_falls_back(self, monkeypatch):
-        # without the near-tie rule, floats misorder these i/7 crossings so
-        # that one group leaves 7 tuples in the top 6
+    def test_a_group_leaving_other_than_k_raises(self, monkeypatch):
+        # ordered by floats alone, these crossings put 7 tuples in the top 6
         monkeypatch.setattr(sweep2d, "NEAR_TIE_ULPS", 0)
-        vals = np.array([[3, 7], [5, 2], [7, 1], [1, 4], [6, 6], [2, 7],
-                         [3, 2], [6, 6], [0, 1], [0, 2]]) / 7
-        col = enumerate_ksets_2d(Dataset(vals), 6)
-        assert col.swept is True
-        got = [(s.members, tuple(s.witness.weights)) for s in col.sets]
-        assert got == sweep_ksets_2d(vals, 6)
+        with pytest.raises(RuntimeError, match="other than k"):
+            enumerate_ksets_2d(Dataset(SEVENTHS), 6)
 
     def test_consecutive_sets_differ_in_one_member(self):
         rng = np.random.default_rng(50)
