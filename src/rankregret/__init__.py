@@ -19,6 +19,7 @@ from .core import (
     ranks,
     score,
     top_k,
+    top_k_ids,
     top_k_many,
     weights_to_angles,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "save_collection",
     "score",
     "top_k",
+    "top_k_ids",
     "top_k_many",
     "weights_to_angles",
 ]

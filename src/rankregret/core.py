@@ -132,8 +132,8 @@ class Representative:
     """A solver output: member ids plus provenance.
 
     ``bound_guaranteed`` is False only when a partitioning run hit its depth
-    cap and fell back to centroid assignment for some box.  Evaluation
-    results are attached separately (see the evaluate module).
+    cap or box budget and fell back to centroid assignment for some box.
+    Evaluation results are attached separately (see the evaluate module).
     """
 
     members: frozenset
@@ -240,12 +240,19 @@ def score_slack(d: int) -> float:
 
 
 def top_k_many(dataset: Dataset, weights, k: int) -> list:
-    """The :func:`top_k` set of every row of the (m, d) ``weights``.
+    """The :func:`top_k` set of every row of the (m, d) ``weights``, as
+    frozensets; see :func:`top_k_ids`."""
+    return [frozenset(row) for row in top_k_ids(dataset, weights, k).tolist()]
+
+
+def top_k_ids(dataset: Dataset, weights, k: int) -> np.ndarray:
+    """The :func:`top_k` set of every row of the (m, d) ``weights``, as
+    an (m, k) array of ids, ascending along each row.
 
     Blocks of about SCORE_BLOCK_BYTES of scores are taken by one matrix
     product, and one argpartition keeps each row's k+1 best.  That product
     may round differently from :func:`top_k`'s, so a row's k best are
-    returned only where its k-th and (k+1)-th scores are more than
+    taken only where its k-th and (k+1)-th scores are more than
     :func:`score_slack` times the weight norm apart, which no rounding
     can reorder; every other row (ties, near-ties and k = n) is sent to
     :func:`top_k` itself.
@@ -260,21 +267,22 @@ def top_k_many(dataset: Dataset, weights, k: int) -> list:
         raise NonFiniteValue("weights contain non-finite values")
     if w.size and (w.min() < 0 or not np.all(w.max(axis=1) > 0)):
         raise ValueError("weights must be non-negative with a positive entry")
-    if k == n:
-        return [top_k(dataset, LinearFunction(row), k) for row in w]
-    slack = score_slack(d) * np.linalg.norm(w, axis=1)
-    values_t = dataset.values.T
-    block = block_rows(n)
-    out = []
-    for lo in range(0, len(w), block):
-        rows = w[lo:lo + block]
-        scores = rows @ values_t
-        best = np.argpartition(scores, n - k - 1, axis=1)[:, n - k - 1:]
-        picked = np.take_along_axis(scores, best, axis=1)
-        clear = picked[:, 1:].min(axis=1) - picked[:, 0] > slack[lo:lo + block]
-        for row, members, ok in zip(rows, best[:, 1:].tolist(), clear.tolist()):
-            out.append(frozenset(members) if ok
-                       else top_k(dataset, LinearFunction(row), k))
+    out = np.empty((len(w), k), dtype=np.intp)
+    unclear = np.ones(len(w), dtype=bool)
+    if k < n:
+        slack = score_slack(d) * np.linalg.norm(w, axis=1)
+        values_t = dataset.values.T
+        block = block_rows(n)
+        for lo in range(0, len(w), block):
+            scores = w[lo:lo + block] @ values_t
+            best = np.argpartition(scores, n - k - 1, axis=1)[:, n - k - 1:]
+            picked = np.take_along_axis(scores, best, axis=1)
+            unclear[lo:lo + block] = (picked[:, 1:].min(axis=1) - picked[:, 0]
+                                      <= slack[lo:lo + block])
+            out[lo:lo + block] = best[:, 1:]
+    for r in np.flatnonzero(unclear).tolist():
+        out[r] = sorted(top_k(dataset, LinearFunction(w[r]), k))
+    out.sort(axis=1)
     return out
 
 

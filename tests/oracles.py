@@ -386,9 +386,10 @@ def _angle_map(angles):
 
 
 def recursive_partition(values, k, depth_cap=None):
-    """(leaves, tree) of the angle-box bisection, recursing depth first
-    and scoring each distinct corner once; a leaf is (ranges, level,
-    assigned, guaranteed) and the tree has the package's JSON layout."""
+    """(leaves, tree, corners) of the angle-box bisection, recursing depth
+    first and scoring each distinct corner once; a leaf is (ranges, level,
+    assigned, guaranteed), the tree has the package's JSON layout and
+    ``corners`` counts the distinct corners scored."""
     values = np.asarray(values, dtype=np.float64)
     d = values.shape[1]
     if depth_cap is None:
@@ -426,7 +427,7 @@ def recursive_partition(values, k, depth_cap=None):
         return node
 
     tree = recurse(tuple((0.0, HALF_PI) for _ in range(d - 1)), 0)
-    return leaves, tree
+    return leaves, tree, len(memo)
 
 
 def loop_simplex_max(c, A_ub, b_ub, A_eq, b_eq, tol=1e-9, feas_tol=1e-7):

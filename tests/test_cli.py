@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -92,6 +93,28 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["member_ids"]) == 1
         assert payload["params"]["corners"] == 2  # the root's two ends
+
+    def test_mdrc_box_budget_reported(self, fig1_csv, tmp_path, capsys,
+                                      monkeypatch):
+        assert main(["solve", fig1_csv, "--algo", "mdrc", "--k", "2",
+                     "--seed", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["bound_guaranteed"] is True
+        assert payload["params"]["stopped"] == "complete"
+        assert payload["params"]["depth_cap"] == 48
+        # k=1 on uniform 3-D data splits along every top-1 boundary
+        path = tmp_path / "uniform3.csv"
+        np.savetxt(path, np.random.default_rng(0).random((50, 3)),
+                   delimiter=",", header="a,b,c", comments="")
+        monkeypatch.setattr(importlib.import_module("rankregret.mdrc"),
+                            "MAX_BOXES", 200)
+        assert main(["solve", str(path), "--algo", "mdrc", "--k", "1",
+                     "--seed", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["bound_guaranteed"] is False
+        params = payload["params"]
+        assert params["stopped"] == "budget" and params["max_boxes"] == 200
+        assert 0 < params["capped_leaves"] <= params["leaves"] <= 200
 
     def test_k_pct(self, fig1_csv, capsys):
         code = main(["solve", fig1_csv, "--algo", "mdrc", "--k-pct", "30",

@@ -13,6 +13,7 @@ from rankregret import (
     ranks,
     score,
     top_k,
+    top_k_ids,
     top_k_many,
     weights_to_angles,
 )
@@ -186,8 +187,8 @@ class TestTopK:
 
 
 class TestTopKMany:
-    """top_k_many against top_k, row by row: the slack test must send
-    every row whose set rounding could change to top_k itself."""
+    """top_k_many and top_k_ids against top_k, row by row: the slack test
+    must send every row whose set rounding could change to top_k itself."""
 
     @staticmethod
     def weights(rng, d):
@@ -206,8 +207,11 @@ class TestTopKMany:
             ds = Dataset(make(rng, n, d))
             w = self.weights(rng, d)
             for k in (1, 2, n // 3, n - 1, n):
-                got = top_k_many(ds, w, k)
-                assert got == [top_k(ds, LinearFunction(row), k) for row in w]
+                expected = [top_k(ds, LinearFunction(row), k) for row in w]
+                assert top_k_many(ds, w, k) == expected
+                ids = top_k_ids(ds, w, k)
+                assert ids.shape == (len(w), k)
+                assert ids.tolist() == [sorted(s) for s in expected]
 
     def test_ties_go_to_top_k(self, monkeypatch):
         calls = []
@@ -223,6 +227,7 @@ class TestTopKMany:
         expected = [top_k(ds, LinearFunction(row), 5) for row in w]
         assert top_k_many(ds, w, 5) == expected
         assert 0 < len(calls) < len(w)
+        assert top_k_ids(ds, w, 5).tolist() == [sorted(s) for s in expected]
 
     def test_blocks_and_empty_input(self, monkeypatch):
         monkeypatch.setattr(core, "SCORE_BLOCK_BYTES", 8 * 40 * 3)
@@ -232,6 +237,7 @@ class TestTopKMany:
         assert top_k_many(ds, w, 4) == [top_k(ds, LinearFunction(row), 4)
                                         for row in w]
         assert top_k_many(ds, np.empty((0, 3)), 4) == []
+        assert top_k_ids(ds, np.empty((0, 3)), 4).shape == (0, 4)
 
     def test_checks(self, fig1):
         with pytest.raises(KOutOfRange):

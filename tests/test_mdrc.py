@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -21,6 +22,8 @@ from conftest import anticorrelated, grid_with_duplicates, random_dataset
 from oracles import recursive_partition
 
 HALF_PI = np.pi / 2
+# the package re-exports the function mdrc under the module's name
+mdrc_module = importlib.import_module("rankregret.mdrc")
 
 
 class TestCorners:
@@ -41,8 +44,18 @@ class TestCorners:
         assert len(got) == 4
 
     def test_round_robin_split_dimension(self):
-        rect = HyperRectangle(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), level=4)
-        assert rect.split_dim == 1
+        _, tree = partition_function_space(
+            random_dataset(np.random.default_rng(9), 40, 4), 1, depth_cap=6)
+        stack, seen = [tree], set()
+        while stack:
+            node = stack.pop()
+            for child in node.get("children", []):
+                changed = [i for i, (a, b) in enumerate(
+                    zip(node["ranges"], child["ranges"])) if a != b]
+                assert changed == [node["depth"] % 3]
+                seen.add(node["depth"])
+                stack.append(child)
+        assert seen == set(range(6))
 
 
 class TestMdrc:
@@ -80,6 +93,13 @@ class TestMdrc:
         assert any(not leaf.guaranteed for leaf in leaves)
         assert any(leaf.box.level == 10 for leaf in leaves)
 
+    def test_cap_in_force_reported(self, fig1):
+        assert mdrc(fig1, 2).params["depth_cap"] == 48
+        rep = mdrc(Dataset(np.random.default_rng(0).random((30, 4))), 6)
+        assert rep.params["depth_cap"] == 144
+        assert rep.params["stopped"] == "complete"
+        assert mdrc(fig1, 2, depth_cap=3).params["depth_cap"] == 3
+
     def test_depth_capped_leaves_logged_once_and_counted(self, caplog):
         ds = Dataset(grid_with_duplicates(np.random.default_rng(0), 56, 5))
         leaves, _ = partition_function_space(ds, 5, depth_cap=12)
@@ -92,6 +112,71 @@ class TestMdrc:
         assert rep.params["capped_leaves"] == capped
         assert f"in {capped} leaves" in caplog.records[0].getMessage()
         assert not rep.bound_guaranteed
+        assert rep.params["stopped"] == "depth_cap"
+
+
+class TestBoxBudget:
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(72)
+        yield random_dataset(rng, 80, 3), 4, None
+        yield Dataset(anticorrelated(rng, 120, 4)), 3, None
+        yield Dataset(grid_with_duplicates(rng, 60, 3)), 3, 10
+        yield Dataset(rng.random((50, 3))), 1, 16
+
+    def test_a_budget_the_run_fits_changes_nothing(self, monkeypatch):
+        for ds, k, cap in self.inputs():
+            monkeypatch.undo()
+            free = mdrc(ds, k, depth_cap=cap)
+            free_leaves = partition_function_space(ds, k, cap)
+            assert free.params["stopped"] != "budget"
+            need = free.params["leaves"]
+            for budget in (need, need + 1, 10 * need):
+                monkeypatch.setattr(mdrc_module, "MAX_BOXES", budget)
+                rep = mdrc(ds, k, depth_cap=cap)
+                assert rep.members == free.members
+                assert rep.bound_guaranteed == free.bound_guaranteed
+                assert rep.params == {**free.params, "max_boxes": budget}
+                assert partition_function_space(ds, k, cap) == free_leaves
+
+    def test_a_tight_budget_closes_the_open_boxes(self, caplog, monkeypatch):
+        rng = np.random.default_rng(73)
+        for ds, k, cap in self.inputs():
+            monkeypatch.undo()
+            need = mdrc(ds, k, depth_cap=cap).params["leaves"]
+            for budget in (1, 2, need // 3, need - 1):
+                monkeypatch.setattr(mdrc_module, "MAX_BOXES", budget)
+                leaves, _ = partition_function_space(ds, k, cap)
+                caplog.clear()
+                with caplog.at_level("WARNING", logger="rankregret.mdrc"):
+                    rep = mdrc(ds, k, depth_cap=cap)
+                assert rep.params["stopped"] == "budget"
+                assert not rep.bound_guaranteed
+                assert len(leaves) == rep.params["leaves"] <= budget
+                capped = [leaf for leaf in leaves if not leaf.guaranteed]
+                assert len(capped) == rep.params["capped_leaves"] > 0
+                assert rep.members == {leaf.assigned for leaf in leaves}
+                for leaf in capped:
+                    centroid = [(lo + hi) / 2.0 for lo, hi in leaf.box.ranges]
+                    assert leaf.assigned == min(
+                        top_k(ds, angles_to_weights(centroid), 1))
+                assert_tiles(leaves, ds.d, rng)
+                assert len(caplog.records) == 1
+                assert f"box budget {budget}" in caplog.records[0].getMessage()
+
+
+def assert_tiles(leaves, d, rng):
+    """The leaf boxes fill the angle box and overlap only on faces."""
+    volumes = [np.prod([hi - lo for lo, hi in leaf.box.ranges])
+               for leaf in leaves]
+    assert sum(volumes) == pytest.approx(HALF_PI ** (d - 1), abs=1e-12)
+    for _ in range(100):
+        point = rng.random(d - 1) * HALF_PI
+        holders = [
+            leaf for leaf in leaves
+            if all(lo <= x <= hi for x, (lo, hi) in zip(point, leaf.box.ranges))
+        ]
+        assert len(holders) == 1
 
 
 class TestPartition:
@@ -100,19 +185,7 @@ class TestPartition:
         for d in (2, 3):
             ds = random_dataset(rng, 60, d)
             leaves, _ = partition_function_space(ds, 4)
-            volumes = [
-                np.prod([hi - lo for lo, hi in leaf.box.ranges])
-                for leaf in leaves
-            ]
-            assert sum(volumes) == pytest.approx(HALF_PI ** (d - 1), abs=1e-12)
-            for _ in range(100):
-                point = rng.random(d - 1) * HALF_PI
-                holders = [
-                    leaf for leaf in leaves
-                    if all(lo <= x <= hi
-                           for x, (lo, hi) in zip(point, leaf.box.ranges))
-                ]
-                assert len(holders) == 1
+            assert_tiles(leaves, d, rng)
 
     def test_assignment_is_in_every_corner_topk(self):
         rng = np.random.default_rng(62)
@@ -160,15 +233,24 @@ class TestPartition:
 
 class TestSameAsDepthFirst:
     """The level-by-level partition against a depth-first recursion that
-    scores one corner at a time: same leaves, same order, same tree."""
+    scores one corner at a time: same leaves, same order, same tree, and
+    mdrc's members and counters are those of the recursion's leaves."""
 
     @staticmethod
     def check(values, k, depth_cap=None):
         leaves, tree = partition_function_space(Dataset(values), k, depth_cap)
-        expected_leaves, expected_tree = recursive_partition(values, k, depth_cap)
+        expected_leaves, expected_tree, expected_corners = recursive_partition(
+            values, k, depth_cap)
         assert [(leaf.box.ranges, leaf.box.level, leaf.assigned, leaf.guaranteed)
                 for leaf in leaves] == expected_leaves
         assert json.dumps(tree) == json.dumps(expected_tree)
+        rep = mdrc(Dataset(values), k, depth_cap)
+        capped = sum(not guaranteed for *_, guaranteed in expected_leaves)
+        assert rep.members == {assigned for _, _, assigned, _ in expected_leaves}
+        assert rep.params["leaves"] == len(expected_leaves)
+        assert rep.params["corners"] == expected_corners
+        assert rep.params["capped_leaves"] == capped
+        assert rep.bound_guaranteed == (capped == 0)
         return leaves
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -194,6 +276,25 @@ class TestSameAsDepthFirst:
         leaves = self.check(grid_with_duplicates(np.random.default_rng(71), 60, 4),
                             4, depth_cap=6)
         assert not all(leaf.guaranteed for leaf in leaves)
+
+    @pytest.mark.parametrize("d, k", [(3, 1), (4, 2)])
+    def test_capped_small_k_uniform(self, d, k):
+        # with k <= d-2, uniform data without ties still has curves where
+        # the top-k sets around share no member; the boxes on them are
+        # split until the cap closes them
+        leaves = self.check(np.random.default_rng(0).random((50, d)), k,
+                            depth_cap=12)
+        assert not all(leaf.guaranteed for leaf in leaves)
+
+    def test_float_midpoints_reach_the_ends(self):
+        # about 54 halvings around the top-1 boundary the float midpoint
+        # of a box rounds to one of its ends: the boxes below have zero
+        # width, and their face corners are their parent's
+        for second in (1.0, 0.7):  # rounds to the low end, the high end
+            leaves = self.check(np.array([[1.0, 0.0], [0.0, second]]), 1,
+                                depth_cap=150)
+            assert any(lo == hi for leaf in leaves
+                       for lo, hi in leaf.box.ranges)
 
     def test_corners_counted(self, fig1):
         rep = mdrc(fig1, 2)
