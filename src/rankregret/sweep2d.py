@@ -9,14 +9,21 @@ tuples at once, as (block x rows) arrays: every row's crossing angles
 sorted, the running rank after each, and a mark on the last entry of
 each group of equal angles, where the running rank is the rank just
 after that angle whatever order the group was sorted in.
-``find_ranges`` reads, from these rank trajectories, the first and last
-angle at which every tuple is ranked in the top k; covering [0, pi/2]
-with the fewest such ranges yields a representative that is never larger
-than the optimal one and whose exact rank-regret is at most 2k (each
-range's interior rank is bounded by the sum of its endpoint ranks).  At
-the two axis endpoints a claim stays closed while the tuple's id
-tie-broken rank there is within 2k and is moved one representable angle
-inward otherwise.  ``member_rank_steps`` reads the best member rank of a
+The k-level of the k-skyband's trajectories (``_level_events``) is where
+the top-k set changes: a tuple's rank crosses k there.  Floats order
+crossings more than NEAR_TIE_ULPS apart; closer ones that can move a
+rank across k are ordered and grouped by their exact ratios.  Its groups
+cut the sweep into elements: the point 0, the open segments between
+groups, on each of which the top k is constant, and the point pi/2.
+``find_ranges`` reads off the k-level, for every tuple, the span of
+elements from the first on which it is in the top k to the last (at the
+axis points by its id tie-broken rank there), and ``cover_2d`` covers
+every element, however narrow, with the fewest spans.  That yields a
+representative that is never larger than the optimal one and whose
+exact rank-regret is at most 2k (each range's interior rank is bounded
+by the sum of its endpoint ranks).  ``enumerate_ksets_2d`` reads the
+k-sets off the same k-level (``ExchangeSweep``).
+``member_rank_steps`` reads the best member rank of a
 subset, as a step function of theta, off the members' trajectories
 (``RankSteps``): ``exact_rank_regret_2d`` takes its maximum and scores
 the crossing angles themselves, and ``evaluate.estimate_rank_regret``
@@ -27,11 +34,6 @@ its matrix product instead; the radius, (pi/2) score_slack(2) / min|D|
 score gap of a farther sample beyond float rounding.  A member with an
 exact duplicate makes the radius infinite: a BLAS product can round the
 two copies differently, so all samples are scored.
-``enumerate_ksets_2d`` reads the k-sets off the k-level of the
-k-skyband's trajectories (``ExchangeSweep``): the top-k set changes only
-where a tuple's rank crosses k.  Floats order crossings more than
-NEAR_TIE_ULPS apart; closer ones that can move a rank across k are
-ordered and grouped by their exact ratios.
 """
 
 import itertools
@@ -56,18 +58,18 @@ from .core import (
 from .errors import DimensionNot2D, KOutOfRange, UncoverableSpace
 from .kset import KSet, KSetCollection
 
-#: coverage bookkeeping ignores gaps up to this width (endpoint claims
-#: shrunk by one ulp around score ties leave sub-1e-15 residues)
-COVER_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class AngularRange:
-    """The closed angle interval [begin, end] where a tuple is in the top k."""
+    """Where a tuple is in the top k, as the elements ``first`` to
+    ``last`` of the sweep (``find_ranges``) and, for reporting, the float
+    angles ``begin`` and ``end`` of that span."""
 
     tuple_id: int
     begin: float
     end: float
+    first: int
+    last: int
 
 
 class ExchangeSweep:
@@ -82,7 +84,8 @@ class ExchangeSweep:
     def __init__(self, values: np.ndarray, k: int, ids: np.ndarray):
         self.k = k
         self.swap_count = 0
-        self._top, self._events = _level_events(values, ids, k)
+        self._level = _level_events(values, ids, k)
+        self._top = set(self._level.top.tolist())
 
     def top(self) -> frozenset:
         """The ids of the tuples in the top k."""
@@ -94,8 +97,11 @@ class ExchangeSweep:
 
         Each swap is (k - 1, leaving id, entering id).
         """
-        top, k = self._top, self.k
-        for theta, leaving, entering in self._events:
+        top, k, level = self._top, self.k, self._level
+        for theta, lo, hi in zip(level.angles.tolist(), level.bounds[:-1].tolist(),
+                                 level.bounds[1:].tolist()):
+            group, enter = level.tuples[lo:hi], level.enters[lo:hi]
+            leaving, entering = group[~enter].tolist(), group[enter].tolist()
             top.difference_update(leaving)
             top.update(entering)
             self.swap_count += len(leaving)
@@ -129,72 +135,81 @@ def _score_angles(kernel: RankRegretKernel, thetas) -> int:
 
 
 def find_ranges(dataset: Dataset, k: int) -> List[AngularRange]:
-    """First and last angle at which each tuple is ranked in the top k.
+    """Each tuple's top-k range, as a span of the elements of the sweep.
 
-    Tuples in the top k at angle 0 start their range there; tuples in the
-    top k at pi/2 end it there.  Tuples never reaching the top k are
-    omitted.  Tuples with at least k dominators can never reach the top k
-    and are skipped; the others are read off their rank trajectories
-    (``_rank_trajectories``), one block of tuples at a time.  Every
-    decision compares a rank with k or 2k, and a tuple with 2k strict
-    dominators outranks nobody ranked within 2k at any angle, so the
-    trajectories count only the other tuples: ranks up to 2k come out
-    exact and larger ranks stay above 2k.
+    The elements are numbered along the sweep: 0 is the point 0, 1 to
+    G + 1 are the open segments between the G groups of exactly equal
+    crossings of the k-level (``_level_events``), on each of which the
+    top k is constant, and G + 2 is the point pi/2.  A tuple with fewer
+    than k dominators spans from the first segment on which it is in the
+    top k to the last; no other tuple is in any segment's top k.  At the
+    axis points ranks come from the id tie-break at exactly 0 and pi/2: a
+    tuple covers an axis point where its rank there is at most k, or at
+    most 2k while it is in the top k just inside that axis.  That extends
+    a span to the axis and gives tuples outside the skyband, which can be
+    the only ones ranked within k at an axis, a span of that point alone.
+    Tuples that cover no element are omitted.
 
-    A range begins at the angle of the first crossing group after which
-    the tuple is in the top k and ends at the group after which it last
-    leaves it.  A tuple in the top k just after angle 0 but not at 0
-    itself (an id tie-break there) keeps the closed claim at 0 while its
-    tie-broken rank at 0 is within 2k, and starts one representable angle
-    later otherwise; the same rule, mirrored, holds at pi/2.
+    ``begin`` and ``end``, for reporting, are the float angles of the
+    groups at which the span starts and stops.  A span that starts at the
+    first segment without covering the point 0 begins one representable
+    angle past 0, and one that ends at the last segment without covering
+    pi/2 ends one representable angle before it.
     """
+    return _top_k_ranges(dataset, k)[0]
+
+
+def _top_k_ranges(dataset: Dataset,
+                  k: int) -> Tuple[List[AngularRange], np.ndarray]:
+    """``find_ranges`` and the float width of each element of the sweep
+    (0 for the axis points)."""
     _require_2d(dataset)
     if not 1 <= k <= dataset.n:
         raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
     values, n = dataset.values, dataset.n
     if k >= n:
-        return [AngularRange(t, 0.0, HALF_PI) for t in range(n)]
-    weak, strict = dominator_counts(values)
-    candidates = np.flatnonzero(weak < k)
-    ids = np.flatnonzero(strict < 2 * k)
-    points = values[ids]
-    step = _block_size(ids.size)
-    out: List[AngularRange] = []
-    for lo in range(0, candidates.size, step):
-        block = candidates[lo:lo + step]
-        tr = _rank_trajectories(points, ids, values[block], block)
-        out.extend(_block_ranges(block, tr, k))
-    return out
+        return ([AngularRange(t, 0.0, HALF_PI, 0, 2) for t in range(n)],
+                np.array([0.0, HALF_PI, 0.0]))
+    skyband = np.flatnonzero(dominator_counts(values) < k)
+    level = _level_events(values[skyband], skyband, k)
+    g = level.angles.size
+    # each tuple's first and last segment in the top k, as elements:
+    # [g + 2, 0] where it is in none; element j + 2 follows group j
+    first = np.full(n, g + 2)
+    last = np.zeros(n, dtype=np.int64)
+    first[level.top], last[level.top] = 1, g + 1
+    order = np.argsort(level.tuples, kind="stable")
+    tuples = level.tuples[order]
+    opens = np.flatnonzero(np.diff(tuples, prepend=-1))  # a tuple's first
+    closes = np.flatnonzero(np.diff(tuples, append=-1))  # and last event
+    head, tail = order[opens], order[closes]
+    group = np.repeat(np.arange(g), np.diff(level.bounds))
+    t = tuples[opens]
+    # outside the initial top k a tuple's first event enters it; its last
+    # event leaves it, unless it enters for good
+    first[t] = np.minimum(first[t], group[head] + 2)
+    last[t] = np.where(level.enters[tail], g + 1, group[tail] + 1)
+    at_0, at_end = _axis_ranks(values[:, 0]), _axis_ranks(values[:, 1])
+    lo = np.where((at_0 <= k) | (at_0 <= 2 * k) & (first == 1), 0, first)
+    hi = np.where((at_end <= k) | (at_end <= 2 * k) & (last == g + 1),
+                  g + 2, last)
+    keep = np.flatnonzero(lo <= hi)
+    fence = np.concatenate(([0.0], level.angles, [HALF_PI]))
+    starts, ends = np.append(0.0, fence), np.append(fence, HALF_PI)
+    begin = np.where(lo == 1, np.nextafter(0.0, 1.0), starts[lo])
+    end = np.where(hi == g + 1, np.nextafter(HALF_PI, 0.0), ends[hi])
+    ranges = [AngularRange(*r) for r in zip(
+        keep.tolist(), begin[keep].tolist(), end[keep].tolist(),
+        lo[keep].tolist(), hi[keep].tolist())]
+    return ranges, ends - starts
 
 
-def _block_ranges(block: np.ndarray, tr: "_Trajectories",
-                  k: int) -> List[AngularRange]:
-    """The top-k ranges of a block of tuples from their trajectories."""
-    inside = tr.last & (tr.states <= k)  # group ends with the tuple in the top k
-    entered = inside.any(axis=1)
-    rows = np.arange(block.size)
-    first = np.argmax(inside, axis=1)
-    final = inside.shape[1] - 1 - np.argmax(inside[:, ::-1], axis=1)
-    # the exit follows the last state in the top k: the group after the
-    # last inside group end, or the first group when only rank0 is inside
-    exit_at = np.where(entered, np.minimum(final + 1, inside.shape[1] - 1), 0)
-    in0 = tr.rank0 <= k
-    in_end = tr.states[:, -1] <= k
-    ever = in0 | entered
-    b = np.select(
-        [tr.at_0 <= k, in0, entered],
-        [0.0, np.where(tr.at_0 <= 2 * k, 0.0, np.nextafter(0.0, np.inf)),
-         tr.angles[rows, first]],
-        HALF_PI)  # in the top k only at the very endpoint
-    e = np.select(
-        [tr.at_end <= k, in_end, ever],
-        [HALF_PI,
-         np.where(tr.at_end <= 2 * k, HALF_PI, np.nextafter(HALF_PI, -np.inf)),
-         tr.angles[rows, exit_at]],
-        0.0)  # in the top k only at angle 0 exactly
-    keep = b <= e  # a tuple never in the top k gets [pi/2, 0]
-    return [AngularRange(int(t), float(lo), float(hi))
-            for t, lo, hi in zip(block[keep], b[keep], e[keep])]
+def _axis_ranks(x: np.ndarray) -> np.ndarray:
+    """Each tuple's rank by the attribute ``x`` alone, ties to the smaller
+    id: its rank at exactly 0 (x1) or pi/2 (x2)."""
+    rank = np.empty(x.size, dtype=np.int64)
+    rank[np.argsort(-x, kind="stable")] = np.arange(1, x.size + 1)
+    return rank
 
 
 #: sort keys of the trajectory kernel: one bit, and the key of +inf
@@ -210,17 +225,13 @@ class _Trajectories:
     the pairs that never cross.  ``states[:, j]`` is the rank once entries
     0..j have crossed.  Equal angles stay separate entries, so a state is
     the rank just after its angle only where ``last`` marks the end of
-    its angle group.
-    ``rank0`` is the rank just after angle 0; ``at_0`` and ``at_end`` are
-    the tie-broken ranks at exactly 0 and pi/2.
+    its angle group.  ``rank0`` is the rank just after angle 0.
     """
 
     angles: np.ndarray
     states: np.ndarray
     last: np.ndarray
     rank0: np.ndarray
-    at_0: np.ndarray
-    at_end: np.ndarray
 
 
 def _rank_trajectories(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
@@ -239,8 +250,6 @@ def _rank_trajectories(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
     du = points[:, 0] - own[:, 0, None]
     dv = points[:, 1] - own[:, 1, None]
     ahead = ids < own_ids[:, None]
-    at_0 = 1 + np.count_nonzero((du > 0) | (du == 0) & ahead, axis=1)
-    at_end = 1 + np.count_nonzero((dv > 0) | (dv == 0) & ahead, axis=1)
     rank0 = 1 + np.count_nonzero(
         (du > 0) | (du == 0) & ((dv > 0) | (dv == 0) & ahead), axis=1)
     angles, passing = _crossings(du, dv)
@@ -252,7 +261,7 @@ def _rank_trajectories(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
     last = np.empty(angles.shape, dtype=bool)
     last[:, :-1] = angles[:, 1:] != angles[:, :-1]
     last[:, -1] = True
-    return _Trajectories(angles, states, last, rank0, at_0, at_end)
+    return _Trajectories(angles, states, last, rank0)
 
 
 def _crossings(du: np.ndarray,
@@ -267,21 +276,17 @@ def _crossings(du: np.ndarray,
     return angles, passing
 
 
-def dominator_counts(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """For each tuple, how many others dominate it: (weak, strict).
-
-    A weak dominator is >= on both attributes and > on one; a strict one
-    is > on both.  Tuples with k weak dominators are in no top-k (the
-    k-skyband), and tuples with k strict dominators rank below k at every
-    angle, the axis endpoints included.
+def dominator_counts(values: np.ndarray) -> np.ndarray:
+    """For each tuple, how many others dominate it: are >= on both
+    attributes and > on one.  Tuples with k dominators are in no top k
+    (the k-skyband holds those with fewer).
 
     The tuples are ordered by descending x1, then descending x2, so that
     the dominators of a tuple all precede it; the count of preceding
-    tuples with x2 >= and > its own is summed over the O(log n) levels of
-    a bottom-up merge, each one vectorized sort and two searchsorted.
-    Preceding tuples that are not dominators are subtracted at the end:
-    exact duplicates from the weak count, and the larger x2 of an equal
-    x1 from the strict one.
+    tuples with x2 >= its own is summed over the O(log n) levels of a
+    bottom-up merge, each one vectorized sort and two searchsorted.
+    Preceding exact duplicates, which are not dominators, are subtracted
+    at the end.
     """
     n = values.shape[0]
     x1, x2 = values[:, 0], values[:, 1]
@@ -290,157 +295,103 @@ def dominator_counts(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     stride = n + 1  # block * stride + rank sorts by block, then by rank
     pos = np.arange(n)
     weak = np.zeros(n, dtype=np.int64)
-    strict = np.zeros(n, dtype=np.int64)
     width = 1
     while width < n:
         block = pos // (2 * width)
         right = (pos // width) % 2 == 1
         left_keys = np.sort(block[~right] * stride + rank[~right])
         q_block, q_keys = block[right], block[right] * stride + rank[right]
-        ahead = np.searchsorted(left_keys, (q_block + 1) * stride, side="left")
-        weak[right] += ahead - np.searchsorted(left_keys, q_keys, side="left")
-        strict[right] += ahead - np.searchsorted(left_keys, q_keys, side="right")
+        weak[right] += (np.searchsorted(left_keys, (q_block + 1) * stride)
+                        - np.searchsorted(left_keys, q_keys))
         width *= 2
     x1_sorted = x1[order]
-    same_x1 = np.zeros(n, dtype=bool)
-    same_x1[1:] = x1_sorted[1:] == x1_sorted[:-1]
-    same = same_x1.copy()
-    same[1:] &= rank[1:] == rank[:-1]
-    x1_start = np.maximum.accumulate(np.where(same_x1, 0, pos))
-    row_start = np.maximum.accumulate(np.where(same, 0, pos))
-    weak -= pos - row_start
-    strict -= row_start - x1_start
-    out = np.empty((2, n), dtype=np.int64)
-    out[:, order] = weak, strict
-    return out[0], out[1]
+    same = np.zeros(n, dtype=bool)
+    same[1:] = (x1_sorted[1:] == x1_sorted[:-1]) & (rank[1:] == rank[:-1])
+    weak -= pos - np.maximum.accumulate(np.where(same, 0, pos))
+    out = np.empty(n, dtype=np.int64)
+    out[order] = weak
+    return out
 
 
-class UncoveredIntervals:
-    """The not-yet-covered part of an angle span, as disjoint closed intervals."""
+def cover_2d(ranges: List[AngularRange], widths) -> frozenset:
+    """The fewest ranges whose spans cover every element of the sweep.
 
-    def __init__(self, lo: float, hi: float):
-        self.intervals: List[List[float]] = [[lo, hi]]
-
-    @property
-    def total(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
-    def starts_ends(self) -> Tuple[np.ndarray, np.ndarray]:
-        if not self.intervals:
-            return np.empty(0), np.empty(0)
-        arr = np.asarray(self.intervals)
-        return arr[:, 0], arr[:, 1]
-
-    def subtract(self, b: float, e: float) -> None:
-        """Remove the closed interval [b, e]; tiny leftovers vanish.
-
-        Leftovers up to COVER_SLACK wide are dropped: a zero-length
-        leftover sits on a selected range's closed endpoint, and the
-        one-ulp residues around score ties are handled by the tie-angle
-        patching in the solver.
-        """
-        updated: List[List[float]] = []
-        for lo, hi in self.intervals:
-            if e < lo or b > hi:
-                updated.append([lo, hi])
-                continue
-            if lo < b:
-                updated.append([lo, b])
-            if e < hi:
-                updated.append([e, hi])
-        self.intervals = [iv for iv in updated if iv[1] - iv[0] > COVER_SLACK]
-
-
-def cover_2d(ranges: List[AngularRange], span: Tuple[float, float] = (0.0, HALF_PI)) -> frozenset:
-    """Minimum-size cover of the span by the given closed ranges.
-
-    The maximum-uncovered-coverage greedy (ties to the smaller tuple id)
-    is tried first and kept when it achieves the minimum possible count;
-    a long mid-span range can bait that order into two extra flank picks,
-    in which case the classic furthest-reach sweep (always minimum) is
-    returned instead.  Either way the result covers the span with the
-    fewest ranges.
+    ``widths[j]`` is the float angle width of element j, 0 for the axis
+    points and for segments narrower than one float step; every element
+    counts, however narrow.  The greedy that takes the range covering the
+    most uncovered width, then the most uncovered elements, then the one
+    of the smaller tuple id, is tried first and kept when it achieves the
+    minimum count; a long mid-span range can bait that order into two
+    extra flank picks, in which case the furthest-reach sweep (always
+    minimum) is returned instead.
     """
-    if span[1] <= span[0]:
-        return frozenset()
     if not ranges:
         raise UncoverableSpace("no ranges supplied")
-    greedy = _max_coverage_cover(ranges, span)
-    sweep = _furthest_reach_cover(ranges, span)
+    widths = np.asarray(widths, dtype=np.float64)
+    greedy = _max_coverage_cover(ranges, widths)
+    sweep = _furthest_reach_cover(ranges, widths.size)
     return greedy if len(greedy) <= len(sweep) else sweep
 
 
-def _max_coverage_cover(ranges, span) -> frozenset:
-    """Repeatedly take the range covering the most uncovered space.
-
-    Candidate coverage is measured against the single uncovered interval
-    the range meets, located by binary search; when ranges come from
-    ``find_ranges`` a candidate never straddles two uncovered intervals,
-    because the gap between them was covered by an earlier, longer pick.
-    """
+def _max_coverage_cover(ranges, widths: np.ndarray) -> frozenset:
+    """Repeatedly take the range covering the most uncovered width, then
+    the most uncovered elements, then the one of the smaller tuple id."""
     ranges = sorted(ranges, key=lambda r: r.tuple_id)
-    uncovered = UncoveredIntervals(*span)
-    cand_b = np.array([r.begin for r in ranges])
-    cand_e = np.array([r.end for r in ranges])
-    cand_id = np.array([r.tuple_id for r in ranges])
-    active = np.ones(len(ranges), dtype=bool)
+    first = np.array([r.first for r in ranges])
+    stop = np.array([r.last for r in ranges]) + 1
+    uncovered = np.ones(widths.size, dtype=bool)
     selected = set()
-    while uncovered.intervals:
-        if not active.any():
-            raise UncoverableSpace("ranges exhausted with space uncovered")
-        starts, ends = uncovered.starts_ends()
-        idx = np.searchsorted(ends, cand_b, side="left")
-        idx_c = np.minimum(idx, len(ends) - 1)
-        overlap = np.minimum(cand_e, ends[idx_c]) - np.maximum(cand_b, starts[idx_c])
-        coverage = np.where(active & (idx < len(ends)), np.maximum(overlap, 0.0), -1.0)
-        best = int(np.argmax(coverage))
-        if coverage[best] <= 0.0:
+    while uncovered.any():
+        count = np.append(0, np.cumsum(uncovered))
+        gain = count[stop] - count[first]
+        if gain.max() == 0:
             raise UncoverableSpace("no candidate range covers the remaining space")
-        uncovered.subtract(cand_b[best], cand_e[best])
-        selected.add(int(cand_id[best]))
-        active[best] = False
+        width = np.append(0.0, np.cumsum(np.where(uncovered, widths, 0.0)))
+        covered = width[stop] - width[first]
+        best = int(np.argmax(np.where(covered == covered.max(), gain, -1)))
+        uncovered[first[best]:stop[best]] = False
+        selected.add(ranges[best].tuple_id)
     return frozenset(selected)
 
 
-def _furthest_reach_cover(ranges, span) -> frozenset:
-    """Left-to-right optimal cover: always extend past the first uncovered
-    point as far as possible (ties to the smaller tuple id)."""
-    order = sorted(ranges, key=lambda r: (r.begin, -r.end, r.tuple_id))
+def _furthest_reach_cover(ranges, size: int) -> frozenset:
+    """Left-to-right optimal cover of the elements 0 to ``size`` - 1: of
+    the ranges covering the first uncovered element take the one reaching
+    furthest (ties to the smaller tuple id)."""
+    order = sorted(ranges, key=lambda r: (r.first, -r.last, r.tuple_id))
     selected = set()
-    current = span[0]
-    i = 0
-    n = len(order)
-    while current < span[1] - COVER_SLACK:
-        best_end = current
-        best_id = None
-        while i < n and order[i].begin <= current + COVER_SLACK:
+    current = i = 0
+    while current < size:
+        best = None
+        while i < len(order) and order[i].first <= current:
             r = order[i]
-            if r.end > best_end or (r.end == best_end and best_id is not None
-                                    and r.tuple_id < best_id):
-                best_end = r.end
-                best_id = r.tuple_id
+            if best is None or (r.last, -r.tuple_id) > (best.last, -best.tuple_id):
+                best = r
             i += 1
-        if best_id is None or best_end <= current:
-            raise UncoverableSpace(
-                f"no range covers the space just after angle {current!r}")
-        selected.add(best_id)
-        current = best_end
+        if best is None or best.last < current:
+            raise UncoverableSpace(f"no range covers element {current}")
+        selected.add(best.tuple_id)
+        current = best.last + 1
     return frozenset(selected)
 
 
 def rrr_2d(dataset: Dataset, k: int) -> Representative:
     """The top-k ranges of ``find_ranges`` covered by the fewest tuples.
 
-    The output is never larger than the optimal representative for
-    rank-regret k, and its exact rank-regret is at most 2k.  The interior
-    of every selected range is within 2k by the endpoint-anchor argument;
-    the finitely many range endpoints (where score ties can reshuffle
-    ranks by id) are verified directly and patched with a top-k holder
-    when the data is degenerate enough to need it (never, in general
+    ``cover_2d`` covers every element of the sweep, the two axis points
+    and each k-level segment however narrow, and each element's top k
+    holds tuples whose ranges cover it, so the output is never larger
+    than an optimal representative for rank-regret k.  Its exact
+    rank-regret is at most 2k: a tuple outranking a member inside the
+    member's range outranks it at one end of the range, where the member
+    is in the top k (or within 2k at an axis point).  At an exact
+    crossing shared by tied tuples ids decide the order, so the ends of
+    the selected ranges and the axes are scored directly and patched with
+    a top-k holder where a rank there exceeds 2k (never, in general
     position).
     """
-    ranges = find_ranges(dataset, k)
-    members = set(cover_2d(ranges))
+    ranges, widths = _top_k_ranges(dataset, k)
+    members = set(cover_2d(ranges, widths))
     selected = [r for r in ranges if r.tuple_id in members]
     check_angles = {0.0, HALF_PI}
     check_angles.update(r.begin for r in selected)
@@ -482,7 +433,7 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
     _require_2d(dataset)
     if not 1 <= k <= dataset.n:
         raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
-    skyband = np.flatnonzero(dominator_counts(dataset.values)[0] < k)
+    skyband = np.flatnonzero(dominator_counts(dataset.values) < k)
     sweep = ExchangeSweep(dataset.values[skyband], k, skyband)
     segments = [(sweep.top(), 0.0)]
     for theta, _ in sweep.batches():
@@ -501,10 +452,23 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
     return KSetCollection(sets=sets, k=k, complete=True, d=2)
 
 
-def _level_events(points: np.ndarray, ids: np.ndarray, k: int):
-    """The k-level of the tuples ``points`` (ids ``ids``): (the ids in
-    the top k just after angle 0, [(angle, leaving ids, entering ids)] in
-    ascending angle).
+@dataclass(frozen=True)
+class _KLevel:
+    """The k-level along the sweep: ``top`` holds the ids in the top k
+    just after angle 0 (ascending), and the events sorted by group follow.
+    Group g holds the events ``bounds[g]:bounds[g + 1]`` and sits at the
+    angle ``angles[g]``; each event is a tuple id and whether it enters
+    the top k there (else it leaves)."""
+
+    top: np.ndarray
+    bounds: np.ndarray
+    angles: np.ndarray
+    tuples: np.ndarray
+    enters: np.ndarray
+
+
+def _level_events(points: np.ndarray, ids: np.ndarray, k: int) -> _KLevel:
+    """The k-level of the tuples ``points`` (ids ``ids``).
 
     The events of all tuples (``_block_events``) are sorted by float
     angle.  A run of more than two, each within NEAR_TIE_ULPS of the
@@ -546,13 +510,7 @@ def _level_events(points: np.ndarray, ids: np.ndarray, k: int):
     if np.any(np.cumsum(np.where(enters, 1, -1))[bounds[1:] - 1] != 0):
         raise RuntimeError("a k-level group leaves other than k tuples "
                            "in the top k")
-    tuples = ids[rows]
-    events = []
-    for theta, lo, hi in zip(level.tolist(), bounds[:-1].tolist(),
-                             bounds[1:].tolist()):
-        group, enter = tuples[lo:hi], enters[lo:hi]
-        events.append((theta, group[~enter].tolist(), group[enter].tolist()))
-    return set(np.concatenate(initial).tolist()), events
+    return _KLevel(np.concatenate(initial), bounds, level, ids[rows], enters)
 
 
 def _block_events(points: np.ndarray, lo: int, tr: "_Trajectories", k: int):

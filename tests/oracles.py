@@ -8,6 +8,7 @@ shares code with the implementations under test.
 
 import heapq
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -269,6 +270,31 @@ def exhaustive_lp_ksets(dataset, k, validator):
     return out
 
 
+def _exact_crossings(values):
+    """(rows, ratios): the stored doubles as integers on one scale, and
+    every ratio r > 0 at which two tuples score equally under w = (1, r),
+    computed exactly and sorted."""
+    pts = [(Fraction(float(a)), Fraction(float(b))) for a, b in values]
+    ratios = set()
+    for i, (a1, a2) in enumerate(pts):
+        for b1, b2 in pts[i + 1:]:
+            if a2 != b2:
+                r = (a1 - b1) / (b2 - a2)
+                if r > 0:
+                    ratios.add(r)
+    # the denominators are powers of two: the largest is a multiple of all
+    scale = max(max(a.denominator, b.denominator) for a, b in pts)
+    return [(int(a * scale), int(b * scale)) for a, b in pts], sorted(ratios)
+
+
+def _exact_top_k(rows, w1, w2, k):
+    """The top k under the integer weights (w1, w2), ties by ascending id."""
+    n = len(rows)
+    # -score * n + id orders by descending score, then ascending id
+    keys = sorted(-(w1 * a + w2 * b) * n + t for t, (a, b) in enumerate(rows))
+    return frozenset(key % n for key in keys[:k])
+
+
 def rational_rank_regret_2d(values, subset):
     """Exact rank-regret in 2-D with rational arithmetic.
 
@@ -278,22 +304,12 @@ def rational_rank_regret_2d(values, subset):
     ratios and one beyond the last, so every piece of the ranking is
     visited and every tie is resolved by id exactly.
     """
-    from fractions import Fraction
-
-    pts = [(Fraction(float(a)), Fraction(float(b))) for a, b in values]
+    pts, ratios = _exact_crossings(values)
     members = sorted({int(t) for t in subset})
-    ratios = set()
-    for i, (a1, a2) in enumerate(pts):
-        for b1, b2 in pts[i + 1:]:
-            if a2 != b2:
-                r = (a1 - b1) / (b2 - a2)
-                if r > 0:
-                    ratios.add(r)
-    ratios = sorted(ratios)
     probes = [Fraction(0)] + ratios
     probes += [(lo + hi) / 2 for lo, hi in zip(probes, probes[1:])]
-    probes.append(probes[-1] + 1 if ratios else Fraction(1))
-    weights = [(Fraction(1), r) for r in probes] + [(Fraction(0), Fraction(1))]
+    probes.append(ratios[-1] + 1 if ratios else Fraction(1))
+    weights = [(r.denominator, r.numerator) for r in probes] + [(0, 1)]
     worst = 0
     for w1, w2 in weights:
         scores = [w1 * a + w2 * b for a, b in pts]
@@ -315,28 +331,27 @@ def rational_ksets_2d(values, k):
     integers and ties broken by ascending id, so every set is listed,
     also on intervals too narrow for any float angle.
     """
-    from fractions import Fraction
-
-    pts = [(Fraction(float(a)), Fraction(float(b))) for a, b in values]
-    n = len(pts)
-    ratios = set()
-    for i, (a1, a2) in enumerate(pts):
-        for b1, b2 in pts[i + 1:]:
-            if a2 != b2:
-                r = (a1 - b1) / (b2 - a2)
-                if r > 0:
-                    ratios.add(r)
-    cuts = [Fraction(0)] + sorted(ratios)
+    rows, ratios = _exact_crossings(values)
+    cuts = [Fraction(0)] + ratios
     probes = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])] + [cuts[-1] + 1]
-    # the denominators are powers of two: the largest is a multiple of all
-    scale = max(max(a.denominator, b.denominator) for a, b in pts)
-    ints = [(int(a * scale), int(b * scale)) for a, b in pts]
     out = []
     for r in probes:
-        p, q = r.numerator, r.denominator
-        # -score * n + id orders by descending score, then ascending id
-        keys = sorted(-(q * a + p * b) * n + t for t, (a, b) in enumerate(ints))
-        members = frozenset(key % n for key in keys[:k])
+        members = _exact_top_k(rows, r.denominator, r.numerator, k)
+        if members not in out:
+            out.append(members)
+    return out
+
+
+def rational_point_topk_2d(values, k):
+    """The top k at exactly 0, at every exact crossing ratio and at
+    exactly pi/2, in exact arithmetic with ties broken by ascending id,
+    in order of first appearance: the sets an optimal representative
+    must hit besides those of ``rational_ksets_2d``."""
+    rows, ratios = _exact_crossings(values)
+    weights = [(1, 0)] + [(r.denominator, r.numerator) for r in ratios]
+    out = []
+    for w1, w2 in weights + [(0, 1)]:
+        members = _exact_top_k(rows, w1, w2, k)
         if members not in out:
             out.append(members)
     return out
@@ -584,7 +599,9 @@ def loop_find_ranges(values, k):
     The trajectory counts only the tuples with fewer than 2k strict
     dominators, which leaves every rank up to 2k exact.  Endpoint claims
     stay closed while the tie-broken rank at the exact endpoint is within
-    2k and are shrunk by one representable angle otherwise.
+    2k and are shrunk by one representable angle otherwise.  A tuple with
+    k dominators is in no top k between the axes, but the id tie-break
+    can rank it within k at exactly 0 or pi/2, which it then claims.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
@@ -625,7 +642,13 @@ def loop_find_ranges(values, k):
             e = 0.0
         if b <= e:
             out.append((int(t), b, e))
-    return out
+    for t in np.flatnonzero(dominators_by_definition(values) >= k):
+        at_0 = rank_by_definition(values, (1.0, 0.0), t) <= k
+        at_end = rank_by_definition(values, (0.0, 1.0), t) <= k
+        if at_0 or at_end:
+            out.append((int(t), 0.0 if at_0 else HALF_PI,
+                        HALF_PI if at_end else 0.0))
+    return sorted(out)
 
 
 def _loop_trajectory(du, dv, ids, t):

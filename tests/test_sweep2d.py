@@ -20,11 +20,7 @@ from rankregret.errors import (
     UncoverableSpace,
 )
 from rankregret import sweep2d
-from rankregret.sweep2d import (
-    AngularRange,
-    UncoveredIntervals,
-    dominator_counts,
-)
+from rankregret.sweep2d import AngularRange, dominator_counts
 
 from conftest import (
     FIG1_VALUES,
@@ -44,6 +40,7 @@ from oracles import (
     exhaustive_min_hitting_size,
     loop_find_ranges,
     rational_ksets_2d,
+    rational_point_topk_2d,
     rational_rank_regret_2d,
     sweep_find_ranges,
     sweep_ksets_2d,
@@ -205,10 +202,8 @@ def anticorrelated_values(rng, n):
 
 
 class TestDominatorCounts:
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_matches_definition(self, strict):
-        # grid data with duplicate rows, plus one larger tie-free input;
-        # one call returns both counts
+    def test_matches_definition(self):
+        # grid data with duplicate rows, plus one larger tie-free input
         rng = np.random.default_rng(53)
         inputs = [grid_values(rng, int(rng.integers(1, 60)),
                               steps=int(rng.integers(1, 5))) for _ in range(60)]
@@ -216,81 +211,96 @@ class TestDominatorCounts:
                    for _ in range(30)]
         inputs.append(rng.random((300, 2)))
         for vals in inputs:
-            got = dominator_counts(vals)[1 if strict else 0]
-            assert np.array_equal(got, dominators_by_definition(vals, strict=strict))
+            assert np.array_equal(dominator_counts(vals),
+                                  dominators_by_definition(vals))
+
+
+def span(t, first, last):
+    """A range over the elements ``first`` to ``last`` (no angles)."""
+    return AngularRange(t, 0.0, 0.0, first, last)
+
+
+def covered(ranges, chosen, size):
+    """Whether the spans of the chosen ranges cover elements 0..size-1."""
+    hit = np.zeros(size, dtype=bool)
+    for r in ranges:
+        if r.tuple_id in chosen:
+            hit[r.first:r.last + 1] = True
+    return bool(hit.all())
 
 
 class TestCover:
+    """The cover works on element spans: the point 0, the k-level
+    segments and the point pi/2, each of a float width."""
+
     def test_fig1_cover(self, fig1):
-        assert cover_2d(find_ranges(fig1, 2)) == tids("t3", "t1")
+        assert cover_2d(*sweep2d._top_k_ranges(fig1, 2)) == tids("t3", "t1")
 
     def test_single_full_range(self):
-        assert cover_2d([AngularRange(4, 0.0, HALF_PI)]) == {4}
+        assert cover_2d([span(4, 0, 2)], [0.0, HALF_PI, 0.0]) == {4}
 
     def test_two_overlapping_ranges(self):
-        ranges = [AngularRange(0, 0.0, 0.6), AngularRange(1, 0.5, HALF_PI)]
-        assert cover_2d(ranges) == {0, 1}
+        widths = [0.0, 0.5, 0.1, HALF_PI - 0.6, 0.0]
+        assert cover_2d([span(0, 0, 2), span(1, 2, 4)], widths) == {0, 1}
 
     def test_tie_prefers_smaller_id(self):
-        ranges = [AngularRange(5, 0.0, HALF_PI), AngularRange(2, 0.0, HALF_PI)]
-        assert cover_2d(ranges) == {2}
+        widths = [0.0, HALF_PI, 0.0]
+        assert cover_2d([span(5, 0, 2), span(2, 0, 2)], widths) == {2}
 
     def test_uncoverable(self):
+        widths = [0.0, 0.5, 0.4, HALF_PI - 0.9, 0.0]
         with pytest.raises(UncoverableSpace):
-            cover_2d([AngularRange(0, 0.0, 0.5), AngularRange(1, 0.9, HALF_PI)])
+            cover_2d([span(0, 0, 1), span(1, 3, 4)], widths)
         with pytest.raises(UncoverableSpace):
-            cover_2d([])
+            cover_2d([], widths)
+
+    def test_every_element_counts_however_narrow(self):
+        # the middle segment has no float width, and only tuple 2 holds it
+        widths = [0.0, 1.1, 0.0, HALF_PI - 1.1, 0.0]
+        ranges = [span(0, 0, 1), span(1, 3, 4), span(2, 2, 2)]
+        assert cover_2d(ranges, widths) == {0, 1, 2}
 
     def test_coverage_is_exact(self):
-        # subtracting the selected ranges leaves nothing, to 1e-12 slack
+        # the selected spans cover every element, the narrowest included
         rng = np.random.default_rng(45)
-        for _ in range(20):
+        for i in range(40):
             n = int(rng.integers(3, 120))
-            k = int(rng.integers(1, 8))
-            k = min(k, n)
-            ranges = find_ranges(random_dataset(rng, n, 2), k)
-            chosen = cover_2d(ranges)
-            left = UncoveredIntervals(0.0, HALF_PI)
-            for r in ranges:
-                if r.tuple_id in chosen:
-                    left.subtract(r.begin, r.end)
-            assert left.total <= 1e-12
+            k = min(int(rng.integers(1, 8)), n)
+            vals = grid_with_duplicates(rng, n, 2) if i % 2 else rng.random((n, 2))
+            ranges, widths = sweep2d._top_k_ranges(Dataset(vals), k)
+            assert covered(ranges, cover_2d(ranges, widths), len(widths))
 
     def test_long_middle_range_does_not_inflate_cover(self):
-        # a long mid-span range tempts the coverage-first order into two
-        # extra flank picks; the result must still be a 2-range cover
-        ranges = [AngularRange(0, 0.0, 0.7), AngularRange(1, 0.65, HALF_PI),
-                  AngularRange(2, 0.2, 1.1)]
-        assert cover_2d(ranges) == {0, 1}
+        # the widest range, in the middle, tempts the coverage-first order
+        # into two extra flank picks; the result must still be a 2-range
+        # cover
+        widths = [0.0, 0.1, 0.3, 0.1, 0.8, 0.2, 0.0]
+        ranges = [span(0, 0, 3), span(1, 3, 6), span(2, 2, 4)]
+        assert sweep2d._max_coverage_cover(ranges, np.array(widths)) == {0, 1, 2}
+        assert cover_2d(ranges, widths) == {0, 1}
 
     def test_cover_size_is_minimum(self):
-        # random closed-range families covering the span, checked against
+        # random span families covering the elements, checked against
         # exhaustive minimum-cover search
         import itertools
 
         rng = np.random.default_rng(52)
         for _ in range(40):
-            m = int(rng.integers(2, 9))
-            cuts = np.sort(rng.random(m - 1)) * HALF_PI
-            ranges = []
-            pieces = np.concatenate([[0.0], cuts, [HALF_PI]])
-            for i, (lo, hi) in enumerate(zip(pieces, pieces[1:])):
-                ranges.append(AngularRange(i, lo, hi))  # guarantees coverage
-            for j in range(int(rng.integers(0, 6))):
-                a, b = np.sort(rng.random(2)) * HALF_PI
-                ranges.append(AngularRange(m + j, a, b))
-            got = cover_2d(ranges)
-            best = None
-            for size in range(1, len(ranges) + 1):
-                for combo in itertools.combinations(ranges, size):
-                    covered = UncoveredIntervals(0.0, HALF_PI)
-                    for r in combo:
-                        covered.subtract(r.begin, r.end)
-                    if covered.total <= 1e-12:
-                        best = size
-                        break
-                if best is not None:
-                    break
+            size = int(rng.integers(3, 12))
+            cuts = np.sort(rng.choice(np.arange(1, size),
+                                      int(rng.integers(0, size - 1)), replace=False))
+            pieces = np.concatenate([[0], cuts, [size]])
+            ranges = [span(i, int(lo), int(hi) - 1)  # guarantees coverage
+                      for i, (lo, hi) in enumerate(zip(pieces, pieces[1:]))]
+            for _ in range(int(rng.integers(0, 6))):
+                lo, hi = np.sort(rng.integers(0, size, 2))
+                ranges.append(span(len(ranges), int(lo), int(hi)))
+            widths = rng.random(size) * (rng.random(size) < 0.7)
+            got = cover_2d(ranges, widths)
+            assert covered(ranges, got, size)
+            best = next(m for m in range(1, len(ranges) + 1)
+                        if any(covered(ranges, {r.tuple_id for r in combo}, size)
+                               for combo in itertools.combinations(ranges, m)))
             assert len(got) == best
 
 
@@ -503,13 +513,50 @@ class TestTiedData:
     def test_ulp_apart_range_ends_at_a_tie_stay_covered(self):
         # six tuples tie at pi/4, and the range of 5 ends a few ulps
         # before the range of 0 begins; tuple 1 alone holds the top rank
-        # in between, so the cover {0, 5}, which drops that gap as below
-        # the cover slack, has rank-regret 3 there
+        # in between, so the cover {0, 5}, which leaves that gap out, has
+        # rank-regret 3 there
         vals = np.array([[1, 5], [2, 4], [0, 2], [1, 5], [2, 4], [5, 1],
                          [1, 5]]) / 5
         ds = Dataset(vals)
         rep = rrr_2d(ds, 1)
         assert exact_rank_regret_2d(ds, rep.members) <= 2
+
+    def test_sliver_without_a_float_angle_is_covered(self):
+        # tuples 5, 7 and 2 cross near atan(2): the range of 5 ends one
+        # double before that of 2 begins, and in exact arithmetic tuple 7
+        # alone holds the top rank between the two crossings, where no
+        # double lies; {2, 5} has rank-regret 3 there
+        vals = np.array([[2, 1], [0, 5], [1, 5], [2, 0], [0, 2], [5, 3],
+                         [3, 3], [3, 4], [1, 3], [2, 0], [1, 1], [5, 3],
+                         [3, 4], [2, 1]]) / 5
+        rep = rrr_2d(Dataset(vals), 1)
+        assert rep.members >= {2, 5, 7}
+        assert rational_rank_regret_2d(vals, rep.members) <= 2
+
+    def test_2k_bound_against_the_rational_oracle(self):
+        # values i/q on small grids, where crossings and axis ties coincide
+        # exactly and floats cannot order them
+        rng = np.random.default_rng(61)
+        for _ in range(600):
+            q = int(rng.choice([3, 4, 5, 7]))
+            n = int(rng.integers(2, 15))
+            k = int(rng.integers(1, min(3, n) + 1))
+            vals = rng.integers(0, q + 1, size=(n, 2)) / q
+            rep = rrr_2d(Dataset(vals), k)
+            assert rational_rank_regret_2d(vals, rep.members) <= 2 * k
+
+    def test_size_never_exceeds_the_exact_optimum(self):
+        # an optimal representative hits the exact top k of every open
+        # interval between crossings and of every point: the axes and
+        # each crossing, where ties resolve by id
+        rng = np.random.default_rng(62)
+        for _ in range(300):
+            q = int(rng.choice([3, 4, 5, 7]))
+            n = int(rng.integers(2, 13))
+            k = int(rng.integers(1, min(3, n) + 1))
+            vals = rng.integers(0, q + 1, size=(n, 2)) / q
+            sets = rational_ksets_2d(vals, k) + rational_point_topk_2d(vals, k)
+            assert rrr_2d(Dataset(vals), k).size <= exhaustive_min_hitting_size(sets)
 
 
 class TestExactRankRegret:
