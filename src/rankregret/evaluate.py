@@ -2,9 +2,10 @@
 
 Rank-regret of a subset is estimated by drawing ranking functions
 uniformly from the first-orthant sphere and taking the worst best-rank of
-any member; the estimate never exceeds the true maximum.  In 2-D (and at
-moderate size) the members' rank trajectories give the exact value
-instead.
+any member; the estimate never exceeds the true maximum, except by one
+rank where a member has an exact duplicate row of larger id (see
+``estimate_rank_regret``).  In 2-D (and at moderate size) the members'
+rank trajectories give the exact value instead.
 """
 
 import csv
@@ -73,7 +74,8 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     """Monte-Carlo rank-regret: worst best-member-rank over sampled functions.
 
     The maximum over a sample never exceeds the true maximum, so this is a
-    lower bound that sharpens with the sample count.  The functions come
+    lower bound that sharpens with the sample count, except where a
+    member has an exact duplicate row (last paragraph).  The functions come
     from ``sample_functions`` in chunks of up to 1024, and each chunk's
     matrix product with all n rows fixes the rounding of every score.
     ``core.RankRegretKernel`` drops the rows that a member beats by more
@@ -85,7 +87,8 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     the ties.  The estimate is the same as scoring all n rows.
 
     In 2-D a function's rank is read off the members' rank steps
-    (``sweep2d.member_rank_steps``) at its angle ``arctan2(w2, w1)``.
+    (``sweep2d.member_rank_steps``, in float order) at its angle
+    ``arctan2(w2, w1)``.
     Only the functions within ``sweep2d.float_order_radius`` of a
     crossing angle of the members or of an axis go to the kernel: farther
     out, every member-row score gap exceeds any rounding, so the full
@@ -103,7 +106,7 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
     radius = float_order_radius(kernel) if d == 2 else math.inf
-    steps = member_rank_steps(kernel) if radius < math.inf else None
+    steps = member_rank_steps(kernel, exact=False) if radius < math.inf else None
     kept_t = kernel.kept.T
     chunk = max(1, min(1024, (1 << 22) // dataset.n))
     worst = sent = 0

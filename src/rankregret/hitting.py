@@ -38,16 +38,14 @@ class MdrrrStats:
     weight_totals: List[float]
 
 
-def mdrrr(collection: KSetCollection, opt_guess: Optional[int] = None,
+def mdrrr(collection: KSetCollection,
           rng: Optional[np.random.Generator] = None,
-          double_all_missed: bool = False,
           return_stats: bool = False):
     """Weight-doubling hitting set over the collection's ground set.
 
-    For each guess c (doubling from ``opt_guess`` or 1) the net must hit
-    every set of weight at least eps = 1/(2c) of the total; a miss doubles
-    the weights of the first missed set (all missed sets when
-    ``double_all_missed``) and the round repeats, up to the iteration
+    For each guess c (doubling from 1) the net must hit every set of
+    weight at least eps = 1/(2c) of the total; a miss doubles the weights
+    of the first missed set and the round repeats, up to the iteration
     budget for that guess.  The returned net is pruned of redundant
     members (lightest first) so the output is a minimal hitting set.
     """
@@ -68,7 +66,7 @@ def mdrrr(collection: KSetCollection, opt_guess: Optional[int] = None,
     member_slots = [np.array([slot[t] for t in sorted(s)]) for s in sets]
     weights = np.ones(n_prime)
 
-    guess = int(opt_guess) if opt_guess else 1
+    guess = 1
     total_rounds = 0
     doublings: List[int] = []
     weight_totals: List[float] = [float(n_prime)]
@@ -88,10 +86,8 @@ def mdrrr(collection: KSetCollection, opt_guess: Optional[int] = None,
                       if not net_mask[slots].any()]
             if not missed:
                 break
-            targets = missed if double_all_missed else missed[:1]
-            for j in targets:
-                weights[member_slots[j]] *= 2.0
-                doublings.append(j)
+            weights[member_slots[missed[0]]] *= 2.0
+            doublings.append(missed[0])
             total = weights.sum()
             if total > WEIGHT_RESCALE_LIMIT:
                 weights /= 2.0 ** 400  # proportions are all that matter

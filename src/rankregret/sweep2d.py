@@ -3,44 +3,31 @@
 The function space in 2-D is the single angle theta in [0, pi/2] of the
 ray (cos theta, sin theta).  Two tuples exchange ranking order at most
 once along it, so a tuple's rank is a step function of theta that moves
-by one at each of its crossing angles with another tuple.
-``_rank_trajectories`` computes these step functions for a block of
-tuples at once, as (block x rows) arrays: every row's crossing angles
-sorted, the running rank after each, and a mark on the last entry of
-each group of equal angles, where the running rank is the rank just
-after that angle whatever order the group was sorted in.
-The k-level of the k-skyband's trajectories (``_level_events``) is where
-the top-k set changes: a tuple's rank crosses k there.  Floats order
-crossings more than NEAR_TIE_ULPS apart; closer ones that can move a
-rank across k are ordered and grouped by their exact ratios.  Its groups
-cut the sweep into elements: the point 0, the open segments between
-groups, on each of which the top k is constant, and the point pi/2.
-``find_ranges`` reads off the k-level, for every tuple, the span of
-elements from the first on which it is in the top k to the last (at the
-axis points by its id tie-broken rank there), and ``cover_2d`` covers
-every element, however narrow, with the fewest spans.  That yields a
-representative that is never larger than the optimal one and whose
-exact rank-regret is at most 2k (each range's interior rank is bounded
-by the sum of its endpoint ranks).  ``enumerate_ksets_2d`` reads the
-k-sets off the same k-level (``ExchangeSweep``).
-``member_rank_steps`` reads the best member rank of a
-subset, as a step function of theta, off the members' trajectories
-(``RankSteps``): ``exact_rank_regret_2d`` takes its maximum and scores
-the crossing angles themselves, and ``evaluate.estimate_rank_regret``
-looks each sampled function's rank up at its angle.  A sample within
+by one at each of its crossings with another tuple, where the two tie
+and the smaller id ranks first.  ``_rank_trajectories`` computes these
+step functions for a block of tuples at once.  The k-level of the
+k-skyband's trajectories (``_level_events``) is where the top-k set
+changes; crossings that floats cannot order (within NEAR_TIE_ULPS) are
+ordered and grouped by exact ratio.  Its groups cut the sweep into
+elements: the point 0, each group as a point, the open segments between
+them and the point pi/2.  ``find_ranges`` gives each tuple the hull of
+the elements where its rank is at most k, extended to an adjacent point
+where it is at most 2k, and ``cover_2d`` covers every element with the
+fewest spans: a representative never larger than the optimal one, with
+exact rank-regret at most 2k.  ``enumerate_ksets_2d`` reads the k-sets
+off the same k-level (``ExchangeSweep``).  ``member_rank_steps`` gives
+the best member rank of a subset at and just after each group of the
+members' crossings (``RankSteps``): ``exact_rank_regret_2d`` takes its
+maximum, and ``evaluate.estimate_rank_regret`` looks each sampled
+function's rank up at its angle, in float order.  A sample within
 ``float_order_radius`` of a crossing angle or of 0 or pi/2 is scored by
-its matrix product instead; the radius, (pi/2) score_slack(2) / min|D|
-+ 16 ulps of pi/2 over the nonzero member-row differences D, puts every
-score gap of a farther sample beyond float rounding.  A member with an
-exact duplicate makes the radius infinite: a BLAS product can round the
-two copies differently, so all samples are scored.
+its matrix product instead.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +37,6 @@ from .core import (
     LinearFunction,
     RankRegretKernel,
     Representative,
-    _select_top_k,
     angle_weights,
     block_rows as _block_size,
     score_slack,
@@ -100,61 +86,25 @@ class ExchangeSweep:
         top, k, level = self._top, self.k, self._level
         for theta, lo, hi in zip(level.angles.tolist(), level.bounds[:-1].tolist(),
                                  level.bounds[1:].tolist()):
-            group, enter = level.tuples[lo:hi], level.enters[lo:hi]
-            leaving, entering = group[~enter].tolist(), group[enter].tolist()
+            group, change = level.tuples[lo:hi], level.change[lo:hi]
+            leaving, entering = group[change < 0].tolist(), group[change > 0].tolist()
             top.difference_update(leaving)
             top.update(entering)
             self.swap_count += len(leaving)
             yield theta, [(k - 1, a, b) for a, b in zip(leaving, entering)]
 
 
-def _angle_scores(values: np.ndarray, thetas) -> np.ndarray:
-    """Scores (one row per angle) under the rays (cos theta, sin theta).
-
-    The two axis rays get their exact weights, so ties at pi/2 resolve by
-    id rather than by a 6e-17 share of the first attribute.  Elementwise
-    products keep the rounding independent of the BLAS build.
-    """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    w1 = np.where(thetas == HALF_PI, 0.0, np.cos(thetas))
-    w2 = np.sin(thetas)
-    return (w1[:, None] * values[None, :, 0]) + (w2[:, None] * values[None, :, 1])
-
-
-def _topk_at(values: np.ndarray, theta: float, k: int) -> frozenset:
-    """Tie-broken top-k ids at one exact angle."""
-    return frozenset(_select_top_k(_angle_scores(values, theta)[0], k).tolist())
-
-
-def _score_angles(kernel: RankRegretKernel, thetas) -> int:
-    """Fold the exact angles into ``kernel``; the max best member rank."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    for lo in range(0, thetas.size, kernel.block):
-        kernel.add(_angle_scores(kernel.kept, thetas[lo:lo + kernel.block]))
-    return kernel.worst
-
-
 def find_ranges(dataset: Dataset, k: int) -> List[AngularRange]:
     """Each tuple's top-k range, as a span of the elements of the sweep.
 
-    The elements are numbered along the sweep: 0 is the point 0, 1 to
-    G + 1 are the open segments between the G groups of exactly equal
-    crossings of the k-level (``_level_events``), on each of which the
-    top k is constant, and G + 2 is the point pi/2.  A tuple with fewer
-    than k dominators spans from the first segment on which it is in the
-    top k to the last; no other tuple is in any segment's top k.  At the
-    axis points ranks come from the id tie-break at exactly 0 and pi/2: a
-    tuple covers an axis point where its rank there is at most k, or at
-    most 2k while it is in the top k just inside that axis.  That extends
-    a span to the axis and gives tuples outside the skyband, which can be
-    the only ones ranked within k at an axis, a span of that point alone.
-    Tuples that cover no element are omitted.
-
-    ``begin`` and ``end``, for reporting, are the float angles of the
-    groups at which the span starts and stops.  A span that starts at the
-    first segment without covering the point 0 begins one representable
-    angle past 0, and one that ends at the last segment without covering
-    pi/2 ends one representable angle before it.
+    The points 0, 2, ..., 2G + 2 are the angle 0, the G groups of exactly
+    equal crossings of the k-level (``_level_events``) and pi/2; the odd
+    elements between them are open segments, each with one top k.  A
+    tuple spans the hull of the elements where its rank is at most k,
+    extended to an adjacent point where it is at most 2k; tuples with k
+    dominators rank within k only at 0 or pi/2, if anywhere.  ``begin``
+    and ``end`` are the float angles of the points at or around the
+    span's ends, for reporting.  Tuples that cover nothing are omitted.
     """
     return _top_k_ranges(dataset, k)[0]
 
@@ -162,7 +112,7 @@ def find_ranges(dataset: Dataset, k: int) -> List[AngularRange]:
 def _top_k_ranges(dataset: Dataset,
                   k: int) -> Tuple[List[AngularRange], np.ndarray]:
     """``find_ranges`` and the float width of each element of the sweep
-    (0 for the axis points)."""
+    (0 for the points)."""
     _require_2d(dataset)
     if not 1 <= k <= dataset.n:
         raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
@@ -173,35 +123,41 @@ def _top_k_ranges(dataset: Dataset,
     skyband = np.flatnonzero(dominator_counts(values) < k)
     level = _level_events(values[skyband], skyband, k)
     g = level.angles.size
-    # each tuple's first and last segment in the top k, as elements:
-    # [g + 2, 0] where it is in none; element j + 2 follows group j
-    first = np.full(n, g + 2)
-    last = np.zeros(n, dtype=np.int64)
-    first[level.top], last[level.top] = 1, g + 1
-    order = np.argsort(level.tuples, kind="stable")
-    tuples = level.tuples[order]
-    opens = np.flatnonzero(np.diff(tuples, prepend=-1))  # a tuple's first
-    closes = np.flatnonzero(np.diff(tuples, append=-1))  # and last event
-    head, tail = order[opens], order[closes]
-    group = np.repeat(np.arange(g), np.diff(level.bounds))
-    t = tuples[opens]
-    # outside the initial top k a tuple's first event enters it; its last
-    # event leaves it, unless it enters for good
-    first[t] = np.minimum(first[t], group[head] + 2)
-    last[t] = np.where(level.enters[tail], g + 1, group[tail] + 1)
+    end = 2 * g + 2  # the point pi/2
+    point = 2 * np.repeat(np.arange(g), np.diff(level.bounds)) + 2
+    tuples, change = level.tuples, level.change
+    final = np.bincount(tuples, change, n) + np.isin(np.arange(n), level.top)
     at_0, at_end = _axis_ranks(values[:, 0]), _axis_ranks(values[:, 1])
-    lo = np.where((at_0 <= k) | (at_0 <= 2 * k) & (first == 1), 0, first)
-    hi = np.where((at_end <= k) | (at_end <= 2 * k) & (last == g + 1),
-                  g + 2, last)
+    # the elements where a tuple ranks within k: the segment on which an
+    # event enters or leaves the top k, the points of events within k,
+    # the first and last segment for the tuples in the top k on them, and
+    # the axes
+    moves, within = change != 0, level.at <= k
+    pieces = [(tuples[moves], point[moves] + change[moves]),
+              (tuples[within], point[within]), (level.top, 1),
+              (np.flatnonzero(final == 1), end - 1),
+              (np.flatnonzero(at_0 <= k), 0), (np.flatnonzero(at_end <= k), end)]
+    lo, hi = np.full(n, end + 1), np.full(n, -1)
+    for t, e in pieces:
+        np.minimum.at(lo, t, e)
+        np.maximum.at(hi, t, e)
+    # a span that stops on a segment reaches the adjacent point where the
+    # tuple's rank is within 2k
+    near = level.at <= 2 * k
+    enter = near & (change > 0) & (lo[tuples] == point + 1)
+    leave = near & (change < 0) & (hi[tuples] == point - 1)
+    lo[tuples[enter]], hi[tuples[leave]] = point[enter], point[leave]
+    lo[(lo == 1) & (at_0 <= 2 * k)] = 0
+    hi[(hi == end - 1) & (at_end <= 2 * k)] = end
     keep = np.flatnonzero(lo <= hi)
     fence = np.concatenate(([0.0], level.angles, [HALF_PI]))
-    starts, ends = np.append(0.0, fence), np.append(fence, HALF_PI)
-    begin = np.where(lo == 1, np.nextafter(0.0, 1.0), starts[lo])
-    end = np.where(hi == g + 1, np.nextafter(HALF_PI, 0.0), ends[hi])
+    widths = np.zeros(end + 1)
+    widths[1::2] = np.diff(fence)
     ranges = [AngularRange(*r) for r in zip(
-        keep.tolist(), begin[keep].tolist(), end[keep].tolist(),
-        lo[keep].tolist(), hi[keep].tolist())]
-    return ranges, ends - starts
+        keep.tolist(), fence[lo[keep] // 2].tolist(),
+        fence[(hi[keep] + 1) // 2].tolist(), lo[keep].tolist(),
+        hi[keep].tolist())]
+    return ranges, widths
 
 
 def _axis_ranks(x: np.ndarray) -> np.ndarray:
@@ -212,26 +168,26 @@ def _axis_ranks(x: np.ndarray) -> np.ndarray:
     return rank
 
 
-#: sort keys of the trajectory kernel: one bit, and the key of +inf
-_ONE = np.uint64(1)
-_NEVER = np.float64(np.inf).view(np.uint64) << _ONE
+#: a pair that never crosses sits at this angle, past pi/2 and below 2,
+#: so that an angle's bits shifted left by two still fit in 64 bits
+_NEVER = np.float64(1.75)
+_ONE, _TWO, _THREE = np.uint64(1), np.uint64(2), np.uint64(3)
 
 
 @dataclass(frozen=True)
 class _Trajectories:
-    """Rank trajectories of a block of tuples, one row per tuple.
-
-    ``angles`` holds a row's crossing angles in ascending order, +inf for
-    the pairs that never cross.  ``states[:, j]`` is the rank once entries
-    0..j have crossed.  Equal angles stay separate entries, so a state is
-    the rank just after its angle only where ``last`` marks the end of
-    its angle group.  ``rank0`` is the rank just after angle 0.
-    """
+    """Rank trajectories of a block of tuples, one row per tuple:
+    ``angles`` holds a row's crossing angles ascending, _NEVER for pairs
+    that never cross, and ``states[:, j]`` the rank once entries 0..j have
+    crossed, the rank just after the angle where ``last`` marks the end of
+    a group of equal angles.  ``rank0`` is the rank just after angle 0 and
+    ``keys`` the sorted keys of the entries (``_rank_trajectories``)."""
 
     angles: np.ndarray
     states: np.ndarray
     last: np.ndarray
     rank0: np.ndarray
+    keys: np.ndarray
 
 
 def _rank_trajectories(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
@@ -243,36 +199,46 @@ def _rank_trajectories(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
     arctan(du / -dv) and one with a larger x1 and a smaller x2 falls
     behind it there.  Each crossing is sorted as one integer key: its
     angle's bits, which order like the angle since it is non-negative,
-    shifted left by one with the low bit set for a row passing.  Rows
-    that never cross get the key of +inf.  The state after a group of
-    equal angles does not depend on the order within the group.
+    shifted left by two, then a bit for a row of smaller id and the low
+    bit for a row passing.  Rows that never cross get the key of _NEVER.
+    The state after a group of equal angles does not depend on its order.
     """
+    du, dv, ahead, rank0 = _offsets(points, ids, own, own_ids)
+    angles, passing = _crossings(du, dv)
+    keys = angles.view(np.uint64) << _TWO
+    keys |= (ahead.view(np.uint8) << 1) | passing
+    keys.sort(axis=1)
+    angles = (keys >> _TWO).view(np.float64)
+    delta = np.where(angles < _NEVER, (keys & _ONE).view(np.int64) * 2 - 1, 0)
+    states = rank0[:, None] + np.cumsum(delta, axis=1)
+    last = np.empty(angles.shape, dtype=bool)
+    last[:, :-1] = angles[:, 1:] != angles[:, :-1]
+    last[:, -1] = True
+    return _Trajectories(angles, states, last, rank0, keys)
+
+
+def _offsets(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
+             own_ids: np.ndarray):
+    """(du, dv, ahead, rank0): the rows ``points`` (ids ``ids``) less the
+    tuples ``own`` (ids ``own_ids``), one row per tuple, whether each row
+    has the smaller id, and each tuple's rank just after angle 0."""
     du = points[:, 0] - own[:, 0, None]
     dv = points[:, 1] - own[:, 1, None]
     ahead = ids < own_ids[:, None]
     rank0 = 1 + np.count_nonzero(
         (du > 0) | (du == 0) & ((dv > 0) | (dv == 0) & ahead), axis=1)
-    angles, passing = _crossings(du, dv)
-    keys = (angles.view(np.uint64) << _ONE) | passing  # +inf: _NEVER
-    keys.sort(axis=1)
-    angles = (keys >> _ONE).view(np.float64)
-    delta = np.where(keys < _NEVER, (keys & _ONE).view(np.int64) * 2 - 1, 0)
-    states = rank0[:, None] + np.cumsum(delta, axis=1)
-    last = np.empty(angles.shape, dtype=bool)
-    last[:, :-1] = angles[:, 1:] != angles[:, :-1]
-    last[:, -1] = True
-    return _Trajectories(angles, states, last, rank0)
+    return du, dv, ahead, rank0
 
 
 def _crossings(du: np.ndarray,
                dv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Float crossing angles, arctan(du / -dv), of tuples with the rows
-    ahead of them by ``du`` and ``dv``, +inf where the two never cross,
+    ahead of them by ``du`` and ``dv``, _NEVER where the two never cross,
     and whether the row passes the tuple there."""
     passing = (du < 0) & (dv > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         angles = np.where(passing | (du > 0) & (dv < 0),
-                          np.arctan(du / -dv), np.inf)
+                          np.arctan(du / -dv), _NEVER)
     return angles, passing
 
 
@@ -378,33 +344,19 @@ def _furthest_reach_cover(ranges, size: int) -> frozenset:
 def rrr_2d(dataset: Dataset, k: int) -> Representative:
     """The top-k ranges of ``find_ranges`` covered by the fewest tuples.
 
-    ``cover_2d`` covers every element of the sweep, the two axis points
-    and each k-level segment however narrow, and each element's top k
-    holds tuples whose ranges cover it, so the output is never larger
-    than an optimal representative for rank-regret k.  Its exact
-    rank-regret is at most 2k: a tuple outranking a member inside the
-    member's range outranks it at one end of the range, where the member
-    is in the top k (or within 2k at an axis point).  At an exact
-    crossing shared by tied tuples ids decide the order, so the ends of
-    the selected ranges and the axes are scored directly and patched with
-    a top-k holder where a rank there exceeds 2k (never, in general
-    position).
+    ``cover_2d`` covers every element of the sweep, each point and each
+    k-level segment however narrow, and the exact top k of each element
+    holds tuples whose spans cover it, so the output is never larger than
+    an optimal representative for rank-regret k.  Its exact rank-regret
+    is at most 2k: a tuple outranking a member inside the member's span
+    outranks it at one end of the span, where the member's rank is at
+    most k (at most 2k at a point the span was extended to).  ``params``
+    report the number of ranges and of elements.
     """
     ranges, widths = _top_k_ranges(dataset, k)
-    members = set(cover_2d(ranges, widths))
-    selected = [r for r in ranges if r.tuple_id in members]
-    check_angles = {0.0, HALF_PI}
-    check_angles.update(r.begin for r in selected)
-    check_angles.update(r.end for r in selected)
-    # the kernel's running maximum stays within 2k until an angle needs a
-    # patch, after which it restarts for the new members
-    kernel = RankRegretKernel(dataset.values, members)
-    for theta in sorted(check_angles):
-        if _score_angles(kernel, theta) > 2 * k:
-            members.add(min(_topk_at(dataset.values, theta, k)))
-            kernel = RankRegretKernel(dataset.values, members)
-    return Representative(members=frozenset(members), algorithm="2drrr",
-                          params={"k": k})
+    return Representative(members=cover_2d(ranges, widths), algorithm="2drrr",
+                          params={"k": k, "ranges": len(ranges),
+                                  "elements": len(widths)})
 
 
 #: a float crossing angle lies within 4 representable steps of the exact
@@ -454,29 +406,27 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
 
 @dataclass(frozen=True)
 class _KLevel:
-    """The k-level along the sweep: ``top`` holds the ids in the top k
-    just after angle 0 (ascending), and the events sorted by group follow.
-    Group g holds the events ``bounds[g]:bounds[g + 1]`` and sits at the
-    angle ``angles[g]``; each event is a tuple id and whether it enters
-    the top k there (else it leaves)."""
+    """The k-level: ``top`` holds the ids in the top k just after angle 0
+    (ascending); group g holds the events ``bounds[g]:bounds[g + 1]`` at
+    the angle ``angles[g]``.  An event is a tuple id, its ``change`` (+1
+    entering the top k, -1 leaving, 0 outside it on both sides) and its
+    rank ``at`` the group, where ties go to the smaller id; a change-0
+    event is listed only where that rank is within k."""
 
     top: np.ndarray
     bounds: np.ndarray
     angles: np.ndarray
     tuples: np.ndarray
-    enters: np.ndarray
+    change: np.ndarray
+    at: np.ndarray
 
 
 def _level_events(points: np.ndarray, ids: np.ndarray, k: int) -> _KLevel:
-    """The k-level of the tuples ``points`` (ids ``ids``).
-
-    The events of all tuples (``_block_events``) are sorted by float
-    angle.  A run of more than two, each within NEAR_TIE_ULPS of the
-    next, is re-sorted by exact crossing ratio (``_ratio``), and the
-    events of one ratio form a group; any other run is one group.  A
-    group sits at the smallest float angle in it (or at the previous
-    group's, where larger) and must leave k tuples in the top k.
-    """
+    """The k-level of the tuples ``points`` (ids ``ids``): the events of
+    all tuples (``_block_events``) by float angle, runs of more than two
+    grouped exactly (``_exact_groups``).  A group sits at the smallest
+    float angle of its entering and leaving events (or the previous
+    group's, where larger) and must leave k tuples in the top k."""
     step = _block_size(ids.size)
     initial, found = [], []
     for lo in range(0, ids.size, step):
@@ -486,52 +436,41 @@ def _level_events(points: np.ndarray, ids: np.ndarray, k: int) -> _KLevel:
         found.extend(_block_events(points, lo, tr, k))
     found = [np.concatenate(c) for c in zip(*found)]
     order = np.argsort(found[0], kind="stable")
-    angles, rows, enters, partners = (c[order] for c in found)
-    new = np.ones(angles.size, dtype=bool)  # the event opens a group
-    new[1:] = np.diff(angles.view(np.int64)) > NEAR_TIE_ULPS
-    runs = np.append(np.flatnonzero(new), angles.size)
+    angles, rows, change, at, partners = (c[order] for c in found)
     # two events form one group in exact arithmetic too: apart, each
     # would change the size of the top k
-    near = np.flatnonzero(np.diff(runs) > 2)
-    for lo, hi in zip(runs[near].tolist(), runs[near + 1].tolist()):
-        ratios = [_ratio(points, t, u if u >= 0 else _partner(points, t, a))
-                  for t, u, a in zip(rows[lo:hi].tolist(),
-                                     partners[lo:hi].tolist(),
-                                     angles[lo:hi].tolist())]
-        perm = sorted(range(hi - lo), key=ratios.__getitem__)
-        at = lo + np.array(perm)
-        angles[lo:hi], rows[lo:hi], enters[lo:hi] = angles[at], rows[at], enters[at]
-        new[lo + 1:hi] = [ratios[a] != ratios[b] for a, b in zip(perm, perm[1:])]
+    perm, new = _exact_groups(points, angles, rows, partners, 2)
+    angles, rows, change, at = angles[perm], rows[perm], change[perm], at[perm]
     bounds = np.flatnonzero(new)
-    level = np.maximum.accumulate(np.minimum.reduceat(angles, bounds))
+    moving = np.where(change != 0, angles, _NEVER)
+    level = np.maximum.accumulate(np.minimum.reduceat(moving, bounds))
     bounds = np.append(bounds, angles.size)
     # a tuple's events alternate, so the top k has k + (enters - leaves)
     # tuples; the initial top k has k
-    if np.any(np.cumsum(np.where(enters, 1, -1))[bounds[1:] - 1] != 0):
+    if np.any(np.cumsum(change)[bounds[1:] - 1] != 0):
         raise RuntimeError("a k-level group leaves other than k tuples "
                            "in the top k")
-    return _KLevel(np.concatenate(initial), bounds, level, ids[rows], enters)
+    return _KLevel(np.concatenate(initial), bounds, level, ids[rows], change, at)
 
 
 def _block_events(points: np.ndarray, lo: int, tr: "_Trajectories", k: int):
     """The k-level events of the rows ``lo``.. of ``points``, whose
-    trajectories are ``tr``: a list of (angle, row, enters, partner)
+    trajectories are ``tr``: a list of (angle, row, change, at, partner)
     arrays, ``partner`` the row crossed or -1 where not looked up.
 
     A tuple enters or leaves the top k at a group end whose state is on
-    the other side of k than the state at its previous group end (or
-    than ``rank0``).  Crossings whose float angles are each within
-    NEAR_TIE_ULPS of the next form a run, whose float order may not be
-    the exact one.  A run whose states, in any order of its crossings,
-    stay on one side of k (from the state before it, down by its leaving
-    crossings and up by its passing ones) has no event, and the state
-    after it does not depend on the order; ``_exact_run`` reads the events
-    of every other run.
+    the other side of k than at its previous group end (or ``rank0``).
+    Crossings each within NEAR_TIE_ULPS of the next form a run, whose
+    float order may not be exact.  A run whose states stay on one side of
+    k in any order (from the state before it, down by its leaving and up
+    by its passing crossings) has no event, as its ranks at its crossings
+    lie between those bounds too; ``_exact_run`` reads every other run.
+    Any other group is a single crossing.
     """
     bits = tr.angles.view(np.int64)  # ordered like the angles, all >= 0
     near = ((bits[:, 1:] - bits[:, :-1] <= NEAR_TIE_ULPS)
-            & np.isfinite(tr.angles[:, 1:]))
-    settled, exact = [], None  # exact: the entries of runs read exactly
+            & (tr.angles[:, 1:] < _NEVER))
+    found, exact = [], None  # exact: the entries of runs read exactly
     if near.any():
         linked = np.pad(near, ((0, 0), (1, 1)))  # entry j - 1 with entry j
         exact = np.zeros(bits.shape, dtype=bool)
@@ -547,52 +486,88 @@ def _block_events(points: np.ndarray, lo: int, tr: "_Trajectories", k: int):
                                   final[straddles].tolist(),
                                   before[straddles].tolist()):
             exact[r, a:b + 1] = True
-            settled.extend(_exact_run(points, lo + r, tr.angles[r, a],
-                                      tr.angles[r, b], state, k))
+            found.append(_exact_run(points, lo + r, tr.angles[r, a],
+                                    tr.angles[r, b], state, k))
     row, col = np.nonzero(tr.last)
     inside = tr.states[row, col] <= k
-    was = np.empty_like(inside)
-    was[1:] = inside[:-1]
-    opens = np.ones(row.size, dtype=bool)
-    opens[1:] = row[1:] != row[:-1]
-    was[opens] = tr.rank0 <= k  # every row has a group end
+    was = np.append(False, inside[:-1])
+    # a row's first group end follows rank0 (every row has a group end)
+    was[np.append(True, row[1:] != row[:-1])] = tr.rank0 <= k
     moved = inside != was
     if exact is not None:
         moved &= ~exact[row, col]
     row, col = row[moved], col[moved]
-    found = [(tr.angles[row, col], lo + row, inside[moved],
-              np.full(row.size, -1))]
-    if settled:
-        found.append(tuple(np.array(c) for c in zip(*settled)))
+    # at its angle, a row passing with a larger id is still behind the
+    # tuple and one falling behind with a smaller id still ahead of it
+    low = tr.keys[row, col] & _THREE  # (smaller id, passing)
+    at = tr.states[row, col] - (low == 1) + (low == 2)
+    found.append((tr.angles[row, col], lo + row, np.where(inside[moved], 1, -1),
+                  at, np.full(row.size, -1)))
     return found
 
 
 def _exact_run(points: np.ndarray, t: int, lo: float, hi: float,
                state: int, k: int):
-    """Row ``t``'s k-level events, (angle, row, enters, partner), on its
-    run of crossings with float angles in [lo, hi], entered at rank
-    ``state``: the crossings sorted and grouped by exact ratio, each group
-    at its smallest float angle."""
+    """Row ``t``'s k-level events, as ``_block_events`` arrays, on its run
+    of crossings in [lo, hi] entered at rank ``state``, grouped by exact
+    ratio (``_ratio_groups``), each group at its smallest float angle.
+    Rows ascend by id, so a row below ``t`` ranks ahead of it at a tie."""
     angles, passing = _crossings(points[:, 0] - points[t, 0],
                                  points[:, 1] - points[t, 1])
     partners = np.flatnonzero((angles >= lo) & (angles <= hi))
-    ratios = [_ratio(points, t, u) for u in partners.tolist()]
-    order = sorted(range(partners.size), key=ratios.__getitem__)
-    inside, events = state <= k, []
-    for _, group in itertools.groupby(order, key=ratios.__getitem__):
-        group = partners[list(group)]
-        state += 2 * int(np.count_nonzero(passing[group])) - group.size
-        if (state <= k) != inside:
-            inside = not inside
-            events.append((angles[group].min(), t, inside, group[0]))
-    return events
+    perm, opens = _ratio_groups(points, np.full(partners.size, t), partners)
+    partners = partners[perm]
+    step = np.where(passing[partners], 1, -1)
+    # the part of each step taken at the crossing itself
+    now = np.where(passing[partners] == (partners < t), step, 0)
+    starts = np.flatnonzero(opens)
+    after = state + np.cumsum(step)[np.append(starts[1:], partners.size) - 1]
+    before = np.append(state, after[:-1])
+    at = before + np.add.reduceat(now, starts)
+    change = (after <= k).astype(np.int64) - (before <= k)
+    keep = (change != 0) | (before > k) & (after > k) & (at <= k)
+    return (np.minimum.reduceat(angles[partners], starts)[keep],
+            np.full(np.count_nonzero(keep), t), change[keep], at[keep],
+            partners[starts][keep])
 
 
-def _partner(points: np.ndarray, t: int, angle: float) -> int:
-    """The row that row ``t`` crosses at the float ``angle``."""
-    crossed = _crossings(points[:, 0] - points[t, 0],
-                         points[:, 1] - points[t, 1])[0]
-    return int(np.argmax(crossed == angle))
+def _exact_groups(points: np.ndarray, angles: np.ndarray, rows: np.ndarray,
+                  partners: np.ndarray, least: int):
+    """(permutation, opens a group) of the crossings of ``rows[i]`` with
+    ``partners[i]`` (where -1, the row it crosses at that float angle),
+    sorted by float ``angles``.  A run of more than ``least``, each within
+    NEAR_TIE_ULPS of the next, is grouped by exact ratio
+    (``_ratio_groups``) unless it is one pair seen from both sides; any
+    other run is one group."""
+    perm = np.arange(angles.size)
+    opens = np.ones(angles.size, dtype=bool)
+    opens[1:] = np.diff(angles.view(np.int64)) > NEAR_TIE_ULPS
+    runs = np.append(np.flatnonzero(opens), angles.size)
+    lo, size = runs[:-1], np.diff(runs)
+    nxt = np.minimum(lo + 1, angles.size - 1)
+    pair = (size == 2) & (rows[lo] == partners[nxt]) & (rows[nxt] == partners[lo])
+    near = np.flatnonzero((size > least) & ~pair)
+    for lo, hi in zip(runs[near].tolist(), runs[near + 1].tolist()):
+        found = partners[lo:hi].copy()
+        for i in np.flatnonzero(found < 0).tolist():
+            t = rows[lo + i]
+            crossed = _crossings(points[:, 0] - points[t, 0],
+                                 points[:, 1] - points[t, 1])[0]
+            found[i] = np.argmax(crossed == angles[lo + i])
+        order, opens[lo:hi] = _ratio_groups(points, rows[lo:hi], found)
+        perm[lo:hi] = lo + order
+    return perm, opens
+
+
+def _ratio_groups(points: np.ndarray, rows: np.ndarray, partners: np.ndarray):
+    """(permutation, opens a group) of the crossings of ``rows[i]`` with
+    ``partners[i]`` sorted by exact ratio (``_ratio``), ties kept in order."""
+    ratios = [_ratio(points, t, u)
+              for t, u in zip(rows.tolist(), partners.tolist())]
+    perm = sorted(range(len(ratios)), key=ratios.__getitem__)
+    opens = np.ones(len(perm), dtype=bool)
+    opens[1:] = [ratios[a] != ratios[b] for a, b in zip(perm, perm[1:])]
+    return np.array(perm, dtype=np.intp), opens
 
 
 def _ratio(points: np.ndarray, t: int, u: int) -> Fraction:
@@ -603,36 +578,29 @@ def _ratio(points: np.ndarray, t: int, u: int) -> Fraction:
 
 
 def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
-    """max over theta of (best rank among ``subset`` members), exactly.
-
-    Member ranks only change at the members' crossing angles, so the best
-    member rank is constant between consecutive angles of their union:
-    ``member_rank_steps`` gives it on every open interval, and the angles
-    themselves (where score ties resolve by id) plus the two endpoints
-    are scored directly by ``core.RankRegretKernel``.  Both parts see
-    only the rows that no member beats by more than NUMERIC_TOL on both
-    attributes: such a row never outranks the best member, and every
-    other member still ranks behind the best one among the remaining
-    rows, so the best member's rank is unchanged.  Exact up to
-    floating-point score ties at interior crossing angles.
+    """max over theta of (best rank among ``subset`` members), exactly:
+    the maximum of ``member_rank_steps`` and of the rank at pi/2
+    (``_axis_ranks``).  Both see only the rows that no member beats by
+    more than NUMERIC_TOL on both attributes: such a row never outranks
+    the best member, and every other member still ranks behind the best
+    one among the remaining rows, so the best member's rank is unchanged.
     """
     _require_2d(dataset)
     kernel = RankRegretKernel(dataset.values, subset)
     steps = member_rank_steps(kernel)
-    at = _score_angles(kernel, np.append(steps.angles, HALF_PI))
-    return int(max(steps.after.max(), at))
+    at_end = _axis_ranks(kernel.kept[:, 1])[kernel.member_cols].min()
+    return int(max(steps.after.max(), steps.points.max(), at_end))
 
 
 @dataclass(frozen=True)
 class RankSteps:
-    """The best member rank as a step function of the angle.
-
-    ``angles`` holds 0 and the union of the members' crossing angles,
-    ascending and distinct; ``after[j]`` is the best member rank on the
-    open interval just after ``angles[j]``.
-    """
+    """The best member rank as a step function of the angle: ``angles``
+    holds 0 and one entry per group of the members' crossings, ascending;
+    ``points[j]`` is the best member rank at exactly ``angles[j]``, ties
+    going to the smaller id, and ``after[j]`` the one just after it."""
 
     angles: np.ndarray
+    points: Optional[np.ndarray]
     after: np.ndarray
 
     def at(self, thetas: np.ndarray,
@@ -647,25 +615,56 @@ class RankSteps:
         return self.after[np.minimum(right, self.after.size) - 1], near
 
 
-def member_rank_steps(kernel: RankRegretKernel) -> RankSteps:
+def member_rank_steps(kernel: RankRegretKernel, exact: bool = True) -> RankSteps:
     """The best rank of ``kernel``'s members among its kept rows, read off
-    the members' rank trajectories (``_rank_trajectories``, blocks of
-    members): just after an angle, a member's rank is its state after
-    its last crossing at or before the angle (``rank0`` before its first)."""
-    kept, rows = kernel.kept, kernel.rows
-    step = _block_size(rows.size)
-    blocks = [_rank_trajectories(kept, rows, kept[kernel.member_cols[lo:lo + step]],
-                                 kernel.members[lo:lo + step])
-              for lo in range(0, kernel.members.size, step)]
-    angles = np.unique(np.concatenate(
-        [[0.0]] + [tr.angles[np.isfinite(tr.angles)] for tr in blocks]))
-    after = np.full(angles.size, rows.size, dtype=np.int64)
-    for tr in blocks:
-        for a, states, rank0 in zip(tr.angles, tr.states, tr.rank0):
-            count = np.searchsorted(a, angles, side="right")
-            np.minimum(after, np.where(count > 0, states[count - 1], rank0),
-                       out=after)
-    return RankSteps(angles, after)
+    their crossings with those rows (blocks of members), sorted by float
+    angle and with near runs grouped exactly (``_exact_groups``).
+
+    Just after a group a member's rank is its rank just after 0 moved by
+    its crossings so far.  At a group it moves only by the rows crossing
+    it there with a smaller id (passing) or a larger one (falling
+    behind), as ties go to the smaller id; at 0 ``_axis_ranks`` gives it.
+    With ``exact`` False a group is one float angle and ``points`` is
+    None: the steps are exact farther than ``float_order_radius`` from
+    every crossing.
+    """
+    kept, ids, cols = kernel.kept, kernel.rows, kernel.member_cols
+    step = _block_size(ids.size)
+    found = []  # every crossing: member, row crossed, angle, passing; rank0
+    for lo in range(0, cols.size, step):
+        du, dv, _, rank0 = _offsets(kept, ids, kept[cols[lo:lo + step]],
+                                    kernel.members[lo:lo + step])
+        angles, passing = _crossings(du, dv)
+        m, u = np.nonzero(angles < _NEVER)
+        found.append((lo + m, u, angles[m, u], passing[m, u], rank0))
+    mine, rows, angles, up, rank0 = (np.concatenate(c) for c in zip(*found))
+    order = np.argsort(angles, kind="stable")
+    if exact:
+        perm, opens = _exact_groups(kept, angles[order], cols[mine[order]],
+                                    rows[order], 1)
+        order = order[perm]
+    else:
+        opens = np.diff(angles[order], prepend=-1.0) != 0
+    starts = np.flatnonzero(opens)
+    group = np.empty(order.size, dtype=np.int64)
+    group[order] = np.cumsum(opens) - 1
+    moves = np.where(up, 1.0, -1.0)
+    taken = np.where(up == (rows < cols[mine]), moves, 0.0)  # at the angle
+    after = np.full(starts.size, float(ids.size))
+    points = after.copy()
+    bounds = np.searchsorted(mine, np.arange(cols.size + 1)).tolist()
+    for r0, i, j in zip(rank0.tolist(), bounds[:-1], bounds[1:]):
+        net = np.bincount(group[i:j], moves[i:j], starts.size)
+        state = r0 + np.cumsum(net)
+        np.minimum(after, state, out=after)
+        if exact:
+            at = state - net + np.bincount(group[i:j], taken[i:j], starts.size)
+            np.minimum(points, at, out=points)
+    first = np.maximum.accumulate(np.minimum.reduceat(angles[order], starts))
+    return RankSteps(
+        np.append(0.0, first),
+        np.append(_axis_ranks(kept[:, 0])[cols].min(), points).astype(np.int64)
+        if exact else None, np.append(rank0.min(), after).astype(np.int64))
 
 
 def float_order_radius(kernel: RankRegretKernel) -> float:

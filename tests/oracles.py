@@ -134,22 +134,15 @@ def sweep_find_ranges(values, k):
     """(tuple id, begin, end) of every tuple's top-k angle range, read off
     a full sweep.
 
-    A tuple enters or leaves the top k at the batches that move rank k.
-    The order after a batch is the just-after limit, so an endpoint claim
-    stays closed while the tuple's tie-broken rank at that exact angle is
-    within 2k and is shrunk by one representable angle otherwise.  The
-    pi/2 endpoint is scored with the exact axis weights (0, 1).
+    A tuple enters or leaves the top k at the batches that move rank k,
+    and its range runs from the angle of the first such batch that takes
+    it in (0 for the initial top k) to that of the last one that takes it
+    out (pi/2 for the final top k).  A tuple outside the sweep's top k
+    claims pi/2 alone where the exact axis weights (0, 1) rank it within
+    k.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
-    safe = min(2 * k, n)
-
-    def topk_at(theta, size):
-        w = (0.0, 1.0) if theta == HALF_PI else (np.cos(theta), np.sin(theta))
-        scores = values[:, 0] * w[0] + values[:, 1] * w[1]
-        order = np.lexsort((np.arange(n), -scores))
-        return frozenset(int(t) for t in order[:size])
-
     sweep = FullExchangeSweep(values)
     begin = {t: 0.0 for t in sweep.order[:k]}
     end = {}
@@ -158,19 +151,15 @@ def sweep_find_ranges(values, k):
         if not any(i == k - 1 for i, _, _ in swaps):
             continue
         current = frozenset(sweep.order[:k])
-        if current == prev:
-            continue
-        at_theta = topk_at(theta, safe)
         for t in current - prev:
-            if t not in begin:
-                begin[t] = theta if t in at_theta else np.nextafter(theta, np.inf)
+            begin.setdefault(t, theta)
         for t in prev - current:
-            end[t] = theta if t in at_theta else np.nextafter(theta, -np.inf)
+            end[t] = theta
         prev = current
-    at_end = topk_at(HALF_PI, safe)
     for t in prev:
-        end[t] = HALF_PI if t in at_end else np.nextafter(HALF_PI, -np.inf)
-    for t in topk_at(HALF_PI, k) - prev:
+        end[t] = HALF_PI
+    order = np.lexsort((np.arange(n), -values[:, 1]))
+    for t in frozenset(int(t) for t in order[:k]) - prev:
         begin.setdefault(t, HALF_PI)
         end[t] = HALF_PI
     return [(t, float(begin[t]), float(end[t]))
@@ -597,11 +586,13 @@ def loop_find_ranges(values, k):
     rank trajectory, one tuple at a time, as (tuple id, begin, end).
 
     The trajectory counts only the tuples with fewer than 2k strict
-    dominators, which leaves every rank up to 2k exact.  Endpoint claims
-    stay closed while the tie-broken rank at the exact endpoint is within
-    2k and are shrunk by one representable angle otherwise.  A tuple with
-    k dominators is in no top k between the axes, but the id tie-break
-    can rank it within k at exactly 0 or pi/2, which it then claims.
+    dominators, which leaves every rank up to 2k exact.  A tuple's range
+    runs from the first to the last angle that bounds a piece where its
+    rank is at most k: an open interval between its crossing angles, a
+    crossing angle itself, where the tuples that tie it rank by id, or an
+    axis, where ties rank by id too.  A tuple with k dominators is in no
+    top k between the axes, but the id tie-break can rank it within k at
+    exactly 0 or pi/2, which it then claims.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
@@ -614,34 +605,18 @@ def loop_find_ranges(values, k):
     for t in candidates:
         du = x1 - values[t, 0]
         dv = x2 - values[t, 1]
-        angles, states = _loop_trajectory(du, dv, ids, t)
+        angles, states, at = _loop_trajectory(du, dv, ids, t)
         rank_at_0 = 1 + int(np.count_nonzero(du > 0)
                             + np.count_nonzero((du == 0) & (ids < t)))
         rank_at_end = 1 + int(np.count_nonzero(dv > 0)
                               + np.count_nonzero((dv == 0) & (ids < t)))
         inside = states <= k
-        if not (inside.any() or rank_at_0 <= k or rank_at_end <= k):
-            continue
-        if rank_at_0 <= k:
-            b = 0.0
-        elif inside[0]:
-            b = 0.0 if rank_at_0 <= 2 * k else float(np.nextafter(0.0, np.inf))
-        elif inside.any():
-            b = float(angles[np.flatnonzero(inside)[0] - 1])
-        else:
-            b = HALF_PI
-        if rank_at_end <= k:
-            e = HALF_PI
-        elif inside[-1]:
-            e = HALF_PI if rank_at_end <= 2 * k \
-                else float(np.nextafter(HALF_PI, -np.inf))
-        elif inside.any():
-            exits = np.flatnonzero(inside[:-1] & ~inside[1:])
-            e = float(angles[exits[-1]])
-        else:
-            e = 0.0
-        if b <= e:
-            out.append((int(t), b, e))
+        fences = np.concatenate([[0.0], angles, [HALF_PI]])
+        axes = [0.0] * (rank_at_0 <= k) + [HALF_PI] * (rank_at_end <= k)
+        lows = fences[:-1][inside].tolist() + angles[at <= k].tolist() + axes
+        highs = fences[1:][inside].tolist() + angles[at <= k].tolist() + axes
+        if lows:
+            out.append((int(t), float(min(lows)), float(max(highs))))
     for t in np.flatnonzero(dominators_by_definition(values) >= k):
         at_0 = rank_by_definition(values, (1.0, 0.0), t) <= k
         at_end = rank_by_definition(values, (0.0, 1.0), t) <= k
@@ -652,9 +627,12 @@ def loop_find_ranges(values, k):
 
 
 def _loop_trajectory(du, dv, ids, t):
-    """Distinct crossing angles of tuple t, ascending, and its ranks:
-    ``states[0]`` just after angle 0, ``states[i+1]`` just after
-    ``angles[i]``, from the other tuples' offsets ``du``/``dv``."""
+    """Distinct crossing angles of tuple t, ascending, its ranks and its
+    ranks at those angles: ``states[0]`` just after angle 0,
+    ``states[i+1]`` just after ``angles[i]`` and ``at[i]`` at exactly
+    ``angles[i]``, from the other tuples' offsets ``du``/``dv``.  At an
+    angle the tuples that tie t there count ahead of it only with a
+    smaller id."""
     rank0 = 1 + int(
         np.count_nonzero(du > 0)
         + np.count_nonzero((du == 0) & (dv > 0))
@@ -662,13 +640,21 @@ def _loop_trajectory(du, dv, ids, t):
     )
     crossing = ((du > 0) & (dv < 0)) | ((du < 0) & (dv > 0))
     angles = np.arctan(du[crossing] / -dv[crossing])
-    deltas = np.where(dv[crossing] > 0, 1, -1)
+    passing = dv[crossing] > 0
+    deltas = np.where(passing, 1, -1)
+    # the moves made at the angle itself: passing with a smaller id, or
+    # falling behind with a larger one
+    settled = np.where(passing == (ids[crossing] < t), deltas, 0)
     sorter = np.argsort(angles, kind="stable")
     angles = angles[sorter]
     ranksums = rank0 + np.cumsum(deltas[sorter])
+    nows = np.cumsum(settled[sorter])
+    at = np.zeros(0, dtype=np.int64)
     if angles.size:
         last = np.flatnonzero(np.diff(angles) > 0)
         last = np.concatenate([last, [angles.size - 1]])
         angles = angles[last]
         ranksums = ranksums[last]
-    return angles, np.concatenate([[rank0], ranksums])
+        before = np.concatenate([[rank0], ranksums[:-1]])
+        at = before + np.diff(np.concatenate([[0], nows[last]]))
+    return angles, np.concatenate([[rank0], ranksums]), at

@@ -86,6 +86,14 @@ class TestSolve:
         assert payload["evaluation"]["exact"] is True
         assert payload["member_rows"] == [[0.80, 0.28], [0.67, 0.60]]
 
+    def test_2drrr_reports_ranges_and_elements(self, fig1_csv, capsys):
+        assert main(["solve", fig1_csv, "--algo", "2drrr", "--k", "2",
+                     "--seed", "0"]) == 0
+        params = json.loads(capsys.readouterr().out)["params"]
+        # t1, t3, t5 and t7 hold ranges; the k-level's two groups, 0 and
+        # pi/2 are points, with four segments between them
+        assert (params["ranges"], params["elements"]) == (4, 7)
+
     def test_mdrc_k_equals_n(self, fig1_csv, capsys):
         code = main(["solve", fig1_csv, "--algo", "mdrc", "--k", "7",
                      "--seed", "0"])

@@ -66,18 +66,6 @@ class TestMdrrr:
             math.ceil(4 * stats.final_guess * max(
                 math.log2(5 / stats.final_guess), 0.0)) + 8
 
-    def test_double_all_missed_variant(self):
-        col = make_collection([{0}, {1}, {2}, {0, 1, 2}])
-        got = mdrrr(col, rng=np.random.default_rng(4), double_all_missed=True)
-        assert got == {0, 1, 2}
-
-    def test_opt_guess_override(self):
-        col = make_collection(FIG1_2SETS)
-        got, stats = mdrrr(col, opt_guess=2, rng=np.random.default_rng(5),
-                           return_stats=True)
-        assert hits_all(got, FIG1_2SETS)
-        assert stats.final_guess >= 2
-
     def test_empty_collection(self):
         with pytest.raises(EmptyCollection):
             mdrrr(KSetCollection([], k=2, complete=True, d=2),

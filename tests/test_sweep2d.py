@@ -559,6 +559,63 @@ class TestTiedData:
             assert rrr_2d(Dataset(vals), k).size <= exhaustive_min_hitting_size(sets)
 
 
+#: five tuples on the line x1 + x2 = 1, all tied at pi/4, where the id
+#: tie-break ranks tuple 0 first; tuples 3 and 4 hold the top rank on
+#: either side
+PENCIL = np.array([[3, 1], [2, 2], [1, 3], [4, 0], [0, 4]]) / 4
+
+
+def pencils(rng, draws):
+    """Tie-heavy inputs: 3-6 distinct points i/q on one line x1 + x2 = c
+    and 0-5 more grid rows, shuffled."""
+    for _ in range(draws):
+        q = int(rng.choice([4, 8]))
+        c = int(rng.integers(q // 2, q + 1))
+        x = rng.choice(c + 1, size=min(int(rng.integers(3, 7)), c + 1),
+                       replace=False)
+        extra = rng.integers(0, q + 1, size=(int(rng.integers(0, 6)), 2))
+        yield rng.permutation(np.concatenate([np.column_stack([x, c - x]),
+                                              extra])) / q
+
+
+class TestCrossingPoints:
+    """At an exact crossing shared by several tuples ids decide the order,
+    so a tuple can rank within k there alone, or far behind a member whose
+    range ends there."""
+
+    def test_pencil(self):
+        rep = rrr_2d(Dataset(PENCIL), 1)
+        assert rational_rank_regret_2d(PENCIL, rep.members) <= 2
+        assert rep.members == {0, 3, 4}
+        # tuple 0 alone ranks first at pi/4, where 3 and 4 rank 4th and 5th
+        assert exact_rank_regret_2d(Dataset(PENCIL), {3, 4}) == 4
+        ranges = {r.tuple_id: r for r in find_ranges(Dataset(PENCIL), 1)}
+        assert (ranges[0].first, ranges[0].last) == (2, 2)
+        assert ranges[0].begin == ranges[0].end == ranges[3].end
+
+    @pytest.mark.parametrize("vals", [
+        np.array([[0, 3], [2, 3], [2, 3], [3, 3], [0, 2], [1, 2], [1, 3], [1, 2],
+                  [3, 1], [1, 0], [1, 3], [1, 0], [1, 0]]) / 3,
+        np.array([[2, 0], [0, 3], [1, 1], [5, 2], [2, 1], [1, 3], [1, 3],
+                  [2, 3]]) / 5], ids=["thirds", "fifths"])
+    def test_no_larger_than_the_exact_optimum(self, vals):
+        sets = rational_ksets_2d(vals, 1) + rational_point_topk_2d(vals, 1)
+        rep = rrr_2d(Dataset(vals), 1)
+        assert rep.size <= exhaustive_min_hitting_size(sets)
+        assert rational_rank_regret_2d(vals, rep.members) <= 2
+
+    def test_pencil_fuzz(self):
+        for vals in pencils(np.random.default_rng(13), 300):
+            ds = Dataset(vals)
+            for k in range(1, min(3, len(vals)) + 1):
+                rep = rrr_2d(ds, k)
+                regret = rational_rank_regret_2d(vals, rep.members)
+                assert regret <= 2 * k
+                assert exact_rank_regret_2d(ds, rep.members) == regret
+                sets = rational_ksets_2d(vals, k) + rational_point_topk_2d(vals, k)
+                assert rep.size <= exhaustive_min_hitting_size(sets)
+
+
 class TestExactRankRegret:
     def test_fig1_cover_output(self, fig1):
         assert exact_rank_regret_2d(fig1, tids("t3", "t1")) == 2
@@ -602,6 +659,15 @@ class TestExactRankRegret:
                                 replace=False)
             assert exact_rank_regret_2d(ds, subset) == \
                 rational_rank_regret_2d(ds.values, subset)
+        # values i/5, where equal crossings get float angles an ulp apart
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            n = int(rng.integers(3, 41))
+            vals = rng.integers(0, 6, size=(n, 2)) / 5
+            subset = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)),
+                                replace=False)
+            assert exact_rank_regret_2d(Dataset(vals), subset) == \
+                rational_rank_regret_2d(vals, subset)
 
     def test_many_members_match_full_sweep(self):
         rng = np.random.default_rng(58)
