@@ -583,21 +583,25 @@ def lp_graph_ksets(values, k):
 
 def loop_find_ranges(values, k):
     """``sweep2d.find_ranges`` as a per-tuple loop: each skyband tuple's
-    rank trajectory, one tuple at a time, as (tuple id, begin, end).
+    rank trajectory, one tuple at a time, as (tuple id, begin, end,
+    whether the span holds the point at begin, whether it holds the point
+    at end).
 
     The trajectory counts only the tuples with fewer than 2k strict
-    dominators, which leaves every rank up to 2k exact.  A tuple's range
-    runs from the first to the last angle that bounds a piece where its
-    rank is at most k: an open interval between its crossing angles, a
-    crossing angle itself, where the tuples that tie it rank by id, or an
-    axis, where ties rank by id too.  A tuple with k dominators is in no
-    top k between the axes, but the id tie-break can rank it within k at
-    exactly 0 or pi/2, which it then claims.
+    dominators, which leaves every rank up to 2k exact.  The tuple's own
+    elements are the axis 0, its crossing angles, where the tuples that
+    tie it rank by id, the axis pi/2 (points, ranked by id at a tie too)
+    and the open intervals between them.  Its range runs from the first
+    to the last element where its rank is at most k; an end on an
+    interval takes the point beyond it when the tuple's rank there is at
+    most 2k.  A tuple with k dominators is in no top k between the axes,
+    but the id tie-break can rank it within k at exactly 0 or pi/2, which
+    it then claims.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     if k >= n:
-        return [(t, 0.0, HALF_PI) for t in range(n)]
+        return [(t, 0.0, HALF_PI, True, True) for t in range(n)]
     candidates = np.flatnonzero(dominators_by_definition(values) < k)
     ids = np.flatnonzero(dominators_by_definition(values, strict=True) < 2 * k)
     x1, x2 = values[ids, 0], values[ids, 1]
@@ -610,20 +614,39 @@ def loop_find_ranges(values, k):
                             + np.count_nonzero((du == 0) & (ids < t)))
         rank_at_end = 1 + int(np.count_nonzero(dv > 0)
                               + np.count_nonzero((dv == 0) & (ids < t)))
-        inside = states <= k
-        fences = np.concatenate([[0.0], angles, [HALF_PI]])
-        axes = [0.0] * (rank_at_0 <= k) + [HALF_PI] * (rank_at_end <= k)
-        lows = fences[:-1][inside].tolist() + angles[at <= k].tolist() + axes
-        highs = fences[1:][inside].tolist() + angles[at <= k].tolist() + axes
-        if lows:
-            out.append((int(t), float(min(lows)), float(max(highs))))
+        # element 2i is point i, element 2i + 1 the interval after it
+        points = [rank_at_0] + at.tolist() + [rank_at_end]
+        within = ([2 * i for i, r in enumerate(points) if r <= k]
+                  + [2 * i + 1 for i, r in enumerate(states.tolist()) if r <= k])
+        if not within:
+            continue
+        lo, hi = min(within), max(within)
+        fences = [0.0] + angles.tolist() + [HALF_PI]
+        out.append((int(t), fences[lo // 2], fences[(hi + 1) // 2],
+                    lo % 2 == 0 or points[lo // 2] <= 2 * k,
+                    hi % 2 == 0 or points[(hi + 1) // 2] <= 2 * k))
     for t in np.flatnonzero(dominators_by_definition(values) >= k):
         at_0 = rank_by_definition(values, (1.0, 0.0), t) <= k
         at_end = rank_by_definition(values, (0.0, 1.0), t) <= k
         if at_0 or at_end:
             out.append((int(t), 0.0 if at_0 else HALF_PI,
-                        HALF_PI if at_end else 0.0))
+                        HALF_PI if at_end else 0.0, True, True))
     return sorted(out)
+
+
+def float_member_steps(kept, ids, cols):
+    """(angles, after) of the best rank among the members ``cols`` of the
+    rows ``kept`` (ids ``ids``), each member's crossings grouped by float
+    angle: 0 and every distinct crossing angle of a member, ascending,
+    and the best member rank just after each, from each member's loop
+    trajectory."""
+    tracks = [_loop_trajectory(kept[:, 0] - kept[c, 0], kept[:, 1] - kept[c, 1],
+                               ids, ids[c]) for c in cols]
+    angles = np.unique(np.concatenate([[0.0]] + [a for a, _, _ in tracks]))
+    after = np.full(angles.size, ids.size)
+    for a, states, _ in tracks:
+        after = np.minimum(after, states[np.searchsorted(a, angles, side="right")])
+    return angles, after
 
 
 def _loop_trajectory(du, dv, ids, t):

@@ -35,7 +35,7 @@ from rankregret.evaluate import (
 from rankregret.sweep2d import float_order_radius, member_rank_steps
 
 from conftest import anticorrelated, grid_with_duplicates, random_dataset, tids
-from oracles import rank_by_definition, sampled_rank_regret
+from oracles import float_member_steps, rank_by_definition, sampled_rank_regret
 
 
 class TestEstimate:
@@ -237,7 +237,7 @@ class TestEstimate2DSteps:
 
     def test_near_tie_mask(self):
         kernel = RankRegretKernel(self.TIE_VALUES, [0], slack=score_slack(2))
-        steps = member_rank_steps(kernel)
+        steps = member_rank_steps(kernel, exact=False)  # as the estimate reads
         radius = float_order_radius(kernel)
         assert steps.angles.tolist() == [0.0, np.pi / 4, np.arctan(5 / 3),
                                          np.arctan(3)]
@@ -253,6 +253,22 @@ class TestEstimate2DSteps:
         for theta, rank in zip(far, ranks[len(near) + 1:]):
             assert rank == rank_by_definition(
                 self.TIE_VALUES, [np.cos(theta), np.sin(theta)], 0)
+
+    def test_float_groups_follow_the_float_trajectories(self):
+        # rounded values put members' crossings in near runs, which the
+        # float groups, unlike the exact ones, keep in float order
+        rng = np.random.default_rng(74)
+        for _ in range(40):
+            n = int(rng.integers(5, 80))
+            values = np.round(anticorrelated(rng, n, 2), int(rng.integers(1, 3)))
+            members = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)),
+                                 replace=False)
+            kernel = RankRegretKernel(values, members, slack=score_slack(2))
+            steps = member_rank_steps(kernel, exact=False)
+            angles, after = float_member_steps(kernel.kept, kernel.rows,
+                                               kernel.member_cols)
+            assert steps.angles.tolist() == angles.tolist()
+            assert steps.after.tolist() == after.tolist()
 
     def test_samples_at_a_crossing_go_to_the_kernel(self, monkeypatch, caplog):
         cross = np.pi / 4

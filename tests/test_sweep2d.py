@@ -149,8 +149,10 @@ IDENTITY_INPUTS = {
 
 
 def range_bits(ranges):
-    """(id, begin, end) with the floats as hex strings: equal bit for bit."""
-    return [(int(t), float(b).hex(), float(e).hex()) for t, b, e in ranges]
+    """(id, begin, end, ...) with the floats as hex strings: equal bit
+    for bit."""
+    return [(int(t), float(b).hex(), float(e).hex(), *rest)
+            for t, b, e, *rest in ranges]
 
 
 class TestBatchedTrajectories:
@@ -168,7 +170,10 @@ class TestBatchedTrajectories:
             n = int(rng.integers(2, 50))
             ds = Dataset(IDENTITY_INPUTS[kind](rng, n))
             for k in sorted({1, 2, max(1, n // 3), n - 1, n} - {0}):
-                got = [(r.tuple_id, r.begin, r.end) for r in find_ranges(ds, k)]
+                # a span holds the point at an end where that end's
+                # element is even
+                got = [(r.tuple_id, r.begin, r.end, r.first % 2 == 0,
+                        r.last % 2 == 0) for r in find_ranges(ds, k)]
                 assert range_bits(got) == range_bits(loop_find_ranges(ds.values, k))
 
     @pytest.mark.parametrize("block", [1, 2])
