@@ -3,7 +3,7 @@
 Subcommands: solve, ksets, eval, dual, bench.  Input is delimited text
 with a header row; rows with missing or non-numeric values in the
 selected columns are dropped (and counted).  Exit codes: 0 success,
-2 input problems, 3 configuration problems, 4 numerical failures.
+2 input problems, 3 configuration problems, 4 any other failure.
 """
 
 import argparse
@@ -31,6 +31,7 @@ from .errors import (
     KOutOfRange,
     LPNumericalFailure,
     MalformedKSetFile,
+    MalformedMembersFile,
     NoUsableRows,
     NonFiniteValue,
     RankRegretError,
@@ -41,9 +42,9 @@ from .kset import collection_to_lines, load_collection, save_collection
 log = logging.getLogger(__name__)
 
 INPUT_ERRORS = (FileNotFoundError, NoUsableRows, ConstantAttribute, NonFiniteValue,
-                MalformedKSetFile)
+                MalformedKSetFile, MalformedMembersFile)
 CONFIG_ERRORS = (ConfigError, KOutOfRange, DimensionNot2D, DimensionMismatch,
-                 EmptySubset, ValueError)
+                 EmptySubset)
 NUMERIC_ERRORS = (LPNumericalFailure, UncoverableSpace, EmptyCollection)
 
 
@@ -114,6 +115,14 @@ def _split_list(text: Optional[str]) -> Optional[List[str]]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _numbers(text: str, kind, flag: str) -> list:
+    try:
+        return [kind(part) for part in _split_list(text)]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated numbers, "
+                          f"not {text!r}") from None
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -167,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "file in the ksets line format")
     p_solve.add_argument("--c", type=int, default=ev.DEFAULT_SAMPLER_C,
                          help="termination counter of the random k-set collector")
-    p_solve.add_argument("--depth-cap", type=int, help="mdrc recursion cap")
     p_solve.add_argument("--samples", type=int, default=ev.DEFAULT_SAMPLES,
                          help="functions sampled when estimating rank-regret")
     p_solve.add_argument("--eval", choices=["auto", "exact", "estimate"],
@@ -195,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("--algo", default="mdrc",
                         choices=["2drrr", "mdrrr", "mdrc"])
     p_dual.add_argument("--c", type=int, default=ev.DEFAULT_SAMPLER_C)
-    p_dual.add_argument("--depth-cap", type=int)
-    p_dual.add_argument("--samples", type=int, default=ev.DEFAULT_SAMPLES)
 
     p_bench = sub.add_parser("bench", parents=[data],
                              help="run a benchmark grid")
@@ -208,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated seeds (one run per seed)")
     p_bench.add_argument("--samples", type=int, default=ev.DEFAULT_SAMPLES)
     p_bench.add_argument("--c", type=int, default=ev.DEFAULT_SAMPLER_C)
-    p_bench.add_argument("--depth-cap", type=int)
     p_bench.add_argument("--jsonl", help="write JSON-lines report here")
     p_bench.add_argument("--csv", help="write CSV summary here")
     return parser
@@ -219,8 +224,6 @@ def _cmd_solve(args) -> int:
                  args.delimiter)
     dataset = ing.dataset
     k = ev.resolve_k(dataset.n, args.k, args.k_pct)
-    if args.algo == "2drrr" and dataset.d != 2:
-        raise ConfigError("2drrr requires exactly two attributes")
     seed = _resolve_seed(args)
     start = time.perf_counter()
     if args.ksets_file:
@@ -229,7 +232,6 @@ def _cmd_solve(args) -> int:
         rep = _solve_from_kset_file(dataset, args.ksets_file, k, seed)
     else:
         rep = ev.run_algorithm(args.algo, dataset, k, seed=seed, c=args.c,
-                               depth_cap=args.depth_cap,
                                kset_source=args.source)
     elapsed = time.perf_counter() - start
     report = ev.evaluate_representative(dataset, rep, samples=args.samples,
@@ -289,15 +291,20 @@ def _cmd_eval(args) -> int:
     ing = ingest(args.input, _split_list(args.cols), _split_list(args.dirs),
                  args.delimiter)
     dataset = ing.dataset
-    if args.members:
-        members = [int(t) for t in _split_list(args.members)]
+    if args.members is not None:
+        members = _numbers(args.members, int, "--members")
     else:
         with open(args.members_file, "r", encoding="utf-8") as fh:
-            members = json.load(fh)["member_ids"]
+            try:
+                members = [int(t) for t in json.load(fh)["member_ids"]]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise MalformedMembersFile(
+                    f"{args.members_file} has no integer member_ids list "
+                    f"({type(exc).__name__}: {exc})") from None
     seed = _resolve_seed(args)
     regret, exact, samples = ev.measure_rank_regret(
         dataset, members, samples=args.samples, seed=seed, mode=args.eval)
-    payload = {"member_ids": sorted(int(t) for t in members),
+    payload = {"member_ids": sorted(members),
                "rank_regret": regret, "exact": exact,
                "samples": samples, "seed": seed, "n": dataset.n, "d": dataset.d}
     _write(json.dumps(payload, indent=2) + "\n", args.output)
@@ -307,12 +314,9 @@ def _cmd_eval(args) -> int:
 def _cmd_dual(args) -> int:
     ing = ingest(args.input, _split_list(args.cols), _split_list(args.dirs),
                  args.delimiter)
-    dataset = ing.dataset
-    if args.algo == "2drrr" and dataset.d != 2:
-        raise ConfigError("2drrr requires exactly two attributes")
     seed = _resolve_seed(args)
-    k, rep = ev.dual_problem(dataset, args.size_budget, solver=args.algo,
-                             seed=seed, c=args.c, depth_cap=args.depth_cap)
+    k, rep = ev.dual_problem(ing.dataset, args.size_budget, solver=args.algo,
+                             seed=seed, c=args.c)
     payload = {"k": k, "size_budget": args.size_budget,
                "algorithm": rep.algorithm, "seed": seed,
                "member_ids": rep.sorted_members(), "params": rep.params}
@@ -325,17 +329,16 @@ def _cmd_bench(args) -> int:
                  args.delimiter)
     dataset = ing.dataset
     if args.ks:
-        k_values = [int(k) for k in _split_list(args.ks)]
+        k_values = _numbers(args.ks, int, "--ks")
     elif args.k_pcts:
-        k_values = [ev.resolve_k(dataset.n, k_pct=float(p))
-                    for p in _split_list(args.k_pcts)]
+        k_values = [ev.resolve_k(dataset.n, k_pct=p)
+                    for p in _numbers(args.k_pcts, float, "--k-pcts")]
     else:
         k_values = [ev.resolve_k(dataset.n, k_pct=1.0)]
-    seeds = [int(s) for s in _split_list(args.seeds)]
+    seeds = _numbers(args.seeds, int, "--seeds")
     algorithms = _split_list(args.algos)
     reports = ev.run_benchmark(dataset, algorithms, k_values, seeds,
-                               samples=args.samples, c=args.c,
-                               depth_cap=args.depth_cap)
+                               samples=args.samples, c=args.c)
     jsonl = ev.reports_to_jsonl(reports)
     if args.jsonl:
         with open(args.jsonl, "w", encoding="utf-8") as fh:
@@ -371,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except CONFIG_ERRORS as exc:
             _emit_error(exc, 3)
             return 3
-        except RankRegretError as exc:
+        except (RankRegretError, ValueError) as exc:
             _emit_error(exc, 4)
             return 4
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     AngleOutOfRange,
+    ConfigError,
     ConstantAttribute,
     DimensionMismatch,
     DimensionNot2D,
@@ -42,14 +43,12 @@ def block_rows(width: int) -> int:
 class Dataset:
     """An immutable n x d matrix of tuples with values normalized to [0, 1].
 
-    Tuple ids are the row indices.  The optional ``directions`` record the
-    per-attribute preference used during ingestion; they play no role in
-    any computation afterwards.
+    Tuple ids are the row indices.
     """
 
-    __slots__ = ("values", "directions")
+    __slots__ = ("values",)
 
-    def __init__(self, values, directions: Optional[Sequence[str]] = None):
+    def __init__(self, values):
         arr = np.array(values, dtype=np.float64, copy=True)
         if arr.ndim != 2:
             raise ValueError("dataset values must be a 2-D array")
@@ -61,7 +60,6 @@ class Dataset:
             raise ValueError("dataset values must lie in [0, 1]; normalize first")
         arr.setflags(write=False)
         self.values = arr
-        self.directions = tuple(directions) if directions is not None else None
 
     @property
     def n(self) -> int:
@@ -182,7 +180,7 @@ def normalize(raw, directions: Sequence[str],
     for j, direction in enumerate(dirs):
         if direction == "lower":
             out[:, j] = (hi[j] - arr[:, j]) / span[j]
-    return Dataset(out, directions=dirs)
+    return Dataset(out)
 
 
 def _parse_direction(value: str) -> str:
@@ -191,7 +189,7 @@ def _parse_direction(value: str) -> str:
         return "higher"
     if v in ("lower", "low", "l", "-"):
         return "lower"
-    raise ValueError(f"unknown preference direction {value!r}")
+    raise ConfigError(f"unknown preference direction {value!r}")
 
 
 def score(values, function: LinearFunction):
@@ -356,7 +354,7 @@ class RankRegretKernel:
         if not members:
             raise EmptySubset("subset must contain at least one tuple id")
         if members[0] < 0 or members[-1] >= values.shape[0]:
-            raise ValueError("subset contains unknown tuple ids")
+            raise ConfigError("subset contains unknown tuple ids")
         self.members = np.array(members, dtype=np.int64)  # ascending
         self.rows = member_survivors(values, self.members)
         self.kept = values[self.rows]

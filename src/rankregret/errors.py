@@ -57,5 +57,9 @@ class MalformedKSetFile(RankRegretError, ValueError):
     """A k-set file does not parse, or names a tuple the dataset lacks."""
 
 
-class ConfigError(RankRegretError):
-    """Invalid run configuration (bad algorithm/k/dimension combination)."""
+class MalformedMembersFile(RankRegretError, ValueError):
+    """A members file is not solve's JSON with a list of integer member_ids."""
+
+
+class ConfigError(RankRegretError, ValueError):
+    """Invalid run configuration: a value or input shape the run cannot use."""

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Dataset, RankRegretKernel, Representative, score_slack
-from .errors import KOutOfRange
+from .errors import ConfigError, KOutOfRange
 from .hitting import mdrrr
 from .kset import (
     KSetCollection,
@@ -102,7 +102,7 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     values, d = dataset.values, dataset.d
     kernel = RankRegretKernel(values, subset, slack=score_slack(d))
     if samples < 1:
-        raise ValueError("samples must be positive")
+        raise ConfigError("samples must be positive")
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
     radius = float_order_radius(kernel) if d == 2 else math.inf
@@ -140,6 +140,8 @@ def resolve_k(n: int, k: Optional[int] = None, k_pct: Optional[float] = None) ->
     if (k is None) == (k_pct is None):
         raise ValueError("exactly one of k and k_pct must be given")
     if k_pct is not None:
+        if not 0 < k_pct <= 100:  # also NaN and infinity
+            raise KOutOfRange(f"k_pct={k_pct} not in (0, 100]")
         k = math.ceil(k_pct / 100.0 * n)
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} not in [1, {n}]")
@@ -178,7 +180,6 @@ def collect_ksets(dataset: Dataset, k: int, source: str, *,
 def run_algorithm(name: str, dataset: Dataset, k: int, *,
                   seed: Optional[int] = None,
                   c: int = DEFAULT_SAMPLER_C,
-                  depth_cap: Optional[int] = None,
                   kset_source: Optional[str] = None) -> Representative:
     """Dispatch a solver by name.
 
@@ -190,7 +191,7 @@ def run_algorithm(name: str, dataset: Dataset, k: int, *,
         rep = rrr_2d(dataset, k)
         return replace(rep, seed=seed)
     if name == "mdrc":
-        rep = mdrc(dataset, k, depth_cap=depth_cap)
+        rep = mdrc(dataset, k)
         return replace(rep, seed=seed)
     if name == "mdrrr":
         source = kset_source or ("sweep2d" if dataset.d == 2 else "random")
@@ -233,7 +234,7 @@ def dual_problem(dataset: Dataset, size_budget: int, solver: str = "mdrc",
     k = n, so a feasible k always exists for budgets >= 1.
     """
     if not 1 <= size_budget <= dataset.n:
-        raise ValueError(f"size budget {size_budget} not in [1, {dataset.n}]")
+        raise ConfigError(f"size budget {size_budget} not in [1, {dataset.n}]")
     lo, hi = 1, dataset.n
     best = None
     while lo <= hi:
@@ -288,9 +289,7 @@ def evaluate_representative(dataset: Dataset, rep: Representative, *,
 def run_benchmark(dataset: Dataset, algorithms: Sequence[str],
                   k_values: Sequence[int], seeds: Sequence[int], *,
                   samples: int = DEFAULT_SAMPLES,
-                  c: int = DEFAULT_SAMPLER_C,
-                  depth_cap: Optional[int] = None,
-                  eval_mode: str = "auto") -> List[EvaluationReport]:
+                  c: int = DEFAULT_SAMPLER_C) -> List[EvaluationReport]:
     """One report per (algorithm, k, seed); wall time covers the solve only.
 
     Failures become reports with the error recorded instead of raising, so
@@ -303,11 +302,11 @@ def run_benchmark(dataset: Dataset, algorithms: Sequence[str],
                 start = time.perf_counter()
                 try:
                     rep = run_algorithm(name, dataset, int(k), seed=int(seed),
-                                        c=c, depth_cap=depth_cap)
+                                        c=c)
                     elapsed = time.perf_counter() - start
                     reports.append(evaluate_representative(
                         dataset, rep, samples=samples, seed=int(seed),
-                        mode=eval_mode, wall_time_seconds=elapsed))
+                        wall_time_seconds=elapsed))
                 except Exception as exc:  # recorded, not raised
                     elapsed = time.perf_counter() - start
                     reports.append(EvaluationReport(

@@ -17,7 +17,8 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from .core import Dataset, LinearFunction, top_k, top_k_many
-from .errors import KOutOfRange, LPNumericalFailure, MalformedKSetFile
+from .errors import (ConfigError, KOutOfRange, LPNumericalFailure,
+                     MalformedKSetFile)
 from .simplex import simplex_max
 
 log = logging.getLogger(__name__)
@@ -212,7 +213,7 @@ def sample_functions(rng: np.random.Generator, d: int, count: int) -> np.ndarray
     drawing m then m' more matches one draw of m + m'.
     """
     if d < 2:
-        raise ValueError("sampling requires d >= 2")
+        raise ConfigError("sampling requires d >= 2")
     if count < 1:
         raise ValueError("count must be positive")
     pairs = (d + 1) // 2
@@ -252,7 +253,7 @@ def collect_ksets_random(dataset: Dataset, k: int, c: int,
     final state are those of drawing one function at a time.
     """
     if c < 1:
-        raise ValueError("termination counter c must be >= 1")
+        raise ConfigError("termination counter c must be >= 1")
     if not 1 <= k <= dataset.n:
         raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
     seen = set()
@@ -285,11 +286,11 @@ def collection_to_lines(collection: KSetCollection) -> List[str]:
     return lines
 
 
-def collection_from_lines(lines: Iterable[str], complete: bool = False,
+def collection_from_lines(lines: Iterable[str],
                           d: Optional[int] = None) -> KSetCollection:
-    """Parse the wire format; a line that does not parse, a set without k
-    members, mixed k values, a witness whose length is not ``d`` (or that
-    of the first witness) and an empty input raise MalformedKSetFile."""
+    """Parse the wire format (never known to be complete); a line that does
+    not parse, a set without k members, mixed k values, a witness whose
+    length is not ``d`` (or the first's) and no sets raise MalformedKSetFile."""
     sets: List[KSet] = []
     k = None
     for number, raw in enumerate(lines, 1):
@@ -328,7 +329,7 @@ def collection_from_lines(lines: Iterable[str], complete: bool = False,
         sets.append(KSet(members, witness))
     if k is None:
         raise MalformedKSetFile("no k-sets in input")
-    return KSetCollection(sets=sets, k=k, complete=complete, d=d)
+    return KSetCollection(sets=sets, k=k, complete=False, d=d)
 
 
 def save_collection(collection: KSetCollection, path) -> None:
@@ -336,7 +337,6 @@ def save_collection(collection: KSetCollection, path) -> None:
         fh.write("\n".join(collection_to_lines(collection)) + "\n")
 
 
-def load_collection(path, complete: bool = False,
-                    d: Optional[int] = None) -> KSetCollection:
+def load_collection(path, d: Optional[int] = None) -> KSetCollection:
     with open(path, "r", encoding="utf-8") as fh:
-        return collection_from_lines(fh, complete=complete, d=d)
+        return collection_from_lines(fh, d=d)

@@ -24,7 +24,7 @@ leaves would pass ``MAX_BOXES``, are closed without the rank bound.
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -37,11 +37,11 @@ from .core import (
     top_k,  # noqa: F401  (perfbench's tracer wraps mdrc.top_k)
     top_k_ids,
 )
-from .errors import KOutOfRange
+from .errors import ConfigError, KOutOfRange
 
 log = logging.getLogger(__name__)
 
-#: default recursion cap: 48 halvings per angle dimension
+#: halvings per angle; a box split fewer times has its midpoint strictly inside
 DEPTH_CAP_PER_DIM = 48
 
 #: most leaves a run may make: when the next level would take the leaves
@@ -95,22 +95,22 @@ class _Run(NamedTuple):
     stopped: str      # "complete", "depth_cap" or "budget"
 
 
-def partition_function_space(dataset: Dataset, k: int,
-                             depth_cap: Optional[int] = None):
+def partition_function_space(dataset: Dataset, k: int):
     """Partition the angle box until every leaf has an assigned tuple.
 
     Returns (leaves, tree): the list of leaf boxes, in depth-first order,
     and a JSON-ready nested tree of the recursion (every internal node has
     exactly two children).  A box at depth l is split on angle l % (d-1).
-    A box still open at ``depth_cap``, or when the next level would take
-    the leaves and open boxes past ``MAX_BOXES``, is closed by assigning
-    the top-1 tuple of its centroid function; such leaves are marked as
-    not carrying the rank bound, and one warning per run counts them.
+    A box still open at ``DEPTH_CAP_PER_DIM`` halvings per angle, or when
+    the next level would take the leaves and open boxes past ``MAX_BOXES``,
+    is closed by assigning the top-1 tuple of its centroid function; such
+    leaves are marked as not carrying the rank bound, and one warning per
+    run counts them.
     """
     levels = [(lv.lo.tolist(), lv.hi.tolist(), lv.assigned.tolist(),
                lv.guaranteed.tolist(),
                (2 * np.cumsum(lv.assigned < 0) - 2).tolist())  # first child
-              for lv in _partition(dataset, k, depth_cap).levels]
+              for lv in _partition(dataset, k).levels]
     leaves: List[LeafBox] = []
     tree: dict = {}
     stack = [(0, 0, None)]  # (level, box, the parent's children list)
@@ -134,15 +134,14 @@ def partition_function_space(dataset: Dataset, k: int,
     return leaves, tree
 
 
-def _partition(dataset: Dataset, k: int, depth_cap: Optional[int]) -> _Run:
+def _partition(dataset: Dataset, k: int) -> _Run:
     if dataset.d < 2:
-        raise ValueError("partitioning requires d >= 2")
+        raise ConfigError("partitioning requires d >= 2")
     if not 1 <= k <= dataset.n:
         raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
-    if depth_cap is None:
-        depth_cap = DEPTH_CAP_PER_DIM * (dataset.d - 1)
 
     dims = dataset.d - 1
+    depth_cap = DEPTH_CAP_PER_DIM * dims
     # corner c takes the high end of dimension i where bit dims-1-i of c
     # is set, which is the order of corners()
     high = ((np.arange(1 << dims)[:, None] >> np.arange(dims)[::-1]) & 1
@@ -204,20 +203,12 @@ def _split(dataset: Dataset, k: int, lo: np.ndarray, hi: np.ndarray,
     low_side = ~high[:, dim]  # the corners the low half keeps
     face = np.where(high[low_side], hi[:, None, :], lo[:, None, :])
     face[:, :, dim] = mid[:, None]
-    # past ~50 halvings a float midpoint can equal an end; the face
-    # corners are then the parent's own corners on that end
-    face_idx = np.empty((len(lo), int(low_side.sum())), dtype=np.intp)
-    at_lo = mid == lo[:, dim]
-    at_hi = (mid == hi[:, dim]) & ~at_lo
-    face_idx[at_lo] = cidx[at_lo][:, low_side]
-    face_idx[at_hi] = cidx[at_hi][:, ~low_side]
-    new = ~(at_lo | at_hi)
     # one opaque value per corner, equal exactly where the angles' float
     # bits are, so one 1-D unique dedupes the corners of neighbouring boxes
     dims, c = lo.shape[1], cidx.shape[1]
-    bits = face[new].view(np.dtype((np.void, 8 * dims))).ravel()
+    bits = face.view(np.dtype((np.void, 8 * dims))).ravel()
     unique, inverse = np.unique(bits, return_inverse=True)
-    face_idx[new] = len(table) + inverse.reshape(-1, face_idx.shape[1])
+    face_idx = len(table) + inverse.reshape(len(lo), -1)
     angles = unique.view(np.float64).reshape(-1, dims)
     table = np.concatenate(
         [table, top_k_ids(dataset, angle_weights(angles), k)])
@@ -234,16 +225,16 @@ def _split(dataset: Dataset, k: int, lo: np.ndarray, hi: np.ndarray,
             table, len(unique))
 
 
-def mdrc(dataset: Dataset, k: int,
-         depth_cap: Optional[int] = None) -> Representative:
+def mdrc(dataset: Dataset, k: int) -> Representative:
     """Function-space partitioning representative.
 
     The deduplicated set of leaf assignments; its rank-regret is at most
     d*k when every leaf carries the bound (in practice usually around k).
     ``params["stopped"]`` says whether the run was "complete" or closed
-    boxes at the "depth_cap" or at the ``MAX_BOXES`` "budget".
+    boxes at the "depth_cap" (``params["depth_cap"]``, ``DEPTH_CAP_PER_DIM``
+    levels per angle) or at the ``MAX_BOXES`` "budget".
     """
-    run = _partition(dataset, k, depth_cap)
+    run = _partition(dataset, k)
     assigned = np.concatenate([lv.assigned for lv in run.levels])
     guaranteed = np.concatenate([lv.guaranteed for lv in run.levels])
     leaves = assigned >= 0

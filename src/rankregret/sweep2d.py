@@ -572,9 +572,13 @@ def _ratio_groups(points: np.ndarray, rows: np.ndarray, partners: np.ndarray):
 
 def _ratio(points: np.ndarray, t: int, u: int) -> Fraction:
     """tan of the exact angle at which rows ``t`` and ``u`` score equally,
-    from the stored doubles."""
-    return ((Fraction(points[u, 0]) - Fraction(points[t, 0]))
-            / (Fraction(points[t, 1]) - Fraction(points[u, 1])))
+    from the stored doubles: each is an integer over a power of two, so
+    on the largest of the four denominators the ratio is one of integers."""
+    (a, p), (b, q) = points[u, 0].as_integer_ratio(), points[t, 0].as_integer_ratio()
+    (c, r), (e, s) = points[t, 1].as_integer_ratio(), points[u, 1].as_integer_ratio()
+    scale = max(p, q, r, s)
+    return Fraction(a * (scale // p) - b * (scale // q),
+                    c * (scale // r) - e * (scale // s))
 
 
 def exact_rank_regret_2d(dataset: Dataset, subset) -> int:

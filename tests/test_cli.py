@@ -347,16 +347,69 @@ class TestExitCodes:
     def test_2drrr_needs_2d(self, tmp_path, capsys):
         path = tmp_path / "three.csv"
         path.write_text("a,b,c\n1,2,3\n4,5,6\n7,8,9\n")
-        code = main(["solve", str(path), "--algo", "2drrr", "--k", "1",
-                     "--seed", "0"])
-        assert code == 3
-        assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
-        # the exact 2-D k-set sweep is refused the same way
-        for argv in (["ksets", str(path), "--source", "sweep2d", "--k", "1"],
+        # the 2-D solver and the exact 2-D k-set sweep refuse it the same way
+        for argv in (["solve", str(path), "--algo", "2drrr", "--k", "1",
+                      "--seed", "0"],
+                     ["dual", str(path), "--size-budget", "1", "--algo",
+                      "2drrr", "--seed", "0"],
+                     ["ksets", str(path), "--source", "sweep2d", "--k", "1"],
                      ["solve", str(path), "--algo", "mdrrr", "--source",
                       "sweep2d", "--k", "1", "--seed", "0"]):
             assert main(argv) == 3
             assert json.loads(capsys.readouterr().out)["error"] == "DimensionNot2D"
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (["eval", "{fig1}", "--members", "0", "--eval", "estimate",
+          "--samples", "0"], 3, "ConfigError"),
+        (["solve", "{fig1}", "--algo", "mdrrr", "--source", "random",
+          "--k", "2", "--c", "0"], 3, "ConfigError"),
+        (["solve", "{fig1}", "--algo", "mdrc", "--k", "2",
+          "--dirs", "higher,sideways"], 3, "ConfigError"),
+        (["eval", "{fig1}", "--members", "0,7"], 3, "ConfigError"),
+        (["eval", "{fig1}", "--members", "0,x"], 3, "ConfigError"),
+        (["eval", "{fig1}", "--members", ""], 3, "EmptySubset"),
+        (["dual", "{fig1}", "--size-budget", "0"], 3, "ConfigError"),
+        (["bench", "{fig1}", "--ks", "2.5"], 3, "ConfigError"),
+        (["bench", "{fig1}", "--k-pcts", "x"], 3, "ConfigError"),
+        (["solve", "{fig1}", "--algo", "mdrc", "--k-pct", "inf"], 3,
+         "KOutOfRange"),
+        (["solve", "{fig1}", "--algo", "mdrc", "--k-pct", "nan"], 3,
+         "KOutOfRange"),
+        (["bench", "{fig1}", "--ks", "2", "--seeds", "0,one"], 3,
+         "ConfigError"),
+        (["solve", "{one}", "--algo", "mdrc", "--k", "1"], 3, "ConfigError"),
+        (["solve", "{one}", "--algo", "mdrrr", "--k", "1"], 3, "ConfigError"),
+        (["eval", "{one}", "--members", "0"], 3, "ConfigError"),
+        (["eval", "{fig1}", "--members-file", "{fig1}"], 2,
+         "MalformedMembersFile"),
+        (["eval", "{fig1}", "--members-file", "{no_ids}"], 2,
+         "MalformedMembersFile"),
+        (["eval", "{fig1}", "--members-file", "{text_ids}"], 2,
+         "MalformedMembersFile"),
+    ])
+    def test_exit_code_by_cause(self, argv, code, error, fig1_csv, tmp_path,
+                                capsys):
+        files = {"fig1": fig1_csv}
+        for name, text in (("one", "a\n1\n2\n3\n"),
+                           ("no_ids", '{"members": [0]}'),
+                           ("text_ids", '{"member_ids": [0, "x"]}')):
+            files[name] = str(tmp_path / name)
+            (tmp_path / name).write_text(text)
+        argv = [arg.format(**files) for arg in argv] + ["--seed", "0"]
+        assert main(argv) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["exit_code"], payload["error"]) == (code, error)
+
+    def test_other_value_errors_are_failures(self, fig1_csv, capsys,
+                                             monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a numeric fault")
+
+        monkeypatch.setattr(importlib.import_module("rankregret.evaluate"),
+                            "run_algorithm", broken)
+        assert main(["solve", fig1_csv, "--algo", "mdrc", "--k", "2",
+                     "--seed", "0"]) == 4
+        assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
 
     def test_k_out_of_range_is_config_error(self, fig1_csv, capsys):
         code = main(["solve", fig1_csv, "--algo", "mdrc", "--k", "0",

@@ -400,9 +400,10 @@ class TestBenchmark:
             assert ra.exact  # 2-D and small, so the sweep value is used
             assert 1 <= ra.rank_regret <= fig1.n
 
-    def test_estimate_mode_records_samples(self, fig1):
-        (report,) = run_benchmark(fig1, ["mdrc"], [2], [0], samples=300,
-                                  eval_mode="estimate")
+    def test_estimate_mode_records_samples(self):
+        # beyond 2-D the benchmark estimates
+        ds = random_dataset(np.random.default_rng(70), 30, 3)
+        (report,) = run_benchmark(ds, ["mdrc"], [2], [0], samples=300)
         assert not report.exact
         assert report.samples == 300
 

@@ -290,8 +290,8 @@ class TestSerialization:
         col = enumerate_ksets_2d(fig1, 2)
         lines = collection_to_lines(col)
         assert all(line.startswith("k=2;members=") for line in lines)
-        back = collection_from_lines(lines, complete=True)
-        assert back.k == 2 and back.d == 2
+        back = collection_from_lines(lines)
+        assert back.k == 2 and back.d == 2 and not back.complete
         assert {s.members for s in back.sets} == {s.members for s in col.sets}
         for orig, loaded in zip(col.sets, back.sets):
             assert np.array_equal(orig.witness.weights, loaded.witness.weights)
@@ -305,7 +305,8 @@ class TestSerialization:
         col = enumerate_ksets_graph(fig1, 2)
         path = tmp_path / "sets.txt"
         save_collection(col, path)
-        back = load_collection(path, complete=True)
+        back = load_collection(path)
+        assert not back.complete
         assert {s.members for s in back.sets} == {s.members for s in col.sets}
 
     def test_mixed_k_rejected(self):

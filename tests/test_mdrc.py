@@ -26,6 +26,15 @@ HALF_PI = np.pi / 2
 mdrc_module = importlib.import_module("rankregret.mdrc")
 
 
+def tied_at(angles, n, rng):
+    """n rows that score equally under the function at ``angles``, spread
+    around the centre of [0, 1]^d in random directions on its level set."""
+    w = angles_to_weights(angles).weights
+    plane = np.linalg.svd(w[None, :])[2][1:]  # orthonormal, perpendicular to w
+    u = rng.normal(size=(n, w.size - 1))
+    return 0.5 + 0.3 * (u / np.linalg.norm(u, axis=1, keepdims=True)) @ plane
+
+
 class TestCorners:
     def test_1d_interval(self):
         rect = HyperRectangle(((0.0, HALF_PI),))
@@ -43,9 +52,10 @@ class TestCorners:
         assert all(c[0] in (0.0, HALF_PI / 2) for c in got)
         assert len(got) == 4
 
-    def test_round_robin_split_dimension(self):
+    def test_round_robin_split_dimension(self, monkeypatch):
+        monkeypatch.setattr(mdrc_module, "DEPTH_CAP_PER_DIM", 2)
         _, tree = partition_function_space(
-            random_dataset(np.random.default_rng(9), 40, 4), 1, depth_cap=6)
+            random_dataset(np.random.default_rng(9), 40, 4), 1)
         stack, seen = [tree], set()
         while stack:
             node = stack.pop()
@@ -82,30 +92,34 @@ class TestMdrc:
         est = estimate_rank_regret(ds, rep.members, 10_000, rng)
         assert est <= 3 * k
 
-    def test_depth_cap_fallback(self):
+    def test_depth_cap_fallback(self, monkeypatch):
         # two axis points never share a top-1 on boxes straddling pi/4,
         # so the recursion dives until the cap closes the box
+        monkeypatch.setattr(mdrc_module, "DEPTH_CAP_PER_DIM", 10)
         ds = Dataset([[1.0, 0.0], [0.0, 1.0]])
-        rep = mdrc(ds, 1, depth_cap=10)
+        rep = mdrc(ds, 1)
         assert rep.members == {0, 1}
         assert not rep.bound_guaranteed
-        leaves, _ = partition_function_space(ds, 1, depth_cap=10)
+        leaves, _ = partition_function_space(ds, 1)
         assert any(not leaf.guaranteed for leaf in leaves)
         assert any(leaf.box.level == 10 for leaf in leaves)
 
-    def test_cap_in_force_reported(self, fig1):
+    def test_cap_in_force_reported(self, fig1, monkeypatch):
         assert mdrc(fig1, 2).params["depth_cap"] == 48
         rep = mdrc(Dataset(np.random.default_rng(0).random((30, 4))), 6)
         assert rep.params["depth_cap"] == 144
         assert rep.params["stopped"] == "complete"
-        assert mdrc(fig1, 2, depth_cap=3).params["depth_cap"] == 3
+        monkeypatch.setattr(mdrc_module, "DEPTH_CAP_PER_DIM", 3)
+        assert mdrc(fig1, 2).params["depth_cap"] == 3
 
-    def test_depth_capped_leaves_logged_once_and_counted(self, caplog):
+    def test_depth_capped_leaves_logged_once_and_counted(self, caplog,
+                                                         monkeypatch):
+        monkeypatch.setattr(mdrc_module, "DEPTH_CAP_PER_DIM", 3)
         ds = Dataset(grid_with_duplicates(np.random.default_rng(0), 56, 5))
-        leaves, _ = partition_function_space(ds, 5, depth_cap=12)
+        leaves, _ = partition_function_space(ds, 5)
         caplog.clear()
         with caplog.at_level("WARNING", logger="rankregret.mdrc"):
-            rep = mdrc(ds, 5, depth_cap=12)
+            rep = mdrc(ds, 5)
         assert len(caplog.records) == 1
         capped = sum(not leaf.guaranteed for leaf in leaves)
         assert capped > 1
@@ -117,39 +131,43 @@ class TestMdrc:
 
 class TestBoxBudget:
     @staticmethod
-    def inputs():
+    def inputs(monkeypatch):
+        """(dataset, k) pairs, each with the depth cap per angle it runs at
+        set in ``mdrc``."""
         rng = np.random.default_rng(72)
-        yield random_dataset(rng, 80, 3), 4, None
-        yield Dataset(anticorrelated(rng, 120, 4)), 3, None
-        yield Dataset(grid_with_duplicates(rng, 60, 3)), 3, 10
-        yield Dataset(rng.random((50, 3))), 1, 16
+        for ds, k, cap_per_dim in (
+                (random_dataset(rng, 80, 3), 4, 48),
+                (Dataset(anticorrelated(rng, 120, 4)), 3, 48),
+                (Dataset(grid_with_duplicates(rng, 60, 3)), 3, 5),
+                (Dataset(rng.random((50, 3))), 1, 8)):
+            monkeypatch.undo()
+            monkeypatch.setattr(mdrc_module, "DEPTH_CAP_PER_DIM", cap_per_dim)
+            yield ds, k
 
     def test_a_budget_the_run_fits_changes_nothing(self, monkeypatch):
-        for ds, k, cap in self.inputs():
-            monkeypatch.undo()
-            free = mdrc(ds, k, depth_cap=cap)
-            free_leaves = partition_function_space(ds, k, cap)
+        for ds, k in self.inputs(monkeypatch):
+            free = mdrc(ds, k)
+            free_leaves = partition_function_space(ds, k)
             assert free.params["stopped"] != "budget"
             need = free.params["leaves"]
             for budget in (need, need + 1, 10 * need):
                 monkeypatch.setattr(mdrc_module, "MAX_BOXES", budget)
-                rep = mdrc(ds, k, depth_cap=cap)
+                rep = mdrc(ds, k)
                 assert rep.members == free.members
                 assert rep.bound_guaranteed == free.bound_guaranteed
                 assert rep.params == {**free.params, "max_boxes": budget}
-                assert partition_function_space(ds, k, cap) == free_leaves
+                assert partition_function_space(ds, k) == free_leaves
 
     def test_a_tight_budget_closes_the_open_boxes(self, caplog, monkeypatch):
         rng = np.random.default_rng(73)
-        for ds, k, cap in self.inputs():
-            monkeypatch.undo()
-            need = mdrc(ds, k, depth_cap=cap).params["leaves"]
+        for ds, k in self.inputs(monkeypatch):
+            need = mdrc(ds, k).params["leaves"]
             for budget in (1, 2, need // 3, need - 1):
                 monkeypatch.setattr(mdrc_module, "MAX_BOXES", budget)
-                leaves, _ = partition_function_space(ds, k, cap)
+                leaves, _ = partition_function_space(ds, k)
                 caplog.clear()
                 with caplog.at_level("WARNING", logger="rankregret.mdrc"):
-                    rep = mdrc(ds, k, depth_cap=cap)
+                    rep = mdrc(ds, k)
                 assert rep.params["stopped"] == "budget"
                 assert not rep.bound_guaranteed
                 assert len(leaves) == rep.params["leaves"] <= budget
@@ -230,6 +248,17 @@ class TestPartition:
         parsed = json.loads(json.dumps(tree))
         assert parsed["ranges"] == [[0.0, HALF_PI]]
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_tree_of_a_run_at_the_depth_cap_is_json_serializable(self, d):
+        # 2(d-1) rows tie under one function, and around it their top-(d-1)
+        # sets share no row: the boxes holding it split to the cap
+        ds = Dataset(tied_at([0.6, 0.9, 0.7][:d - 1], 2 * (d - 1),
+                             np.random.default_rng(0)))
+        leaves, tree = partition_function_space(ds, d - 1)
+        assert mdrc(ds, d - 1).params["stopped"] == "depth_cap"
+        assert max(leaf.box.level for leaf in leaves) == 48 * (d - 1)
+        assert json.loads(json.dumps(tree))["depth"] == 0
+
 
 class TestSameAsDepthFirst:
     """The level-by-level partition against a depth-first recursion that
@@ -237,14 +266,18 @@ class TestSameAsDepthFirst:
     mdrc's members and counters are those of the recursion's leaves."""
 
     @staticmethod
-    def check(values, k, depth_cap=None):
-        leaves, tree = partition_function_space(Dataset(values), k, depth_cap)
+    def check(values, k, cap_per_dim=48):
+        values = np.asarray(values, dtype=np.float64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mdrc_module, "DEPTH_CAP_PER_DIM", cap_per_dim)
+            leaves, tree = partition_function_space(Dataset(values), k)
+            rep = mdrc(Dataset(values), k)
         expected_leaves, expected_tree, expected_corners = recursive_partition(
-            values, k, depth_cap)
+            values, k, cap_per_dim * (values.shape[1] - 1))
         assert [(leaf.box.ranges, leaf.box.level, leaf.assigned, leaf.guaranteed)
                 for leaf in leaves] == expected_leaves
         assert json.dumps(tree) == json.dumps(expected_tree)
-        rep = mdrc(Dataset(values), k, depth_cap)
+        assert rep.params["depth_cap"] == cap_per_dim * (values.shape[1] - 1)
         capped = sum(not guaranteed for *_, guaranteed in expected_leaves)
         assert rep.members == {assigned for _, _, assigned, _ in expected_leaves}
         assert rep.params["leaves"] == len(expected_leaves)
@@ -268,13 +301,13 @@ class TestSameAsDepthFirst:
             for _ in range(4):
                 n = int(rng.integers(20, 100))
                 self.check(grid_with_duplicates(rng, n, d),
-                           int(rng.integers(2, 6)), depth_cap=6 * (d - 1))
+                           int(rng.integers(2, 6)), cap_per_dim=6)
 
     def test_depth_capped_run(self):
-        leaves = self.check(np.array([[1.0, 0.0], [0.0, 1.0]]), 1, depth_cap=10)
+        leaves = self.check(np.array([[1.0, 0.0], [0.0, 1.0]]), 1, cap_per_dim=10)
         assert not all(leaf.guaranteed for leaf in leaves)
         leaves = self.check(grid_with_duplicates(np.random.default_rng(71), 60, 4),
-                            4, depth_cap=6)
+                            4, cap_per_dim=2)
         assert not all(leaf.guaranteed for leaf in leaves)
 
     @pytest.mark.parametrize("d, k", [(3, 1), (4, 2)])
@@ -283,18 +316,20 @@ class TestSameAsDepthFirst:
         # the top-k sets around share no member; the boxes on them are
         # split until the cap closes them
         leaves = self.check(np.random.default_rng(0).random((50, d)), k,
-                            depth_cap=12)
+                            cap_per_dim=12 // (d - 1))
         assert not all(leaf.guaranteed for leaf in leaves)
 
-    def test_float_midpoints_reach_the_ends(self):
-        # about 54 halvings around the top-1 boundary the float midpoint
-        # of a box rounds to one of its ends: the boxes below have zero
-        # width, and their face corners are their parent's
-        for second in (1.0, 0.7):  # rounds to the low end, the high end
-            leaves = self.check(np.array([[1.0, 0.0], [0.0, second]]), 1,
-                                depth_cap=150)
-            assert any(lo == hi for leaf in leaves
-                       for lo, hi in leaf.box.ranges)
+    @pytest.mark.parametrize("values", [
+        [[1.0, 0.0], [0.0, 1.0]],  # the top-1 boundary at pi/4
+        [[0.001, 0.999999], [0.0, 1.0]],  # near pi/2
+        [[1.0, 0.0], [0.999999, 0.001]],  # near 0
+    ])
+    def test_midpoints_inside_their_boxes_at_the_default_cap(self, values):
+        # the boxes on the top-1 boundary split to the cap, and every
+        # float midpoint stays strictly between its box's ends
+        leaves = self.check(values, 1)
+        assert max(leaf.box.level for leaf in leaves) == 48
+        assert all(lo < hi for leaf in leaves for lo, hi in leaf.box.ranges)
 
     def test_corners_counted(self, fig1):
         rep = mdrc(fig1, 2)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -447,6 +449,21 @@ class TestEnumerate2d:
         # misses a set of MISORDERED that holds for one float step
         got = [s.members for s in enumerate_ksets_2d(Dataset(vals), k).sets]
         assert got == rational_ksets_2d(vals, k)
+
+    def test_ratio_of_the_doubles(self):
+        # the integer form against the difference of Fractions of floats,
+        # on uniform, 3-decimal, i/7 and tied doubles and extreme exponents
+        rng = np.random.default_rng(14)
+        points = np.concatenate([
+            rng.random((100, 2)), np.round(rng.random((100, 2)), 3),
+            rng.integers(0, 8, (100, 2)) / 7,
+            grid_with_duplicates(rng, 100, 2),
+            [[0.0, 1.0], [1.0, 0.0], [5e-324, 2.0 ** -60], [1 - 2.0 ** -53, 0.5]]])
+        for t, u in rng.integers(0, len(points), (4000, 2)).tolist():
+            if points[t, 1] != points[u, 1]:
+                expected = ((Fraction(points[u, 0]) - Fraction(points[t, 0]))
+                            / (Fraction(points[t, 1]) - Fraction(points[u, 1])))
+                assert sweep2d._ratio(points, t, u) == expected
 
     def test_floats_decide_away_from_near_ties(self, monkeypatch):
         calls, ratio = [], sweep2d._ratio
