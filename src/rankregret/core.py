@@ -248,12 +248,20 @@ def top_k_ids(dataset: Dataset, weights, k: int) -> np.ndarray:
     an (m, k) array of ids, ascending along each row.
 
     Blocks of about SCORE_BLOCK_BYTES of scores are taken by one matrix
-    product, and one argpartition keeps each row's k+1 best.  That product
-    may round differently from :func:`top_k`'s, so a row's k best are
-    taken only where its k-th and (k+1)-th scores are more than
+    product.  Each row's k+1 best are selected from group maxima: with
+    G = 8 columns per group where n >= 8(k+2) (else G = 1) and g = ceil(n/G)
+    groups, group j holds columns j, j+g, j+2g, ...  (padded past n with
+    scores below every row's).  One argpartition finds the k+1 groups with
+    the largest maxima, and one more keeps the k+1 best of their (k+1)G
+    columns.  A score above the (k+1)-th largest group maximum lies in a
+    chosen group, and a score in another group is at most every chosen
+    group's maximum, so these are the k+1 best values of the whole row.
+
+    That product may round differently from :func:`top_k`'s, so a row's
+    k best are taken only where its k-th and (k+1)-th scores are more than
     :func:`score_slack` times the weight norm apart, which no rounding
-    can reorder; every other row (ties, near-ties and k = n) is sent to
-    :func:`top_k` itself.
+    can reorder; every other row (ties and near-ties) is sent to
+    :func:`top_k` itself.  With k = n every row holds every id.
     """
     n, d = dataset.n, dataset.d
     if not 1 <= k <= n:
@@ -265,19 +273,31 @@ def top_k_ids(dataset: Dataset, weights, k: int) -> np.ndarray:
         raise NonFiniteValue("weights contain non-finite values")
     if w.size and (w.min() < 0 or not np.all(w.max(axis=1) > 0)):
         raise ValueError("weights must be non-negative with a positive entry")
+    if k == n:
+        return np.tile(np.arange(n, dtype=np.intp), (len(w), 1))
     out = np.empty((len(w), k), dtype=np.intp)
-    unclear = np.ones(len(w), dtype=bool)
-    if k < n:
-        slack = score_slack(d) * np.linalg.norm(w, axis=1)
-        values_t = dataset.values.T
-        block = block_rows(n)
-        for lo in range(0, len(w), block):
-            scores = w[lo:lo + block] @ values_t
-            best = np.argpartition(scores, n - k - 1, axis=1)[:, n - k - 1:]
-            picked = np.take_along_axis(scores, best, axis=1)
-            unclear[lo:lo + block] = (picked[:, 1:].min(axis=1) - picked[:, 0]
-                                      <= slack[lo:lo + block])
-            out[lo:lo + block] = best[:, 1:]
+    unclear = np.empty(len(w), dtype=bool)
+    slack = score_slack(d) * np.linalg.norm(w, axis=1)
+    size = 8 if n >= 8 * (k + 2) else 1  # so that g >= k + 2
+    groups = -(-n // size)
+    # a padding column scores -sum(w), below every row's score
+    values_t = np.full((d, size * groups), -1.0)
+    values_t[:, :n] = dataset.values.T
+    offsets = groups * np.arange(size)[:, None]
+    block = block_rows(values_t.shape[1])
+    for lo in range(0, len(w), block):
+        scores = w[lo:lo + block] @ values_t
+        row = np.arange(len(scores))[:, None]
+        maxima = scores.reshape(len(scores), size, groups).max(axis=1)
+        chosen = np.argpartition(maxima, groups - k - 1, axis=1)[:, groups - k - 1:]
+        cols = (chosen[:, None, :] + offsets).reshape(len(scores), -1)
+        candidates = scores[row, cols]
+        best = np.argpartition(candidates, cols.shape[1] - k - 1,
+                               axis=1)[:, cols.shape[1] - k - 1:]
+        picked = candidates[row, best]
+        unclear[lo:lo + block] = (picked[:, 1:].min(axis=1) - picked[:, 0]
+                                  <= slack[lo:lo + block])
+        out[lo:lo + block] = cols[row, best[:, 1:]]
     for r in np.flatnonzero(unclear).tolist():
         out[r] = sorted(top_k(dataset, LinearFunction(w[r]), k))
     out.sort(axis=1)
@@ -334,11 +354,12 @@ class RankRegretKernel:
 
     Only the rows of :func:`member_survivors` (``rows``, values ``kept``)
     are scored, which leaves the best member's rank unchanged.  Callers
-    score blocks of ``block`` functions (about SCORE_BLOCK_BYTES of scores)
-    with their own arithmetic and fold each in with :meth:`add`.  Per
-    block, one pass counts the rows scoring at least the best member's
-    score, which bounds its rank from above; ranks are computed only for
-    the functions whose bound exceeds the running maximum ``worst``.
+    hand blocks of ``block`` unit weight vectors (about SCORE_BLOCK_BYTES
+    of scores) to :meth:`add_weights`, or score the blocks with their own
+    arithmetic and fold each in with :meth:`add`.  Per block, one pass
+    counts the rows scoring at least the best member's score, which bounds
+    its rank from above; ranks are computed only for the functions whose
+    bound exceeds the running maximum ``worst``.
 
     ``slack`` bounds how far the block scores may round differently from
     the caller's reference arithmetic.  A rank is read off the block only
@@ -362,6 +383,49 @@ class RankRegretKernel:
         self.block = block_rows(self.rows.size)
         self.slack = slack
         self.worst = 0
+        others = np.ones(self.rows.size, dtype=bool)
+        others[self.member_cols] = False
+        self.screen_t = np.ascontiguousarray(  # members first
+            np.concatenate((self.kept[self.member_cols], self.kept[others])).T,
+            dtype=np.float32)
+        d = values.shape[1]
+        self.margin = np.float32(slack + score_slack(d) / 2
+                                 + 4 * (d + 2) * math.sqrt(d) * 2.0 ** -24)
+
+    def add_weights(self, weights: np.ndarray, reference=None) -> None:
+        """Fold in a block of functions, one unit weight vector per row,
+        screened in float32 first; ``reference`` is as for :meth:`add`.
+
+        The block is scored against ``screen_t``, the kept rows in
+        float32, members first.  With values in [0, 1] and unit weights a
+        score is at most sqrt(d), so rounding the weights and values to
+        float32 and summing d products moves it by at most
+        gamma_{d+2} sqrt(d), about (d+2) sqrt(d) 2^-24 (Higham, Accuracy
+        and Stability of Numerical Algorithms, section 3.1), while the
+        float64 product errs by at most score_slack(d)/4.  A row that
+        :meth:`add` counts scores within ``slack`` of the best member in
+        float64, so in float32 it scores within ``margin`` = slack +
+        score_slack(d)/2 + 4(d+2) sqrt(d) 2^-24 of the float32 best
+        member: twice each side's error, and twice again the float32 term,
+        which also covers forming ``best - margin`` in float32.  So a
+        function's float32 near count bounds the count :meth:`add` would
+        take, and the functions whose near count is at most ``worst``
+        leave it unchanged.  Only the others are scored in float64 over
+        ``kept`` and handed to :meth:`add`, so ``worst`` comes out as if
+        the whole block had been.  Every function counts its own best
+        member, so when the near counts exceed the block's length by less
+        than ``worst`` none can be above it and the block ends there.
+        """
+        scores = weights.astype(np.float32) @ self.screen_t
+        best = scores[:, :self.members.size].max(axis=1, keepdims=True)
+        near = np.flatnonzero(scores >= best - self.margin)
+        if near.size - len(weights) < self.worst:
+            return
+        counts = np.bincount(near // scores.shape[1], minlength=len(weights))
+        hot = np.flatnonzero(counts > self.worst)
+        if hot.size:
+            self.add(weights[hot] @ self.kept.T,
+                     None if reference is None else lambda: reference()[hot])
 
     def add(self, scores: np.ndarray, reference=None) -> None:
         """Fold in the scores of ``kept`` under a block of functions, one

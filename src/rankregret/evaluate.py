@@ -80,11 +80,15 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     matrix product with all n rows fixes the rounding of every score.
     ``core.RankRegretKernel`` drops the rows that a member beats by more
     than NUMERIC_TOL on every attribute (such a row scores strictly below
-    that member under every function) and bounds each function's rank in
-    one comparison pass over the product with the remaining rows.  That
-    product rounds differently in the last bits, so where another row
-    scores within a few ulps of the best member the full product decides
-    the ties.  The estimate is the same as scoring all n rows.
+    that member under every function).  Each block of functions goes to
+    its ``add_weights``, which scores the remaining rows in float32 first
+    and scores in float64 only the functions whose float32 count of rows
+    near the best member, a bound on their rank whatever the rounding,
+    exceeds the running maximum.  Those are bounded in one comparison pass
+    over the float64 product with the remaining rows.  That product
+    rounds differently in the last bits, so where another row scores
+    within a few ulps of the best member the full product decides the
+    ties.  The estimate is the same as scoring all n rows.
 
     In 2-D a function's rank is read off the members' rank steps
     (``sweep2d.member_rank_steps``, in float order) at its angle
@@ -107,7 +111,6 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
         rng = np.random.Generator(np.random.PCG64(0))
     radius = float_order_radius(kernel) if d == 2 else math.inf
     steps = member_rank_steps(kernel, exact=False) if radius < math.inf else None
-    kept_t = kernel.kept.T
     chunk = max(1, min(1024, (1 << 22) // dataset.n))
     worst = sent = 0
     for lo in range(0, samples, chunk):
@@ -122,7 +125,7 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
         sent += len(weights)
         for start in range(0, len(weights), kernel.block):
             block = slice(start, start + kernel.block)
-            kernel.add(weights[block] @ kept_t, lambda f=full, b=block: f()[b])
+            kernel.add_weights(weights[block], lambda f=full, b=block: f()[b])
     if d == 2:
         log.debug("2-D estimate: %d of %d sampled functions scored by the "
                   "kernel%s", sent, samples,

@@ -197,6 +197,14 @@ class TestTopKMany:
                           np.abs(rng.standard_normal((60, d))),
                           rng.integers(0, 3, size=(20, d)) + axes[0]])
 
+    @staticmethod
+    def check(ds, w, k):
+        expected = [top_k(ds, LinearFunction(row), k) for row in w]
+        assert top_k_many(ds, w, k) == expected
+        ids = top_k_ids(ds, w, k)
+        assert ids.shape == (len(w), k)
+        assert ids.tolist() == [sorted(s) for s in expected]
+
     @pytest.mark.parametrize("make", [
         lambda rng, n, d: rng.random((n, d)), anticorrelated,
         grid_with_duplicates])
@@ -207,11 +215,27 @@ class TestTopKMany:
             ds = Dataset(make(rng, n, d))
             w = self.weights(rng, d)
             for k in (1, 2, n // 3, n - 1, n):
-                expected = [top_k(ds, LinearFunction(row), k) for row in w]
-                assert top_k_many(ds, w, k) == expected
-                ids = top_k_ids(ds, w, k)
-                assert ids.shape == (len(w), k)
-                assert ids.tolist() == [sorted(s) for s in expected]
+                self.check(ds, w, k)
+            # groups of 8 columns from n = 8(k+2) on, padded where 8 does
+            # not divide n
+            k = int(rng.integers(1, 8))
+            for n in (8 * (k + 2) - 1, 8 * (k + 2), 8 * (k + 2) + 1,
+                      8 * (k + 2) + 3):
+                self.check(Dataset(make(rng, n, d)), self.weights(rng, d), k)
+
+    def test_ties_within_and_across_groups(self):
+        # for k <= 4, n = 51 gives 7 groups of 8 columns: columns 2 and 9
+        # share group 2, and columns 4 and 5 lie in groups 4 and 5
+        rng = np.random.default_rng(20)
+        values = rng.random((51, 3)) * 0.5
+        values[[2, 9]] = [0.9, 0.8, 0.85]
+        values[[4, 5]] = [0.8, 0.7, 0.75]
+        ds = Dataset(values)
+        w = np.vstack([np.ones((1, 3)), np.abs(rng.standard_normal((30, 3)))])
+        for k in (1, 2, 3, 4, 5, 50, 51):
+            self.check(ds, w, k)
+        assert top_k_ids(ds, w[:1], 2).tolist() == [[2, 9]]
+        assert top_k_ids(ds, w[:1], 4).tolist() == [[2, 4, 5, 9]]
 
     def test_ties_go_to_top_k(self, monkeypatch):
         calls = []
@@ -236,6 +260,8 @@ class TestTopKMany:
         w = np.abs(rng.standard_normal((10, 3)))
         assert top_k_many(ds, w, 4) == [top_k(ds, LinearFunction(row), 4)
                                         for row in w]
+        # groups of 8 columns: 70 rows padded to 72, blocks of 1 function
+        self.check(random_dataset(rng, 70, 3), w, 4)
         assert top_k_many(ds, np.empty((0, 3)), 4) == []
         assert top_k_ids(ds, np.empty((0, 3)), 4).shape == (0, 4)
 

@@ -161,6 +161,19 @@ class TestEstimateMatchesTwoPass:
         assert estimate_rank_regret(Dataset(values), [1], 2000,
                                     np.random.default_rng(0)) == 2
 
+    def test_rows_float32_cannot_order(self):
+        # each member has a shadow 2**-26 above it on every attribute,
+        # with a larger id: rounded to float32 the two mostly score alike,
+        # while in float64 the shadow is ahead by far more than score_slack
+        rng = np.random.default_rng(68)
+        for d in range(2, 6):
+            values = rng.random((200, d)) * 0.9
+            members = rng.choice(100, size=4, replace=False)
+            values[100 + members] = values[members] + 2.0 ** -26
+            for seed in range(3):
+                self.check(values, members, 3000, seed)
+                self.check(values, members[:1], 500, seed)
+
     def test_every_non_member_pruned(self):
         values = np.random.default_rng(64).random((200, 4)) * 0.9
         values[7] = 1.0
@@ -314,6 +327,29 @@ class TestRankRegretKernel:
         kernel = RankRegretKernel(values, [1])
         kernel.add(block)
         assert kernel.worst == 1
+
+    def test_screen_counts_rows_float32_misorders(self):
+        # member 0 holds float32 values with spacing u = 2**-25; row 1 is
+        # 0.45 u above it on the first attribute and 0.55 u below it on the
+        # second, so it is ahead in float64 wherever w1 >= 1.25 w2, while
+        # its float32 copy equals the member but for one u less on the
+        # second attribute
+        rng = np.random.default_rng(69)
+        u = 2.0 ** -25
+        for d in range(2, 6):
+            for _ in range(50):
+                member = rng.uniform(0.25, 0.5, d).astype(np.float32)
+                row = member.astype(np.float64)
+                row[0] += 0.45 * u
+                row[1] -= 0.55 * u
+                kernel = RankRegretKernel(np.vstack([member, row]), [0],
+                                          slack=score_slack(d))
+                kernel.add_weights(np.eye(d)[1:2])  # row 1 behind
+                assert kernel.worst == 1
+                w = np.abs(rng.standard_normal(d))
+                w[0] = max(w[0], 1.25 * w[1])
+                kernel.add_weights(w[None, :] / np.linalg.norm(w))
+                assert kernel.worst == 2
 
 
 class TestResolveK:
