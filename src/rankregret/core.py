@@ -330,21 +330,18 @@ def member_survivors(values: np.ndarray, members: np.ndarray) -> np.ndarray:
     errs by about 1e-15.  So it never outranks the best member, not even
     by a tie, at the axis rays included.
     """
-    n, d = values.shape
-    is_member = np.zeros(n, dtype=bool)
+    is_member = np.zeros(values.shape[0], dtype=bool)
     is_member[members] = True
-    pruners = values[members] - NUMERIC_TOL
-    # the strongest members first, so most rows go in the first blocks
-    pruners = pruners[np.argsort(-pruners.sum(axis=1), kind="stable")]
-    alive = np.flatnonzero(~is_member)
-    lo = 0
-    while lo < len(pruners) and alive.size:
-        step = max(1, (1 << 18) // (alive.size * d))
-        block = pruners[lo:lo + step]
-        beaten = (values[alive][None, :, :] < block[:, None, :]).all(axis=2)
-        alive = alive[~beaten.any(axis=0)]
-        lo += step
-    is_member[alive] = True
+    rows = np.flatnonzero(~is_member)
+    rows_t = np.ascontiguousarray(values[rows].T)
+    pruners_t = np.ascontiguousarray((values[members] - NUMERIC_TOL).T)
+    step = max(1, (1 << 19) // len(members))
+    for lo in range(0, rows.size, step):
+        # (rows x members): whether the member beats the row on every attribute
+        beaten = rows_t[0, lo:lo + step, None] < pruners_t[0]
+        for column, pruner in zip(rows_t[1:], pruners_t[1:]):
+            beaten &= column[lo:lo + step, None] < pruner
+        is_member[rows[lo:lo + step][~beaten.any(axis=1)]] = True
     return np.flatnonzero(is_member)
 
 

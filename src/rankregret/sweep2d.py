@@ -6,7 +6,7 @@ once along it, so a tuple's rank is a step function of theta that moves
 by one at each of its crossings with another tuple, where the two tie
 and the smaller id ranks first.  ``_rank_trajectories`` computes these
 step functions for a block of tuples at once.  The k-level of the
-k-skyband's trajectories (``_level_events``) is where the top-k set
+candidates' trajectories (``_level_events``) is where the top-k set
 changes; crossings that floats cannot order (within NEAR_TIE_ULPS) are
 ordered and grouped by exact ratio.  Its groups cut the sweep into
 elements: the point 0, each group as a point, the open segments between
@@ -22,6 +22,34 @@ maximum, and ``evaluate.estimate_rank_regret`` looks each sampled
 function's rank up at its angle, in float order.  A sample within
 ``float_order_radius`` of a crossing angle or of 0 or pi/2 is scored by
 its matrix product instead.
+
+The k-level is computed over the candidates (``_candidates``) alone, and
+it is the k-level of all tuples:
+
+1. A dropped tuple ranks below k at every angle.  ``_candidates`` drops
+   u only where, on each slab of one of its passes, k other tuples score
+   above u at both ends of the slab in exact arithmetic, and so strictly
+   above u throughout the slab.
+2. Every tuple scoring at least as high as an event's tuple t at the
+   event's group angle theta is a candidate.  Were such a u dropped, by
+   1 it would have k tuples scoring strictly above it at theta, so
+   strictly above t at theta and, scores being continuous in the angle,
+   just before and just after theta too.  Then t would rank below k at,
+   before and after theta, but an event's tuple ranks within k on one
+   side of its group (it enters or leaves the top k there) or at it
+   (change 0).  In particular t's partners at theta, whose float angles
+   place the event, are candidates.
+3. At any angle a candidate's rank among the candidates is at most its
+   rank r among all tuples.  Where r <= k, every tuple ahead of it ranks
+   within k, so by 1 is a candidate and the two ranks are equal; where
+   r > k, the k tuples ranking first are candidates ahead of it.  So the
+   ranks are within k at the same angles, and the top k just after 0
+   and the events' changes are those of all tuples.  By 2 an event's
+   rank ``at`` its group counts every tuple ahead of t there, so it is
+   the rank among all tuples, and the ``at <= k`` events and the
+   extension of a range to a point where the rank is at most 2k are
+   unchanged.  Every tuple ranking within k somewhere, the axes
+   included, is a candidate.
 """
 
 import math
@@ -101,27 +129,30 @@ def find_ranges(dataset: Dataset, k: int) -> List[AngularRange]:
     equal crossings of the k-level (``_level_events``) and pi/2; the odd
     elements between them are open segments, each with one top k.  A
     tuple spans the hull of the elements where its rank is at most k,
-    extended to an adjacent point where it is at most 2k; tuples with k
-    dominators rank within k only at 0 or pi/2, if anywhere.  ``begin``
-    and ``end`` are the float angles of the points at or around the
-    span's ends, for reporting.  Tuples that cover nothing are omitted.
+    extended to an adjacent point where it is at most 2k.  The k-level
+    is computed over the candidates alone (``_candidates``), the tuples
+    that may rank within k somewhere, and the ranks at 0 and pi/2 over
+    all tuples.  ``begin`` and ``end`` are the float angles of the points
+    at or around the span's ends, for reporting.  Tuples that cover
+    nothing are omitted.
     """
     return _top_k_ranges(dataset, k)[0]
 
 
 def _top_k_ranges(dataset: Dataset,
-                  k: int) -> Tuple[List[AngularRange], np.ndarray]:
-    """``find_ranges`` and the float width of each element of the sweep
-    (0 for the points)."""
+                  k: int) -> Tuple[List[AngularRange], np.ndarray, int]:
+    """``find_ranges``, the float width of each element of the sweep (0
+    for the points) and the number of candidates the k-level was computed
+    over (all n where k >= n)."""
     _require_2d(dataset)
     if not 1 <= k <= dataset.n:
         raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
     values, n = dataset.values, dataset.n
     if k >= n:
         return ([AngularRange(t, 0.0, HALF_PI, 0, 2) for t in range(n)],
-                np.array([0.0, HALF_PI, 0.0]))
-    skyband = np.flatnonzero(dominator_counts(values) < k)
-    level = _level_events(values[skyband], skyband, k)
+                np.array([0.0, HALF_PI, 0.0]), n)
+    rows = _candidates(values, k)
+    level = _level_events(values[rows], rows, k)
     g = level.angles.size
     end = 2 * g + 2  # the point pi/2
     point = 2 * np.repeat(np.arange(g), np.diff(level.bounds)) + 2
@@ -157,7 +188,7 @@ def _top_k_ranges(dataset: Dataset,
         keep.tolist(), fence[lo[keep] // 2].tolist(),
         fence[(hi[keep] + 1) // 2].tolist(), lo[keep].tolist(),
         hi[keep].tolist())]
-    return ranges, widths
+    return ranges, widths, rows.size
 
 
 def _axis_ranks(x: np.ndarray) -> np.ndarray:
@@ -242,41 +273,52 @@ def _crossings(du: np.ndarray,
     return angles, passing
 
 
-def dominator_counts(values: np.ndarray) -> np.ndarray:
-    """For each tuple, how many others dominate it: are >= on both
-    attributes and > on one.  Tuples with k dominators are in no top k
-    (the k-skyband holds those with fewer).
+#: slabs of ``_candidates``' threshold pass over all rows and of its
+#: pairwise pass over the rows that pass it
+_THRESHOLD_SLABS, _PAIR_SLABS = 16, 4
 
-    The tuples are ordered by descending x1, then descending x2, so that
-    the dominators of a tuple all precede it; the count of preceding
-    tuples with x2 >= its own is summed over the O(log n) levels of a
-    bottom-up merge, each one vectorized sort and two searchsorted.
-    Preceding exact duplicates, which are not dominators, are subtracted
-    at the end.
+#: comparisons per block of ``_candidates``' pairwise pass
+_PAIR_BLOCK = 1 << 20
+
+
+def _candidates(values: np.ndarray, k: int) -> np.ndarray:
+    """Ascending ids of the rows that may rank within k at some angle in
+    [0, pi/2], the axes included: every other row has, on each slab of
+    one of two passes, k rows scoring above it at both ends of the slab.
+
+    The slabs cut [0, pi/2] at equal angles.  On a slab of width < pi the
+    score difference of two rows, a sinusoid in the angle, changes sign at
+    most once, so a row beaten at both ends of a slab is beaten strictly
+    throughout it (the module docstring shows why the k-level over these
+    rows is the k-level of all rows).  The threshold pass drops a row
+    whose larger end score on each of _THRESHOLD_SLABS slabs is below the
+    k-th largest smaller end score there; the pairwise pass drops a row
+    that, on each of _PAIR_SLABS slabs, k rows left by the first pass beat
+    at both ends.  Both take a margin of 4 score_slack(2), which the
+    errors of two float scores together cannot span, so every comparison
+    they take also holds in exact arithmetic.
     """
-    n = values.shape[0]
-    x1, x2 = values[:, 0], values[:, 1]
-    order = np.lexsort((-x2, -x1))
-    rank = np.unique(x2, return_inverse=True)[1].reshape(-1)[order]
-    stride = n + 1  # block * stride + rank sorts by block, then by rank
-    pos = np.arange(n)
-    weak = np.zeros(n, dtype=np.int64)
-    width = 1
-    while width < n:
-        block = pos // (2 * width)
-        right = (pos // width) % 2 == 1
-        left_keys = np.sort(block[~right] * stride + rank[~right])
-        q_block, q_keys = block[right], block[right] * stride + rank[right]
-        weak[right] += (np.searchsorted(left_keys, (q_block + 1) * stride)
-                        - np.searchsorted(left_keys, q_keys))
-        width *= 2
-    x1_sorted = x1[order]
-    same = np.zeros(n, dtype=bool)
-    same[1:] = (x1_sorted[1:] == x1_sorted[:-1]) & (rank[1:] == rank[:-1])
-    weak -= pos - np.maximum.accumulate(np.where(same, 0, pos))
-    out = np.empty(n, dtype=np.int64)
-    out[order] = weak
-    return out
+    n, eps = values.shape[0], 4 * score_slack(2)
+    ends = np.linspace(0.0, HALF_PI, _THRESHOLD_SLABS + 1)
+    weights = np.stack((np.cos(ends), np.sin(ends)))
+    weights[:, -1] = 0.0, 1.0  # exactly pi/2, as cos(HALF_PI) is not 0
+    scores = values @ weights
+    low = np.minimum(scores[:, :-1], scores[:, 1:])
+    high = np.maximum(scores[:, :-1], scores[:, 1:])
+    tau = np.partition(low, n - k, axis=0)[n - k]
+    kept = np.flatnonzero((high >= tau - eps).any(axis=1))
+    ends_t = np.ascontiguousarray(
+        scores[kept][:, ::_THRESHOLD_SLABS // _PAIR_SLABS].T)
+    step = max(1, _PAIR_BLOCK // kept.size)
+    beaten = np.zeros(kept.size, dtype=bool)
+    for lo in range(0, kept.size, step):
+        # the rows of the block that k rows beat on every slab so far
+        rows = np.arange(lo, min(lo + step, kept.size))
+        for a, b in zip(ends_t[:-1], ends_t[1:]):
+            both = (a > a[rows, None] + eps) & (b > b[rows, None] + eps)
+            rows = rows[np.count_nonzero(both, axis=1) >= k]
+        beaten[rows] = True
+    return kept[~beaten]
 
 
 def cover_2d(ranges: List[AngularRange], widths) -> frozenset:
@@ -351,12 +393,14 @@ def rrr_2d(dataset: Dataset, k: int) -> Representative:
     is at most 2k: a tuple outranking a member inside the member's span
     outranks it at one end of the span, where the member's rank is at
     most k (at most 2k at a point the span was extended to).  ``params``
-    report the number of ranges and of elements.
+    report the number of ranges, of elements and of the candidates the
+    k-level was computed over.
     """
-    ranges, widths = _top_k_ranges(dataset, k)
+    ranges, widths, candidates = _top_k_ranges(dataset, k)
     return Representative(members=cover_2d(ranges, widths), algorithm="2drrr",
                           params={"k": k, "ranges": len(ranges),
-                                  "elements": len(widths)})
+                                  "elements": len(widths),
+                                  "candidates": candidates})
 
 
 #: a float crossing angle lies within 4 representable steps of the exact
@@ -374,9 +418,9 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
     off the k-level of the rank trajectories (``ExchangeSweep``).  Each
     set carries a witness function (``angles_to_weights``) from the
     middle of the first angle interval on which it is the top-k.  Only
-    the k-skyband is walked: every tuple that outranks a top-k member is
-    itself in the top k, so dropping the tuples with k dominators changes
-    neither the top-k sets nor the angles at which they change.
+    the candidates (``_candidates``) are walked: every other tuple ranks
+    below k at every angle, so dropping them changes neither the top-k
+    sets nor the angles at which they change (see the module docstring).
 
     The crossings are ordered and grouped exactly (``_level_events``).  A
     set that holds only between two groups at the same float angle has no
@@ -385,8 +429,8 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
     _require_2d(dataset)
     if not 1 <= k <= dataset.n:
         raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
-    skyband = np.flatnonzero(dominator_counts(dataset.values) < k)
-    sweep = ExchangeSweep(dataset.values[skyband], k, skyband)
+    rows = _candidates(dataset.values, k)
+    sweep = ExchangeSweep(dataset.values[rows], k, rows)
     segments = [(sweep.top(), 0.0)]
     for theta, _ in sweep.batches():
         current = sweep.top()

@@ -22,7 +22,7 @@ from rankregret.errors import (
     UncoverableSpace,
 )
 from rankregret import sweep2d
-from rankregret.sweep2d import AngularRange, dominator_counts
+from rankregret.sweep2d import AngularRange
 
 from conftest import (
     FIG1_VALUES,
@@ -208,18 +208,58 @@ def anticorrelated_values(rng, n):
     return np.column_stack([x, np.clip(1.0 - x + rng.normal(0, 0.05, n), 0, 1)])
 
 
-class TestDominatorCounts:
-    def test_matches_definition(self):
-        # grid data with duplicate rows, plus one larger tie-free input
+def level_arrays(vals, rows, k):
+    """The arrays of the k-level of ``vals`` computed over ``rows``."""
+    level = sweep2d._level_events(vals[rows], rows, k)
+    return [level.top, level.bounds, level.angles, level.tuples, level.change,
+            level.at]
+
+
+class TestCandidates:
+    def test_same_k_level_as_the_skyband(self):
+        # i/q grids with duplicate rows, plus 300 uniform inputs: the
+        # k-level over the candidates is array for array the one over the
+        # k-skyband
         rng = np.random.default_rng(53)
         inputs = [grid_values(rng, int(rng.integers(1, 60)),
                               steps=int(rng.integers(1, 5))) for _ in range(60)]
         inputs += [grid_with_duplicates(rng, int(rng.integers(1, 60)), 2)
                    for _ in range(30)]
-        inputs.append(rng.random((300, 2)))
+        inputs += [rng.random((int(rng.integers(1, 120)), 2)) for _ in range(300)]
         for vals in inputs:
-            assert np.array_equal(dominator_counts(vals),
-                                  dominators_by_definition(vals))
+            n = len(vals)
+            for k in {k for k in (1, 2, 3, n // 2, n) if 1 <= k <= n}:
+                rows = sweep2d._candidates(vals, k)
+                skyband = np.flatnonzero(dominators_by_definition(vals) < k)
+                for got, want in zip(level_arrays(vals, rows, k),
+                                     level_arrays(vals, skyband, k)):
+                    assert np.array_equal(got, want), (n, k)
+
+    def test_every_kset_member_is_a_candidate(self):
+        # the exact top-k sets between the crossings, at them and at the axes
+        rng = np.random.default_rng(54)
+        for i in range(60):
+            n = int(rng.integers(2, 25))
+            if i % 3 == 0:
+                vals = grid_with_duplicates(rng, n, 2)
+            elif i % 3 == 1:
+                vals = np.round(anticorrelated_values(rng, n), 2)
+            else:
+                vals = rng.random((n, 2))
+            for k in sorted({1, 2, max(1, n // 2), n - 1}):
+                rows = set(sweep2d._candidates(vals, k).tolist())
+                for members in (rational_ksets_2d(vals, k)
+                                + rational_point_topk_2d(vals, k)):
+                    assert members <= rows, (i, k)
+
+    def test_drops_rows_the_skyband_keeps(self):
+        # on the plane-large kind of input, anti-correlated and rounded,
+        # the slabs keep far fewer rows than the k-skyband
+        vals = np.round(anticorrelated_values(np.random.default_rng(55), 1500), 3)
+        skyband = np.count_nonzero(dominators_by_definition(vals) < 15)
+        assert 2 * sweep2d._candidates(vals, 15).size < skyband
+        assert rrr_2d(Dataset(vals), 15).params["candidates"] == \
+            sweep2d._candidates(vals, 15).size
 
 
 def span(t, first, last):
@@ -241,7 +281,7 @@ class TestCover:
     segments and the point pi/2, each of a float width."""
 
     def test_fig1_cover(self, fig1):
-        assert cover_2d(*sweep2d._top_k_ranges(fig1, 2)) == tids("t3", "t1")
+        assert cover_2d(*sweep2d._top_k_ranges(fig1, 2)[:2]) == tids("t3", "t1")
 
     def test_single_full_range(self):
         assert cover_2d([span(4, 0, 2)], [0.0, HALF_PI, 0.0]) == {4}
@@ -274,7 +314,7 @@ class TestCover:
             n = int(rng.integers(3, 120))
             k = min(int(rng.integers(1, 8)), n)
             vals = grid_with_duplicates(rng, n, 2) if i % 2 else rng.random((n, 2))
-            ranges, widths = sweep2d._top_k_ranges(Dataset(vals), k)
+            ranges, widths, _ = sweep2d._top_k_ranges(Dataset(vals), k)
             assert covered(ranges, cover_2d(ranges, widths), len(widths))
 
     def test_long_middle_range_does_not_inflate_cover(self):
