@@ -2,17 +2,18 @@
 
 Rank-regret of a subset is estimated by drawing ranking functions
 uniformly from the first-orthant sphere and taking the worst best-rank of
-any member; the estimate never exceeds the true maximum, except by one
-rank where a member has an exact duplicate row of larger id (see
-``estimate_rank_regret``).  In 2-D (and at moderate size) the members'
-rank trajectories give the exact value instead.
+any member.  In 2-D each function's rank is read off the members' exact
+rank steps, so the estimate never exceeds the true maximum; for d > 2 it
+is scored by matrix products and can exceed it by one rank where a member
+has an exact duplicate row of larger id (see ``estimate_rank_regret``).
+In 2-D (and at moderate size) the members' rank trajectories give the
+exact value instead.
 """
 
 import csv
 import functools
 import io
 import json
-import logging
 import math
 import time
 from dataclasses import asdict, dataclass, replace
@@ -33,12 +34,9 @@ from .mdrc import mdrc
 from .sweep2d import (
     enumerate_ksets_2d,
     exact_rank_regret_2d,
-    float_order_radius,
     member_rank_steps,
     rrr_2d,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SAMPLER_C = 100
@@ -74,63 +72,56 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     """Monte-Carlo rank-regret: worst best-member-rank over sampled functions.
 
     The maximum over a sample never exceeds the true maximum, so this is a
-    lower bound that sharpens with the sample count, except where a
-    member has an exact duplicate row (last paragraph).  The functions come
-    from ``sample_functions`` in chunks of up to 1024, and each chunk's
-    matrix product with all n rows fixes the rounding of every score.
+    lower bound that sharpens with the sample count (for d > 2 up to one
+    rank where a member has an exact duplicate, last paragraph).  The
+    functions come from ``sample_functions`` in chunks of up to 1024.
     ``core.RankRegretKernel`` drops the rows that a member beats by more
     than NUMERIC_TOL on every attribute (such a row scores strictly below
-    that member under every function).  Each block of functions goes to
-    its ``add_weights``, which scores the remaining rows in float32 first
-    and scores in float64 only the functions whose float32 count of rows
-    near the best member, a bound on their rank whatever the rounding,
-    exceeds the running maximum.  Those are bounded in one comparison pass
-    over the float64 product with the remaining rows.  That product
-    rounds differently in the last bits, so where another row scores
-    within a few ulps of the best member the full product decides the
-    ties.  The estimate is the same as scoring all n rows.
+    that member under every function), which leaves the best member's
+    rank unchanged.
 
-    In 2-D a function's rank is read off the members' rank steps
-    (``sweep2d.member_rank_steps``, in float order) at its angle
-    ``arctan2(w2, w1)``.
-    Only the functions within ``sweep2d.float_order_radius`` of a
-    crossing angle of the members or of an axis go to the kernel: farther
-    out, every member-row score gap exceeds any rounding, so the full
-    product ranks as exact arithmetic does.  Where a member has an exact
-    duplicate among the kept rows, every function goes to the kernel.
+    In 2-D each function's rank is read off the members' rank steps among
+    the remaining rows (``sweep2d.member_rank_steps`` with near runs
+    merged) at its angle ``arctan2(w2, w1)``.  Every step is the exact
+    best member rank on an open interval of angles, so the estimate never
+    exceeds ``exact_rank_regret_2d``, duplicates included, and under a
+    function farther than a few ulps from every crossing it is that
+    function's exact rank.
 
+    For d > 2 each chunk's matrix product with all n rows fixes the
+    rounding of every score.  Each block of functions goes to the
+    kernel's ``add_weights``, which scores the remaining rows in float32
+    first and scores in float64 only the functions whose float32 count of
+    rows near the best member, a bound on their rank whatever the
+    rounding, exceeds the running maximum.  Those are bounded in one
+    comparison pass over the float64 product with the remaining rows.
+    That product rounds differently in the last bits, so where another
+    row scores within a few ulps of the best member the full product
+    decides the ties.  The estimate is the same as scoring all n rows.
     The BLAS product can score identical rows differently by their
-    position, so the estimate can rank a duplicate with a larger id ahead
-    of its member, one rank above the exact rank under that function.
+    position, so it can rank a duplicate with a larger id ahead of its
+    member, one rank above the exact rank under that function.
     """
-    values, d = dataset.values, dataset.d
-    kernel = RankRegretKernel(values, subset, slack=score_slack(d))
     if samples < 1:
         raise ConfigError("samples must be positive")
+    values, d = dataset.values, dataset.d
+    kernel = RankRegretKernel(values, subset, slack=score_slack(d))
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
-    radius = float_order_radius(kernel) if d == 2 else math.inf
-    steps = member_rank_steps(kernel, exact=False) if radius < math.inf else None
+    steps = member_rank_steps(kernel, exact=False) if d == 2 else None
     chunk = max(1, min(1024, (1 << 22) // dataset.n))
-    worst = sent = 0
+    worst = 0
     for lo in range(0, samples, chunk):
         weights = sample_functions(rng, d, min(chunk, samples - lo))
-        full = functools.cache(lambda w=weights: w @ values.T)
         if steps is not None:
             thetas = np.arctan2(weights[:, 1], weights[:, 0])
-            ranks, near = steps.at(thetas, radius)
-            worst = max(worst, int(ranks[~near].max(initial=0)))
-            weights = weights[near]
-            full = lambda f=full, near=near: f()[near]
-        sent += len(weights)
-        for start in range(0, len(weights), kernel.block):
-            block = slice(start, start + kernel.block)
-            kernel.add_weights(weights[block], lambda f=full, b=block: f()[b])
-    if d == 2:
-        log.debug("2-D estimate: %d of %d sampled functions scored by the "
-                  "kernel%s", sent, samples,
-                  "" if steps is not None
-                  else " (a member has an exact duplicate)")
+            worst = max(worst, int(steps.at(thetas).max()))
+        else:
+            full = functools.cache(lambda w=weights: w @ values.T)
+            for start in range(0, len(weights), kernel.block):
+                block = slice(start, start + kernel.block)
+                kernel.add_weights(weights[block],
+                                   lambda f=full, b=block: f()[b])
     return max(worst, kernel.worst)
 
 

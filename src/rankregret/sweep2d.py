@@ -18,10 +18,9 @@ exact rank-regret at most 2k.  ``enumerate_ksets_2d`` reads the k-sets
 off the same k-level (``ExchangeSweep``).  ``member_rank_steps`` gives
 the best member rank of a subset at and just after each group of the
 members' crossings (``RankSteps``): ``exact_rank_regret_2d`` takes its
-maximum, and ``evaluate.estimate_rank_regret`` looks each sampled
-function's rank up at its angle, in float order.  A sample within
-``float_order_radius`` of a crossing angle or of 0 or pi/2 is scored by
-its matrix product instead.
+maximum, and ``evaluate.estimate_rank_regret`` reads each sampled
+function's rank at its angle off the steps with every near run of
+crossings as one group, each step a value the exact rank takes.
 
 The k-level is computed over the candidates (``_candidates``) alone, and
 it is the k-level of all tuples:
@@ -52,10 +51,9 @@ it is the k-level of all tuples:
    included, is a candidate.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -644,23 +642,18 @@ def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
 class RankSteps:
     """The best member rank as a step function of the angle: ``angles``
     holds 0 and one entry per group of the members' crossings, ascending;
-    ``points[j]`` is the best member rank at exactly ``angles[j]``, ties
-    going to the smaller id, and ``after[j]`` the one just after it."""
+    ``after[j]`` is the best member rank just after ``angles[j]`` and
+    ``points[j]`` the one at exactly ``angles[j]``, ties going to the
+    smaller id (None where the groups are near runs)."""
 
     angles: np.ndarray
-    points: np.ndarray
+    points: Optional[np.ndarray]
     after: np.ndarray
 
-    def at(self, thetas: np.ndarray,
-           radius: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(rank, near) at each theta in [0, pi/2]: the rank on the open
-        interval just after the last angle at or before theta, and whether
-        theta lies within ``radius`` of an angle or of 0 or pi/2."""
-        fence = np.append(self.angles, HALF_PI)  # angles[0] is 0
-        right = np.searchsorted(fence, thetas, side="right")
-        near = ((thetas - fence[right - 1] <= radius)
-                | (fence[np.minimum(right, fence.size - 1)] - thetas <= radius))
-        return self.after[np.minimum(right, self.after.size) - 1], near
+    def at(self, thetas: np.ndarray) -> np.ndarray:
+        """The rank on the open interval just after the last angle at or
+        before each theta in [0, pi/2]."""
+        return self.after[np.searchsorted(self.angles, thetas, side="right") - 1]
 
 
 def member_rank_steps(kernel: RankRegretKernel, exact: bool = True) -> RankSteps:
@@ -672,10 +665,15 @@ def member_rank_steps(kernel: RankRegretKernel, exact: bool = True) -> RankSteps
     its crossings so far.  At a group it moves only by the rows crossing
     it there with a smaller id (passing) or a larger one (falling
     behind), as ties go to the smaller id; at 0 ``_axis_ranks`` gives it.
-    With ``exact`` False a group is one float angle, exact only farther
-    than ``float_order_radius`` from every crossing, all that
-    ``evaluate.estimate_rank_regret`` reads: on the plane-large pool it
-    gives the same values in 4.5 ms instead of 6.9 ms (2-vCPU host).
+
+    With ``exact`` False, what ``evaluate.estimate_rank_regret`` reads,
+    each run of crossings within NEAR_TIE_ULPS of the next is one group,
+    with no ``Fraction`` and no ``points``.  Float angles more than
+    NEAR_TIE_ULPS apart are ordered as the exact ones, so every exact
+    crossing angle of a run lies strictly below every one of the next
+    run.  Each ``after[j]`` is then the exact best member rank on the
+    open interval from the last exact crossing of run j to the first of
+    run j + 1 (or pi/2), which is not empty: a value the rank takes.
     """
     kept, ids, cols = kernel.kept, kernel.rows, kernel.member_cols
     step = _block_size(ids.size)
@@ -693,57 +691,29 @@ def member_rank_steps(kernel: RankRegretKernel, exact: bool = True) -> RankSteps
                                     rows[order], 1)
         order = order[perm]
     else:
-        opens = np.diff(angles[order], prepend=-1.0) != 0
+        opens = np.ones(order.size, dtype=bool)
+        opens[1:] = np.diff(angles[order].view(np.int64)) > NEAR_TIE_ULPS
     starts = np.flatnonzero(opens)
     group = np.empty(order.size, dtype=np.int64)
     group[order] = np.cumsum(opens) - 1
     moves = np.where(up, 1.0, -1.0)
     taken = np.where(up == (rows < cols[mine]), moves, 0.0)  # at the angle
     after = np.full(starts.size, float(ids.size))
-    points = after.copy()
+    points = after.copy() if exact else None
     bounds = np.searchsorted(mine, np.arange(cols.size + 1)).tolist()
     for r0, i, j in zip(rank0.tolist(), bounds[:-1], bounds[1:]):
         net = np.bincount(group[i:j], moves[i:j], starts.size)
         state = r0 + np.cumsum(net)
         np.minimum(after, state, out=after)
-        at = state - net + np.bincount(group[i:j], taken[i:j], starts.size)
-        np.minimum(points, at, out=points)
+        if exact:
+            at = state - net + np.bincount(group[i:j], taken[i:j], starts.size)
+            np.minimum(points, at, out=points)
     first = np.maximum.accumulate(np.minimum.reduceat(angles[order], starts))
-    return RankSteps(
-        np.append(0.0, first),
-        np.append(_axis_ranks(kept[:, 0])[cols].min(), points).astype(np.int64),
-        np.append(rank0.min(), after).astype(np.int64))
-
-
-def float_order_radius(kernel: RankRegretKernel) -> float:
-    """How far a unit ray must lie from the members' crossing angles and
-    from 0 and pi/2 for a float matrix product to order every member-row
-    pair of ``kernel`` as exact arithmetic does; inf where a member has an
-    exact duplicate among the kept rows.
-
-    A pair with difference D scores a gap of |D| sin(x) under the ray,
-    where x is the distance from the ray's angle to the nearest angle at
-    which the gap vanishes.  In [0, pi/2] those are the pair's crossing
-    angle and, where D has a zero entry, an axis; the others lie beyond 0
-    or pi/2.  So past (pi/2) score_slack(2) / |D| from those angles the
-    gap exceeds the slack that no two roundings of a score can span.  The
-    radius takes the smallest nonzero |D| of any pair, plus 16 ulps of
-    pi/2 for the rounding of the float crossing angles and of the ray's
-    own ``arctan2`` angle.  An exact duplicate has no gap at any angle,
-    and a BLAS product can round its two copies differently.
-    """
-    kept, cols = kernel.kept, kernel.member_cols
-    closest = math.inf
-    step = _block_size(kept.shape[0])
-    for lo in range(0, cols.size, step):
-        block = cols[lo:lo + step]
-        gap = np.hypot(kept[:, 0] - kept[block, 0, None],
-                       kept[:, 1] - kept[block, 1, None])
-        gap[np.arange(block.size), block] = np.inf  # each member itself
-        closest = min(closest, float(gap.min()))
-    if closest == 0.0:
-        return math.inf
-    return HALF_PI * score_slack(2) / closest + 16 * float(np.spacing(HALF_PI))
+    if exact:
+        points = np.append(_axis_ranks(kept[:, 0])[cols].min(),
+                           points).astype(np.int64)
+    return RankSteps(np.append(0.0, first), points,
+                     np.append(rank0.min(), after).astype(np.int64))
 
 
 def _require_2d(dataset: Dataset) -> None:

@@ -191,11 +191,24 @@ def sweep_rank_regret_2d(values, subset):
     return max(worst, rank_at(HALF_PI))
 
 
+def _sampled_weights(rng, d, m):
+    """``m`` unit weight vectors drawn from ``rng`` as the package's
+    sampler draws them: Box-Muller normals, absolute values, unit length."""
+    pairs = (d + 1) // 2
+    u = rng.random((m, 2 * pairs))
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
+    z = np.empty((m, 2 * pairs))
+    z[:, 0::2] = radius * np.cos(2.0 * np.pi * u[:, 1::2])
+    z[:, 1::2] = radius * np.sin(2.0 * np.pi * u[:, 1::2])
+    w = np.abs(z[:, :d])
+    return w / np.linalg.norm(w, axis=1)[:, None]
+
+
 def sampled_rank_regret(values, members, samples, rng):
     """Worst best-member rank over ``samples`` functions drawn from ``rng``
-    as the package's sampler draws them (Box-Muller normals, absolute
-    values, unit length), each chunk of up to 1024 scored against every
-    tuple by one matrix product and ranked in two comparison passes."""
+    as the package's sampler draws them, each chunk of up to 1024 scored
+    against every tuple by one matrix product and ranked in two
+    comparison passes."""
     values = np.asarray(values, dtype=np.float64)
     members = np.array(sorted({int(t) for t in members}))
     n, d = values.shape
@@ -206,14 +219,7 @@ def sampled_rank_regret(values, members, samples, rng):
     while remaining > 0:
         m = min(chunk, remaining)
         remaining -= m
-        pairs = (d + 1) // 2
-        u = rng.random((m, 2 * pairs))
-        radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
-        z = np.empty((m, 2 * pairs))
-        z[:, 0::2] = radius * np.cos(2.0 * np.pi * u[:, 1::2])
-        z[:, 1::2] = radius * np.sin(2.0 * np.pi * u[:, 1::2])
-        w = np.abs(z[:, :d])
-        weights = w / np.linalg.norm(w, axis=1)[:, None]
+        weights = _sampled_weights(rng, d, m)
         scores = weights @ values.T
         member_scores = scores[:, members]
         best_col = np.argmax(member_scores, axis=1)
@@ -223,6 +229,51 @@ def sampled_rank_regret(values, members, samples, rng):
         tied_ahead = ((scores == best_score[:, None])
                       & (ids[None, :] < best_id[:, None])).sum(axis=1)
         worst = max(worst, int((1 + outranked + tied_ahead).max()))
+    return worst
+
+
+def _as_integers(x):
+    """The doubles ``x`` as nested lists of Python integers over their
+    largest denominator, a power of two, so sums of their products are
+    exact."""
+    ratios = [v.as_integer_ratio() for v in np.ravel(x).tolist()]
+    scale = max((q for _, q in ratios), default=1)
+    ints = np.array([p * (scale // q) for p, q in ratios], dtype=object)
+    return ints.reshape(np.shape(x)).tolist()
+
+
+def rational_sampled_rank_regret(values, members, samples, rng):
+    """Worst best-member rank over ``samples`` functions drawn from ``rng``
+    as the package's sampler draws them, each ranked by the exact scores
+    of the stored doubles under the stored weights, ties to the smaller
+    id.
+
+    Float scores only screen: with values in [0, 1] and unit weights they
+    err by about 1e-16, so a tuple scoring more than 1e-9 above (below)
+    the members' float maximum scores above (below) the best member
+    exactly.  The tuples within 1e-9 of that maximum, the best member
+    among them, are ordered by (exact score, -id) in integers
+    (``_as_integers``).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    assert values.min() >= 0.0 and values.max() <= 1.0
+    members = np.array(sorted({int(t) for t in members}))
+    mine = set(members.tolist())
+    rows = _as_integers(values)
+    worst = 0
+    for lo in range(0, samples, 1024):
+        weights = _sampled_weights(rng, values.shape[1], min(1024, samples - lo))
+        scores = weights @ values.T
+        top = scores[:, members].max(axis=1, keepdims=True)
+        rank = 1 + np.count_nonzero(scores > top + 1e-9, axis=1)
+        near = np.abs(scores - top) <= 1e-9
+        tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+        for s, w in zip(tied.tolist(), _as_integers(weights[tied])):
+            keys = [(sum(a * b for a, b in zip(rows[u], w)), -u)
+                    for u in np.flatnonzero(near[s]).tolist()]
+            best = max(key for key in keys if -key[1] in mine)
+            rank[s] += sum(key > best for key in keys)
+        worst = max(worst, int(rank.max()))
     return worst
 
 
@@ -632,21 +683,6 @@ def loop_find_ranges(values, k):
             out.append((int(t), 0.0 if at_0 else HALF_PI,
                         HALF_PI if at_end else 0.0, True, True))
     return sorted(out)
-
-
-def float_member_steps(kept, ids, cols):
-    """(angles, after) of the best rank among the members ``cols`` of the
-    rows ``kept`` (ids ``ids``), each member's crossings grouped by float
-    angle: 0 and every distinct crossing angle of a member, ascending,
-    and the best member rank just after each, from each member's loop
-    trajectory."""
-    tracks = [_loop_trajectory(kept[:, 0] - kept[c, 0], kept[:, 1] - kept[c, 1],
-                               ids, ids[c]) for c in cols]
-    angles = np.unique(np.concatenate([[0.0]] + [a for a, _, _ in tracks]))
-    after = np.full(angles.size, ids.size)
-    for a, states, _ in tracks:
-        after = np.minimum(after, states[np.searchsorted(a, angles, side="right")])
-    return angles, after
 
 
 def _loop_trajectory(du, dv, ids, t):

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -32,10 +31,14 @@ from rankregret.evaluate import (
     reports_to_csv,
     reports_to_jsonl,
 )
-from rankregret.sweep2d import float_order_radius, member_rank_steps
+from rankregret.sweep2d import member_rank_steps
 
 from conftest import anticorrelated, grid_with_duplicates, random_dataset, tids
-from oracles import float_member_steps, rank_by_definition, sampled_rank_regret
+from oracles import (
+    rank_by_definition,
+    rational_sampled_rank_regret,
+    sampled_rank_regret,
+)
 
 
 class TestEstimate:
@@ -96,19 +99,36 @@ class TestEstimate:
             assert est <= exact
             equal += est == exact
         assert equal >= int(0.95 * trials)
+        # tie-heavy inputs: i/q grids with copied rows, and a member with
+        # an exact duplicate of larger id
+        for t in range(trials):
+            g = np.random.default_rng(600 + t)
+            n = int(g.integers(20, 200))
+            values = grid_with_duplicates(g, n, 2)
+            members = rrr_2d(Dataset(values), int(g.integers(1, 5))).members
+            for subset in (members, [int(g.integers(n - 1))]):
+                values[-1] = values[min(subset)]
+                ds = Dataset(values)
+                assert (estimate_rank_regret(ds, subset, 5000, g)
+                        <= exact_rank_regret_2d(ds, subset))
 
 
 class TestEstimateMatchesTwoPass:
-    """The pruned, one-pass estimator against the two-pass estimator over
-    all rows (``oracles.sampled_rank_regret``), value for value."""
+    """The estimate against the same functions ranked over all rows, value
+    for value: by exact scores in 2-D
+    (``oracles.rational_sampled_rank_regret``), and beyond it by the
+    two-pass estimator over one float product
+    (``oracles.sampled_rank_regret``)."""
 
     @staticmethod
     def check(values, subset, samples, seed):
         got = estimate_rank_regret(Dataset(values), subset, samples,
                                    np.random.default_rng(seed))
-        want = sampled_rank_regret(values, subset, samples,
-                                   np.random.default_rng(seed))
-        assert got == want
+        oracle = (rational_sampled_rank_regret if np.shape(values)[1] == 2
+                  else sampled_rank_regret)
+        assert got == oracle(values, subset, samples,
+                             np.random.default_rng(seed))
+        return got
 
     @pytest.mark.parametrize("make", [
         lambda rng, n, d: rng.random((n, d)), anticorrelated,
@@ -184,16 +204,11 @@ class TestEstimateMatchesTwoPass:
 
 
 class TestEstimate2DSteps:
-    """The 2-D estimate, which reads ranks off the members' rank steps and
-    scores only the functions near a crossing or an axis, against the
-    two-pass estimator over all rows (``oracles.sampled_rank_regret``)."""
+    """The 2-D estimate, which reads every sampled function's rank off the
+    members' rank steps with near runs merged, against the same functions
+    ranked by exact scores (``oracles.rational_sampled_rank_regret``)."""
 
     check = staticmethod(TestEstimateMatchesTwoPass.check)
-
-    @staticmethod
-    def kernel_lines(caplog):
-        return [r.getMessage() for r in caplog.records
-                if r.name == "rankregret.evaluate"]
 
     @pytest.mark.parametrize("make", [
         grid_with_duplicates,
@@ -213,21 +228,16 @@ class TestEstimate2DSteps:
             self.check(values, subset, 1500, int(rng.integers(2**31)))
 
     @pytest.mark.parametrize("n", [196, 1500])
-    def test_member_duplicated_in_last_row(self, n, caplog):
-        # the BLAS product can score the last column's copy above its
-        # member, which the estimate then ranks ahead by one
+    def test_member_duplicated_in_last_row(self, n):
+        # a BLAS product can score the last row's copy above its member,
+        # but the exact steps rank the copy behind it, by id
         rng = np.random.default_rng(71)
         values = rng.random((n, 2))
         values[-1] = values[n // 2]
-        with caplog.at_level(logging.DEBUG, logger="rankregret.evaluate"):
+        for members in ([n // 2], [n - 1], [3, n // 2]):
+            exact = exact_rank_regret_2d(Dataset(values), members)
             for seed in range(3):
-                for members in ([n // 2], [n - 1]):
-                    caplog.clear()
-                    self.check(values, members, 10_000, seed)
-                    assert self.kernel_lines(caplog) == [
-                        "2-D estimate: 10000 of 10000 sampled functions scored "
-                        "by the kernel (a member has an exact duplicate)"]
-                self.check(values, [3, n // 2], 2000, seed)
+                assert self.check(values, members, 10_000, seed) <= exact
 
     def test_all_rows_and_one_row(self):
         rng = np.random.default_rng(72)
@@ -237,69 +247,49 @@ class TestEstimate2DSteps:
         self.check(grid_with_duplicates(rng, 60, 2), range(60), 500, 1)
         self.check(rng.random((1, 2)), [0], 500, 2)
 
-    def test_far_samples_skip_the_kernel(self, caplog):
-        values = np.random.default_rng(73).random((300, 2))
-        with caplog.at_level(logging.DEBUG, logger="rankregret.evaluate"):
-            self.check(values, [5, 40], 2000, 3)
-        assert self.kernel_lines(caplog) == [
-            "2-D estimate: 0 of 2000 sampled functions scored by the kernel"]
-
     # member 0 is passed by row 1 at pi/4, by row 3 at arctan(5/3) and by
     # row 2 at arctan(3)
     TIE_VALUES = np.array([[0.6, 0.2], [0.2, 0.6], [0.3, 0.3], [0.1, 0.5]])
 
-    def test_near_tie_mask(self):
-        kernel = RankRegretKernel(self.TIE_VALUES, [0], slack=score_slack(2))
-        steps = member_rank_steps(kernel, exact=False)  # as the estimate reads
-        radius = float_order_radius(kernel)
+    def test_samples_read_the_step_at_their_angle(self, monkeypatch):
+        kernel = RankRegretKernel(self.TIE_VALUES, [0])
+        steps = member_rank_steps(kernel, exact=False)
         assert steps.angles.tolist() == [0.0, np.pi / 4, np.arctan(5 / 3),
                                          np.arctan(3)]
         assert steps.after.tolist() == [1, 2, 3, 4]
-        cross = steps.angles[1]
-        near = [cross, np.nextafter(cross, 0), np.nextafter(cross, 1),
-                cross + radius / 2, 0.0, radius / 2, HALF_PI]
+        assert steps.points is None
+        # between the crossings the step is the rank there; at a crossing
+        # (and at the axes) it is the rank just after, never above the max
         far = (steps.angles + np.append(steps.angles[1:], HALF_PI)) / 2
-        thetas = np.array(near + [cross + 2 * radius] + far.tolist())
-        ranks, mask = steps.at(thetas, radius)
-        assert mask.tolist() == [True] * len(near) + [False] * 5
-        assert ranks[len(near):].tolist() == [2, 1, 2, 3, 4]
-        for theta, rank in zip(far, ranks[len(near) + 1:]):
+        for theta, rank in zip(far, steps.at(far)):
             assert rank == rank_by_definition(
                 self.TIE_VALUES, [np.cos(theta), np.sin(theta)], 0)
+        thetas = np.append(steps.angles, HALF_PI)
+        assert steps.at(thetas).tolist() == [1, 2, 3, 4, 4]
+        weights = np.column_stack((np.cos(thetas), np.sin(thetas)))
+        monkeypatch.setattr(evaluate, "sample_functions",
+                            lambda rng, d, count: weights[:count])
+        assert estimate_rank_regret(Dataset(self.TIE_VALUES), [0], 5) == 4
 
-    def test_float_groups_follow_the_float_trajectories(self):
-        # rounded values put members' crossings in near runs, which the
-        # float groups, unlike the exact ones, keep in float order
+    def test_merged_runs_end_on_exact_groups(self):
+        # rounded values put members' crossings in near runs; each run's
+        # rank is the exact one at the last exact group of the run, which
+        # sits before the next run
         rng = np.random.default_rng(74)
+        merged_groups = 0
         for _ in range(40):
             n = int(rng.integers(5, 80))
             values = np.round(anticorrelated(rng, n, 2), int(rng.integers(1, 3)))
             members = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)),
                                  replace=False)
-            kernel = RankRegretKernel(values, members, slack=score_slack(2))
-            steps = member_rank_steps(kernel, exact=False)
-            angles, after = float_member_steps(kernel.kept, kernel.rows,
-                                               kernel.member_cols)
-            assert steps.angles.tolist() == angles.tolist()
-            assert steps.after.tolist() == after.tolist()
-
-    def test_samples_at_a_crossing_go_to_the_kernel(self, monkeypatch, caplog):
-        cross = np.pi / 4
-        thetas = np.array([cross, np.nextafter(cross, 0),
-                           np.nextafter(cross, 1), 0.0, HALF_PI, 0.3])
-        weights = np.column_stack((np.cos(thetas), np.sin(thetas)))
-        weights[thetas == HALF_PI] = [0.0, 1.0]
-        monkeypatch.setattr(evaluate, "sample_functions",
-                            lambda rng, d, count: weights[:count])
-        scores = weights @ self.TIE_VALUES.T  # the estimate's reference
-        best = scores[:, 0][:, None]
-        want = int((1 + np.count_nonzero(scores > best, axis=1)).max())
-        with caplog.at_level(logging.DEBUG, logger="rankregret.evaluate"):
-            got = estimate_rank_regret(Dataset(self.TIE_VALUES), [0],
-                                       len(weights))
-        assert got == want
-        assert self.kernel_lines(caplog) == [
-            "2-D estimate: 5 of 6 sampled functions scored by the kernel"]
+            kernel = RankRegretKernel(values, members)
+            merged = member_rank_steps(kernel, exact=False)
+            exact = member_rank_steps(kernel)
+            last = np.searchsorted(exact.angles,
+                                   np.append(merged.angles[1:], np.inf)) - 1
+            assert merged.after.tolist() == exact.after[last].tolist()
+            merged_groups += exact.angles.size - merged.angles.size
+        assert merged_groups > 0
 
 
 class TestRankRegretKernel:
