@@ -7,6 +7,7 @@ angles in [0, pi/2].  Ranking is by descending score with ties broken by
 ascending tuple id, uniformly across the whole package.
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -320,21 +321,113 @@ def _select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([above, ties])
 
 
-def member_survivors(values: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Ascending ids of the rows that no member beats by more than
-    NUMERIC_TOL on every attribute; the members always stay.
+#: the steps per side g of the simplicial grid of :func:`member_survivors`
+#: are the largest with g^d at most this, which gives the grid g^(d-1)
+#: cells: g = 64, 16 and 8 at d = 2, 3 and 4, where the evaluators' time
+#: is flat from 16-64, 14-22 and 8-10 steps, and g = 1 (the simplex
+#: itself) from d = 13 on
+GRID_BUDGET = 4096
 
-    A dropped row scores strictly below that member under every
-    non-negative unit weight vector: the weights sum to at least 1, so the
-    exact score gap exceeds NUMERIC_TOL, while a d-term float dot product
-    errs by about 1e-15.  So it never outranks the best member, not even
-    by a tie, at the axis rays included.
+
+def grid_steps(d: int) -> int:
+    """The largest g >= 1 with g^d <= GRID_BUDGET."""
+    g = 1
+    while (g + 1) ** d <= GRID_BUDGET:
+        g += 1
+    return g
+
+
+@functools.cache
+def simplex_grid(d: int):
+    """(vertices, cells, owners, starts): the Freudenthal-Kuhn grid of the
+    weight simplex {w >= 0, sum(w) = 1} of d attributes with g =
+    :func:`grid_steps` steps per side, built on first use.
+
+    ``vertices`` (V x d) are the points a / g for the vectors a of
+    non-negative integers summing to g, and ``cells`` (g^(d-1) x d) hold
+    the indices of each cell's vertices.  In the partial sums y_j = a_1 +
+    ... + a_j the simplex is the region 0 <= y_1 <= ... <= y_(d-1) <= g
+    of the cube [0, g]^(d-1).  Kuhn's triangulation ("Some combinatorial
+    lemmas in topology", 1960) cuts the unit cube of low corner c into
+    the simplices c, c + e_p1, c + e_p1 + e_p2, ..., c + 1, one per order
+    p of the coordinates.  Permuting the coordinates by p carries the
+    simplex of order p onto the one of the identity order, so the
+    region's cells are the simplices of the identity order with each
+    corner's coordinates sorted, by (c_i, -i).  A vertex's index is the
+    sum over j of C(y_j + j - 1, j), which numbers the V vertices 0 to
+    V - 1 (the combinatorial number system).  Vertex v lies in the cells
+    ``owners[starts[v]:starts[v + 1]]``.
+    """
+    g, m = grid_steps(d), d - 1
+    low = np.arange(g ** m)[:, None] // g ** np.arange(m) % g
+    order = np.argsort(low * m + np.arange(m - 1, -1, -1), axis=1)
+    corners = low[:, None, :] + np.tri(m + 1, m, -1, dtype=np.int64)
+    sums = np.take_along_axis(corners, order[:, None, :], axis=2)
+    rank = np.array([[math.comb(y + j, j + 1) for y in range(g + 1)]
+                     for j in range(m)], dtype=np.int64).reshape(m, g + 1)
+    cells = rank[np.arange(m), sums].sum(axis=2)
+    vertices = np.empty((math.comb(g + m, m), d))
+    vertices[cells] = np.diff(sums, prepend=0, append=g, axis=2) / g
+    owners = np.argsort(cells, axis=None, kind="stable") // d
+    starts = np.searchsorted(np.sort(cells, axis=None), np.arange(len(vertices)))
+    grid = vertices, cells, owners, starts
+    for array in grid:
+        array.setflags(write=False)  # shared by every caller
+    return grid
+
+
+def member_survivors(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Ascending ids of the members and of the rows that may come within
+    NUMERIC_TOL of the best member under some weight vector, by two passes.
+
+    The threshold pass scores every row at the vertices of
+    :func:`simplex_grid` in one product per block.  Each cell c takes
+    tau_c, the largest over the members of the member's smallest score
+    at c's vertices, and each vertex v takes tau_v, the smallest tau_c of
+    the cells that hold v.  A row stays only where it scores at least
+    tau_v - NUMERIC_TOL at some vertex v.  The dominance pass then drops
+    each row left that some member beats by more than NUMERIC_TOL on
+    every attribute: the member-by-member test on the one cell of g = 1,
+    which drops rows the threshold pass keeps.
+
+    A dropped row r is never near, tied with or ahead of the best member.
+    Let S(t, v) be the exact score of row t at the exact vertex a / g and
+    s(t, v) the computed one: the vertex rounds each weight by at most
+    half an ulp, and a sum of d products of weights summing to 1 and
+    values in [0, 1] errs by about (d / 2) eps, so the two differ by less
+    than d eps; forming tau_v - NUMERIC_TOL rounds by at most eps / 2.  For
+    a unit weight vector w >= 0, w / |w|_1 lies in some cell c, and the
+    member m whose smallest score at c's vertices is tau_c has s(m, v) >=
+    tau_c >= tau_v at every vertex v of c, where s(r, v) < tau_v -
+    NUMERIC_TOL + eps / 2; so S(m, v) - S(r, v) > NUMERIC_TOL - 3d eps.
+    w is a non-negative combination of c's vertices with coefficients
+    summing to |w|_1 >= 1, so m scores more than NUMERIC_TOL - 3d eps
+    above r under w in exact arithmetic.  A row the dominance pass drops
+    is below a member by more than NUMERIC_TOL - eps on every attribute,
+    so by that much under w.  A float score errs by about 1e-15, so no
+    float product ranks r within ``score_slack`` of the best member
+    either, at the axis rays included.
     """
     is_member = np.zeros(values.shape[0], dtype=bool)
     is_member[members] = True
-    rows = np.flatnonzero(~is_member)
-    rows_t = np.ascontiguousarray(values[rows].T)
-    pruners_t = np.ascontiguousarray((values[members] - NUMERIC_TOL).T)
+    vertices, cells, owners, starts = simplex_grid(values.shape[1])
+    mine = values[members] @ vertices.T
+    tau = np.full(len(cells), -np.inf)  # per cell
+    step = max(1, (1 << 19) // len(cells))
+    for lo in range(0, len(mine), step):
+        # (members x cells): each member's smallest score at the vertices
+        low = mine[lo:lo + step, cells[:, 0]]
+        for column in cells.T[1:]:
+            np.minimum(low, mine[lo:lo + step, column], out=low)
+        np.maximum(tau, low.max(axis=0), out=tau)
+    floor = np.minimum.reduceat(tau[owners], starts)[:, None] - NUMERIC_TOL
+    step = block_rows(len(vertices))
+    # (vertices x rows) per block: whether the row reaches a vertex's floor
+    reach = np.concatenate([(vertices @ values[lo:lo + step].T >= floor).any(axis=0)
+                            for lo in range(0, values.shape[0], step)])
+    rows = np.flatnonzero(reach & ~is_member)
+    rows_t = values[rows].T
+    pruners_t = (values[members] - NUMERIC_TOL).T
     step = max(1, (1 << 19) // len(members))
     for lo in range(0, rows.size, step):
         # (rows x members): whether the member beats the row on every attribute
@@ -350,10 +443,12 @@ class RankRegretKernel:
     of any member: the rank-regret kernel of both evaluators.
 
     Only the rows of :func:`member_survivors` (``rows``, values ``kept``)
-    are scored, which leaves the best member's rank unchanged.  Callers
-    hand blocks of ``block`` unit weight vectors (about SCORE_BLOCK_BYTES
-    of scores) to :meth:`add_weights`, or score the blocks with their own
-    arithmetic and fold each in with :meth:`add`.  Per block, one pass
+    are scored: the members and the rows that may come within NUMERIC_TOL
+    of the best member somewhere.  Every other row scores below the best
+    member under every function, so the best member's rank is unchanged.
+    Callers hand blocks of ``block`` unit weight vectors (about
+    SCORE_BLOCK_BYTES of scores) to :meth:`add_weights`, or score the
+    blocks with their own arithmetic and fold each in with :meth:`add`.  Per block, one pass
     counts the rows scoring at least the best member's score, which bounds
     its rank from above; ranks are computed only for the functions whose
     bound exceeds the running maximum ``worst``.
@@ -380,14 +475,20 @@ class RankRegretKernel:
         self.block = block_rows(self.rows.size)
         self.slack = slack
         self.worst = 0
-        others = np.ones(self.rows.size, dtype=bool)
-        others[self.member_cols] = False
-        self.screen_t = np.ascontiguousarray(  # members first
-            np.concatenate((self.kept[self.member_cols], self.kept[others])).T,
-            dtype=np.float32)
         d = values.shape[1]
         self.margin = np.float32(slack + score_slack(d) / 2
                                  + 4 * (d + 2) * math.sqrt(d) * 2.0 ** -24)
+
+    @functools.cached_property
+    def screen_t(self) -> np.ndarray:
+        """The kept rows in float32, members first, one column per row;
+        built on the first :meth:`add_weights`, as the 2-D evaluators
+        never screen."""
+        others = np.ones(self.rows.size, dtype=bool)
+        others[self.member_cols] = False
+        return np.ascontiguousarray(
+            np.concatenate((self.kept[self.member_cols], self.kept[others])).T,
+            dtype=np.float32)
 
     def add_weights(self, weights: np.ndarray, reference=None) -> None:
         """Fold in a block of functions, one unit weight vector per row,

@@ -7,7 +7,10 @@ rank steps, so the estimate never exceeds the true maximum; for d > 2 it
 is scored by matrix products and can exceed it by one rank where a member
 has an exact duplicate row of larger id (see ``estimate_rank_regret``).
 In 2-D (and at moderate size) the members' rank trajectories give the
-exact value instead.
+exact value instead.  Both see only the members and the rows that may
+come within NUMERIC_TOL of the best member under some function
+(``core.member_survivors``), which changes no exact value and no estimate
+but, in 2-D, under a sample within a few ulps of a crossing.
 """
 
 import csv
@@ -75,10 +78,13 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     lower bound that sharpens with the sample count (for d > 2 up to one
     rank where a member has an exact duplicate, last paragraph).  The
     functions come from ``sample_functions`` in chunks of up to 1024.
-    ``core.RankRegretKernel`` drops the rows that a member beats by more
-    than NUMERIC_TOL on every attribute (such a row scores strictly below
-    that member under every function), which leaves the best member's
-    rank unchanged.
+    ``core.RankRegretKernel`` keeps the members and the rows that may come
+    within NUMERIC_TOL of the best member under some function
+    (``core.member_survivors``: a threshold pass over a simplicial grid of
+    the weight simplex, then a dominance pass).  Every row it drops scores
+    more than NUMERIC_TOL - 3d eps below the best member under every unit
+    weight vector, in exact arithmetic and so in every float product, so
+    the best member's rank is unchanged.
 
     In 2-D each function's rank is read off the members' rank steps among
     the remaining rows (``sweep2d.member_rank_steps`` with near runs
@@ -86,7 +92,9 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     best member rank on an open interval of angles, so the estimate never
     exceeds ``exact_rank_regret_2d``, duplicates included, and under a
     function farther than a few ulps from every crossing it is that
-    function's exact rank.
+    function's exact rank.  Dropping rows removes crossings, which can
+    only split a near run, so the value read changes only for a sample
+    inside the few-ulp span of a run.
 
     For d > 2 each chunk's matrix product with all n rows fixes the
     rounding of every score.  Each block of functions goes to the

@@ -62,8 +62,13 @@ def mdrrr(collection: KSetCollection,
 
     ground = np.array(sorted(frozenset().union(*sets)))
     n_prime = ground.size
-    slot = {int(t): i for i, t in enumerate(ground)}
-    member_slots = [np.array([slot[t] for t in sorted(s)]) for s in sets]
+    sizes = np.array([len(s) for s in sets])
+    # one row of slots per set, ascending; a ragged set is padded with
+    # slot n_prime, which is never in the net
+    slots = np.full((len(sets), sizes.max()), n_prime)
+    slots[np.arange(sizes.max()) < sizes[:, None]] = np.searchsorted(
+        ground, [t for s in sets for t in sorted(s)])
+    member_slots = [row[:size] for row, size in zip(slots, sizes.tolist())]
     weights = np.ones(n_prime)
 
     guess = 1
@@ -80,20 +85,20 @@ def mdrrr(collection: KSetCollection,
             drawn = rng.choice(n_prime, size=net_size, replace=True,
                                p=weights / weights.sum())
             net = np.unique(drawn)
-            net_mask = np.zeros(n_prime, dtype=bool)
+            net_mask = np.zeros(n_prime + 1, dtype=bool)
             net_mask[net] = True
-            missed = [j for j, slots in enumerate(member_slots)
-                      if not net_mask[slots].any()]
-            if not missed:
+            missed = np.flatnonzero(~net_mask[slots].any(axis=1))
+            if not missed.size:
                 break
-            weights[member_slots[missed[0]]] *= 2.0
-            doublings.append(missed[0])
+            first = int(missed[0])
+            weights[member_slots[first]] *= 2.0
+            doublings.append(first)
             total = weights.sum()
             if total > WEIGHT_RESCALE_LIMIT:
                 weights /= 2.0 ** 400  # proportions are all that matter
                 total = weights.sum()
             weight_totals.append(float(total))
-        if not missed:
+        if not missed.size:
             break
         guess *= 2
         if guess > 2 * n_prime:

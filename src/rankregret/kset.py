@@ -210,7 +210,9 @@ def sample_functions(rng: np.random.Generator, d: int, count: int) -> np.ndarray
     Absolute values of i.i.d. standard normals, normalized to unit length.
     Normals come from an explicit Box-Muller transform over the generator's
     uniform stream, so a fixed seed reproduces the same vectors everywhere;
-    drawing m then m' more matches one draw of m + m'.
+    drawing m then m' more matches one draw of m + m'.  Each pair of
+    uniforms gives a cosine and a sine normal; for odd d the last pair's
+    sine is not needed and not computed, but its uniform is still drawn.
     """
     if d < 2:
         raise ConfigError("sampling requires d >= 2")
@@ -220,10 +222,10 @@ def sample_functions(rng: np.random.Generator, d: int, count: int) -> np.ndarray
     u = rng.random((count, 2 * pairs))
     radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
     phase = 2.0 * np.pi * u[:, 1::2]
-    z = np.empty((count, 2 * pairs))
+    z = np.empty((count, d))
     z[:, 0::2] = radius * np.cos(phase)
-    z[:, 1::2] = radius * np.sin(phase)
-    w = np.abs(z[:, :d])
+    z[:, 1::2] = radius[:, :d // 2] * np.sin(phase[:, :d // 2])
+    w = np.abs(z)
     norms = np.linalg.norm(w, axis=1)
     while np.any(norms == 0.0):  # measure-zero guard
         bad = np.flatnonzero(norms == 0.0)

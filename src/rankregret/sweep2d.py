@@ -20,7 +20,11 @@ the best member rank of a subset at and just after each group of the
 members' crossings (``RankSteps``): ``exact_rank_regret_2d`` takes its
 maximum, and ``evaluate.estimate_rank_regret`` reads each sampled
 function's rank at its angle off the steps with every near run of
-crossings as one group, each step a value the exact rank takes.
+crossings as one group, each step a value the exact rank takes.  The
+steps are read over the rows of ``core.member_survivors`` alone: a
+threshold pass on slabs of the angle (in 2-D the cells of its grid) and a
+dominance pass drop every row that scores below the best member at every
+angle, which leaves the best member's rank unchanged.
 
 The k-level is computed over the candidates (``_candidates``) alone, and
 it is the k-level of all tuples:
@@ -626,10 +630,12 @@ def _ratio(points: np.ndarray, t: int, u: int) -> Fraction:
 def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
     """max over theta of (best rank among ``subset`` members), exactly:
     the maximum of ``member_rank_steps`` and of the rank at pi/2
-    (``_axis_ranks``).  Both see only the rows that no member beats by
-    more than NUMERIC_TOL on both attributes: such a row never outranks
-    the best member, and every other member still ranks behind the best
-    one among the remaining rows, so the best member's rank is unchanged.
+    (``_axis_ranks``).  Both see only the kernel's rows
+    (``core.member_survivors``), the members and the rows that may come
+    within NUMERIC_TOL of the best member at some angle.  A dropped row
+    scores below the best member at every angle in exact arithmetic, and
+    every other member still ranks behind the best one among the rows
+    kept, so the best member's rank is unchanged.
     """
     _require_2d(dataset)
     kernel = RankRegretKernel(dataset.values, subset)

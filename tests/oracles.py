@@ -567,6 +567,24 @@ def loop_simplex_max(c, A_ub, b_ub, A_eq, b_eq, tol=1e-9, feas_tol=1e-7):
     return "optimal", x
 
 
+def reaches_best_member(values, members, row):
+    """The maximum over the weight simplex {w >= 0, sum(w) = 1} of the
+    smallest w.(row - m) over the members m, by ``loop_simplex_max``:
+    where it is negative, some member beats ``row`` by at least its
+    absolute value under every non-negative weight vector of sum 1."""
+    values = np.asarray(values, dtype=np.float64)
+    gaps = values[row] - values[np.asarray(sorted(members))]
+    d = values.shape[1]
+    # variables w, t+ and t-: maximize t = t+ - t- subject to t <= gaps.w
+    c = np.concatenate([np.zeros(d), [1.0, -1.0]])
+    ones = np.ones((len(gaps), 1))
+    A_ub = np.hstack([-gaps, ones, -ones])
+    A_eq = np.concatenate([np.ones(d), [0.0, 0.0]])[None, :]
+    status, x = loop_simplex_max(c, A_ub, np.zeros(len(gaps)), A_eq, np.ones(1))
+    assert status == "optimal", status
+    return float(c @ x)
+
+
 def lp_separation_witness(values, members, margin_tol=1e-7):
     """Weights whose top-|members| is exactly ``members``, by maximizing
     the separating margin with ``loop_simplex_max``; None when the best

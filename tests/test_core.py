@@ -376,3 +376,41 @@ def test_rank_bound_between_functions():
             if k12 > k1 + k2:
                 violations += 1
     assert violations == 0
+
+
+class TestSimplexGrid:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_cells_tile_the_simplex(self, d):
+        vertices, cells, owners, starts = core.simplex_grid(d)
+        g = core.grid_steps(d)
+        assert g ** d <= core.GRID_BUDGET < (g + 1) ** d
+        assert len(cells) == g ** (d - 1)
+        # the vertices are the points a / g, a of integers summing to g
+        a = np.rint(vertices * g)
+        assert np.allclose(vertices * g, a) and np.all(a.sum(axis=1) == g)
+        assert len(np.unique(a, axis=0)) == len(vertices)
+        # vertex v lies in exactly the cells owners[starts[v]:starts[v + 1]]
+        bounds = np.append(starts, owners.size)
+        for v in range(len(vertices)):
+            assert sorted(owners[bounds[v]:bounds[v + 1]].tolist()) == \
+                np.flatnonzero((cells == v).any(axis=1)).tolist()
+        if d == 1:
+            return
+        # every random point of the simplex lies in exactly one cell
+        points = np.random.default_rng(d).dirichlet(np.ones(d), 200)
+        inside = np.zeros(len(points), dtype=int)
+        for cell in cells:
+            weights = np.linalg.solve(vertices[cell].T, points.T)
+            inside += (weights >= -1e-12).all(axis=0)
+        assert inside.tolist() == [1] * len(points)
+
+    def test_no_grid_before_first_use(self):
+        # importing the package builds no grid; the first use builds one
+        import os
+        import subprocess
+        import sys
+        code = ("import rankregret.core as core, rankregret.cli, rankregret.evaluate;"
+                "assert core.simplex_grid.cache_info().currsize == 0")
+        src = os.path.dirname(os.path.dirname(core.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})

@@ -36,7 +36,9 @@ from rankregret.sweep2d import member_rank_steps
 from conftest import anticorrelated, grid_with_duplicates, random_dataset, tids
 from oracles import (
     rank_by_definition,
+    rational_rank_regret_2d,
     rational_sampled_rank_regret,
+    reaches_best_member,
     sampled_rank_regret,
 )
 
@@ -294,17 +296,39 @@ class TestEstimate2DSteps:
 
 class TestRankRegretKernel:
     def test_survivors_match_definition(self):
+        # the survivors are some of the rows no member beats by more than
+        # NUMERIC_TOL on every attribute, the members among them, and each
+        # dropped row is beaten by some member under every weight vector
         rng = np.random.default_rng(65)
-        for _ in range(20):
+        beyond = 0  # rows dropped that no member beats on every attribute
+        for trial in range(24):
             n, d = int(rng.integers(1, 150)), int(rng.integers(2, 5))
-            values = grid_with_duplicates(rng, n, d)
+            values = (grid_with_duplicates(rng, n, d) if trial % 2
+                      else np.round(anticorrelated(rng, n, d), 2))
             members = np.sort(rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)),
                                          replace=False))
             beaten = ((values[members][:, None, :] - values[None, :, :])
                       > NUMERIC_TOL).all(axis=2).any(axis=0)
             beaten[members] = False
-            assert member_survivors(values, members).tolist() == \
-                np.flatnonzero(~beaten).tolist()
+            kept = member_survivors(values, members)
+            assert np.all(np.diff(kept) > 0)
+            assert set(kept.tolist()) <= set(np.flatnonzero(~beaten).tolist())
+            assert set(members.tolist()) <= set(kept.tolist())
+            dropped = np.setdiff1d(np.arange(n), kept)
+            for row in dropped.tolist():
+                assert reaches_best_member(values, members, row) < -NUMERIC_TOL / 2
+            beyond += np.count_nonzero(~beaten[dropped])
+        assert beyond > 100
+
+    def test_rows_within_tol_of_the_best_member_at_a_vertex_stay(self):
+        # members 0 and 1 cross at w = (1/2, 1/2), a vertex of the 2-D grid,
+        # where both score 1/2: row 2 comes within NUMERIC_TOL of them
+        # there, row 3 (which neither member beats on both attributes)
+        # stays more than NUMERIC_TOL below the better one everywhere
+        values = np.array([[1.0, 0.0], [0.0, 1.0],
+                           [0.5 - 1e-12, 0.5 - 1e-12], [0.5 - 2e-9, 0.5 - 2e-9]])
+        assert member_survivors(values, np.array([0, 1])).tolist() == [0, 1, 2]
+        assert reaches_best_member(values, [0, 1], 3) < -NUMERIC_TOL
 
     def test_reference_decides_ties_within_slack(self):
         # row 0 scores one ulp below member 1 in the block, but ties it in
@@ -340,6 +364,35 @@ class TestRankRegretKernel:
                 w[0] = max(w[0], 1.25 * w[1])
                 kernel.add_weights(w[None, :] / np.linalg.norm(w))
                 assert kernel.worst == 2
+
+
+class TestSurvivorOutputs:
+    """Estimates and exact 2-D values over the kernel's survivors against
+    oracles that rank every row: ``oracles.sampled_rank_regret`` for
+    d > 2, ``rational_sampled_rank_regret`` and ``rational_rank_regret_2d``
+    for d = 2."""
+
+    KINDS = (lambda rng, n, d: rng.random((n, d)),
+             lambda rng, n, d: np.round(anticorrelated(rng, n, d), 2),
+             lambda rng, n, d: rng.integers(0, 6, size=(n, d)) / 5)
+
+    def test_fuzz(self):
+        rng = np.random.default_rng(76)
+        for trial in range(300):
+            d = 2 + trial % 4
+            n = 1 if trial % 25 == 0 else int(rng.integers(2, 41 if d == 2 else 151))
+            values = self.KINDS[trial // 4 % 3](rng, n, d)
+            members = rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)),
+                                 replace=False)
+            case = trial // 12 % 3
+            if case == 1:  # a member with a copy in the last row
+                values[-1] = values[members[0]]
+            elif case == 2:
+                members = np.arange(n)
+            TestEstimateMatchesTwoPass.check(values, members, 300, trial)
+            if d == 2:
+                assert exact_rank_regret_2d(Dataset(values), members) == \
+                    rational_rank_regret_2d(values, members)
 
 
 class TestResolveK:

@@ -66,6 +66,48 @@ class TestMdrrr:
             math.ceil(4 * stats.final_guess * max(
                 math.log2(5 / stats.final_guess), 0.0)) + 8
 
+    def test_each_round_doubles_the_first_missed_set(self):
+        class Recorder:
+            """A generator that keeps every net drawn and its weights."""
+
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+                self.draws = []
+
+            def choice(self, n, size, replace, p):
+                drawn = self.rng.choice(n, size=size, replace=replace, p=p)
+                self.draws.append((drawn, p))
+                return drawn
+
+        # ground sets of up to 400 ids and d = 1 keep the nets small
+        # enough to miss sets, ragged ones included
+        rng = np.random.default_rng(8)
+        doublings = 0
+        for trial in range(60):
+            ground = list(range(int(rng.integers(3, 400))))
+            sets = [set(rng.choice(ground, size=int(rng.integers(1, 4)),
+                                   replace=False).tolist())
+                    for _ in range(int(rng.integers(1, 40)))]
+            col = make_collection(sets, k=3, d=1)
+            recorder = Recorder(trial)
+            got, stats = mdrrr(col, rng=recorder, return_stats=True)
+            assert got == mdrrr(col, rng=np.random.default_rng(trial))
+            ids = sorted(set().union(*sets))
+            order = [sorted(s) for s in col.member_sets()]
+            missed = []
+            for drawn, _ in recorder.draws:
+                net = {ids[i] for i in drawn.tolist()}
+                missed += [j for j, s in enumerate(order) if not net & set(s)][:1]
+            assert stats.doublings == missed
+            doublings += len(missed)
+            for (_, p), (_, q), j in zip(recorder.draws, recorder.draws[1:],
+                                         missed):
+                doubled = p.copy()
+                doubled[[ids.index(t) for t in order[j]]] *= 2.0
+                np.testing.assert_allclose(q, doubled / doubled.sum(),
+                                           rtol=1e-12)
+        assert doublings > 100
+
     def test_empty_collection(self):
         with pytest.raises(EmptyCollection):
             mdrrr(KSetCollection([], k=2, complete=True, d=2),

@@ -173,6 +173,23 @@ class TestSampler:
         ks = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
         assert ks < 0.02
 
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_bits_of_the_box_muller_formula(self, d):
+        # each pair of uniforms gives a cosine and a sine normal, and for
+        # odd d the last pair's sine is dropped; the stream moves on alike
+        rng, ref = np.random.default_rng(14 + d), np.random.default_rng(14 + d)
+        got = sample_functions(rng, d, 500)
+        pairs = (d + 1) // 2
+        u = ref.random((500, 2 * pairs))
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
+        phase = 2.0 * np.pi * u[:, 1::2]
+        z = np.empty((500, 2 * pairs))
+        z[:, 0::2] = radius * np.cos(phase)
+        z[:, 1::2] = radius * np.sin(phase)
+        w = np.abs(z[:, :d])
+        assert got.tobytes() == (w / np.linalg.norm(w, axis=1)[:, None]).tobytes()
+        assert rng.random() == ref.random()
+
     def test_d_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             sample_functions(np.random.default_rng(0), 1, 3)
