@@ -157,6 +157,14 @@ def _k_arguments(p: argparse.ArgumentParser) -> None:
                        help="rank threshold as a percentage of n (rounded up)")
 
 
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--samples", type=int, default=ev.DEFAULT_SAMPLES,
+                   help="functions sampled when estimating rank-regret (d > 2)")
+    p.add_argument("--eval", choices=["auto", "exact", "estimate"], default="auto",
+                   help="rank-regret evaluation: exact in 2-D in every mode, at "
+                        "any n; for d > 2 auto and estimate sample, exact fails")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rrr",
@@ -176,10 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "file in the ksets line format")
     p_solve.add_argument("--c", type=int, default=ev.DEFAULT_SAMPLER_C,
                          help="termination counter of the random k-set collector")
-    p_solve.add_argument("--samples", type=int, default=ev.DEFAULT_SAMPLES,
-                         help="functions sampled when estimating rank-regret")
-    p_solve.add_argument("--eval", choices=["auto", "exact", "estimate"],
-                         default="auto", help="rank-regret evaluation mode")
+    _eval_arguments(p_solve)
 
     p_ksets = sub.add_parser("ksets", parents=[data], help="enumerate k-sets")
     p_ksets.add_argument("--source", required=True,
@@ -193,9 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--members", help="comma-separated tuple ids")
     group.add_argument("--members-file",
                        help="JSON produced by solve (member_ids field)")
-    p_eval.add_argument("--samples", type=int, default=ev.DEFAULT_SAMPLES)
-    p_eval.add_argument("--eval", choices=["auto", "exact", "estimate"],
-                        default="auto")
+    _eval_arguments(p_eval)
 
     p_dual = sub.add_parser("dual", parents=[data],
                             help="smallest k fitting a size budget")

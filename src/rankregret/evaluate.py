@@ -1,16 +1,15 @@
 """Evaluation harness: rank-regret measurement, the dual problem, benchmarks.
 
-Rank-regret of a subset is estimated by drawing ranking functions
-uniformly from the first-orthant sphere and taking the worst best-rank of
-any member.  In 2-D each function's rank is read off the members' exact
-rank steps, so the estimate never exceeds the true maximum; for d > 2 it
-is scored by matrix products and can exceed it by one rank where a member
-has an exact duplicate row of larger id (see ``estimate_rank_regret``).
-In 2-D (and at moderate size) the members' rank trajectories give the
-exact value instead.  Both see only the members and the rows that may
-come within NUMERIC_TOL of the best member under some function
-(``core.member_survivors``), which changes no exact value and no estimate
-but, in 2-D, under a sample within a few ulps of a crossing.
+In 2-D the rank-regret of a subset is exact in every mode and at every
+n: ``sweep2d.exact_rank_regret_2d``, the largest depth of the intervals
+of angles on which rows rank ahead of the best member.  For d > 2 it is
+estimated by drawing ranking functions uniformly from the first-orthant
+sphere and taking the worst best-rank of any member, scored by matrix
+products; that can exceed the true maximum by one rank where a member has
+an exact duplicate row of larger id (see ``estimate_rank_regret``).  Both
+see only the members and the rows that may come within NUMERIC_TOL of the
+best member under some function (``core.member_survivors``), which
+changes neither value.
 """
 
 import csv
@@ -34,18 +33,10 @@ from .kset import (
     sample_functions,
 )
 from .mdrc import mdrc
-from .sweep2d import (
-    enumerate_ksets_2d,
-    exact_rank_regret_2d,
-    member_rank_steps,
-    rrr_2d,
-)
+from .sweep2d import enumerate_ksets_2d, exact_rank_regret_2d, rrr_2d
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SAMPLER_C = 100
-
-#: exact 2-D evaluation is used automatically up to this many tuples
-EXACT_2D_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -74,10 +65,13 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
                          rng: Optional[np.random.Generator] = None) -> int:
     """Monte-Carlo rank-regret: worst best-member-rank over sampled functions.
 
+    In 2-D this is the exact value, ``sweep2d.exact_rank_regret_2d``, and
+    no function is drawn; ``samples`` must still be positive.
+
     The maximum over a sample never exceeds the true maximum, so this is a
-    lower bound that sharpens with the sample count (for d > 2 up to one
-    rank where a member has an exact duplicate, last paragraph).  The
-    functions come from ``sample_functions`` in chunks of up to 1024.
+    lower bound that sharpens with the sample count (up to one rank where
+    a member has an exact duplicate, last paragraph).  The functions come
+    from ``sample_functions`` in chunks of up to 1024.
     ``core.RankRegretKernel`` keeps the members and the rows that may come
     within NUMERIC_TOL of the best member under some function
     (``core.member_survivors``: a threshold pass over a simplicial grid of
@@ -86,22 +80,12 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     weight vector, in exact arithmetic and so in every float product, so
     the best member's rank is unchanged.
 
-    In 2-D each function's rank is read off the members' rank steps among
-    the remaining rows (``sweep2d.member_rank_steps`` with near runs
-    merged) at its angle ``arctan2(w2, w1)``.  Every step is the exact
-    best member rank on an open interval of angles, so the estimate never
-    exceeds ``exact_rank_regret_2d``, duplicates included, and under a
-    function farther than a few ulps from every crossing it is that
-    function's exact rank.  Dropping rows removes crossings, which can
-    only split a near run, so the value read changes only for a sample
-    inside the few-ulp span of a run.
-
-    For d > 2 each chunk's matrix product with all n rows fixes the
-    rounding of every score.  Each block of functions goes to the
-    kernel's ``add_weights``, which scores the remaining rows in float32
-    first and scores in float64 only the functions whose float32 count of
-    rows near the best member, a bound on their rank whatever the
-    rounding, exceeds the running maximum.  Those are bounded in one
+    Each chunk's matrix product with all n rows fixes the rounding of
+    every score.  Each block of functions goes to the kernel's
+    ``add_weights``, which scores the remaining rows in float32 first and
+    scores in float64 only the functions whose float32 count of rows near
+    the best member, a bound on their rank whatever the rounding, exceeds
+    the running maximum.  Those are bounded in one
     comparison pass over the float64 product with the remaining rows.
     That product rounds differently in the last bits, so where another
     row scores within a few ulps of the best member the full product
@@ -112,25 +96,21 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     """
     if samples < 1:
         raise ConfigError("samples must be positive")
+    if dataset.d == 2:
+        return exact_rank_regret_2d(dataset, subset)
     values, d = dataset.values, dataset.d
     kernel = RankRegretKernel(values, subset, slack=score_slack(d))
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
-    steps = member_rank_steps(kernel, exact=False) if d == 2 else None
     chunk = max(1, min(1024, (1 << 22) // dataset.n))
-    worst = 0
     for lo in range(0, samples, chunk):
         weights = sample_functions(rng, d, min(chunk, samples - lo))
-        if steps is not None:
-            thetas = np.arctan2(weights[:, 1], weights[:, 0])
-            worst = max(worst, int(steps.at(thetas).max()))
-        else:
-            full = functools.cache(lambda w=weights: w @ values.T)
-            for start in range(0, len(weights), kernel.block):
-                block = slice(start, start + kernel.block)
-                kernel.add_weights(weights[block],
-                                   lambda f=full, b=block: f()[b])
-    return max(worst, kernel.worst)
+        full = functools.cache(lambda w=weights: w @ values.T)
+        for start in range(0, len(weights), kernel.block):
+            block = slice(start, start + kernel.block)
+            kernel.add_weights(weights[block],
+                               lambda f=full, b=block: f()[b])
+    return kernel.worst
 
 
 def resolve_k(n: int, k: Optional[int] = None, k_pct: Optional[float] = None) -> int:
@@ -258,17 +238,18 @@ def measure_rank_regret(dataset: Dataset, members, *,
                         mode: str = "auto") -> Tuple[int, bool, Optional[int]]:
     """Rank-regret of ``members`` as (value, exact, samples used).
 
-    ``mode`` "auto" is exact for d = 2 up to EXACT_2D_LIMIT tuples and a
-    sampled estimate otherwise; the estimate's functions are derived from
-    ``seed``, so equal seeds measure equal members identically.
+    ``mode`` "exact" is ``exact_rank_regret_2d`` (2-D only); "auto" and
+    "estimate" are ``estimate_rank_regret``, which is exact in 2-D and a
+    sampled estimate otherwise, its functions derived from ``seed``, so
+    equal seeds measure equal members identically.
     """
-    exact = mode == "exact" or (
-        mode == "auto" and dataset.d == 2 and dataset.n <= EXACT_2D_LIMIT)
-    if exact:
+    if mode == "exact":
         return int(exact_rank_regret_2d(dataset, members)), True, None
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([0xE7A1, seed if seed is not None else 0])))
-    return int(estimate_rank_regret(dataset, members, samples, rng)), False, samples
+    exact = dataset.d == 2
+    return (int(estimate_rank_regret(dataset, members, samples, rng)), exact,
+            None if exact else samples)
 
 
 def evaluate_representative(dataset: Dataset, rep: Representative, *,

@@ -15,16 +15,15 @@ the elements where its rank is at most k, extended to an adjacent point
 where it is at most 2k, and ``cover_2d`` covers every element with the
 fewest spans: a representative never larger than the optimal one, with
 exact rank-regret at most 2k.  ``enumerate_ksets_2d`` reads the k-sets
-off the same k-level (``ExchangeSweep``).  ``member_rank_steps`` gives
-the best member rank of a subset at and just after each group of the
-members' crossings (``RankSteps``): ``exact_rank_regret_2d`` takes its
-maximum, and ``evaluate.estimate_rank_regret`` reads each sampled
-function's rank at its angle off the steps with every near run of
-crossings as one group, each step a value the exact rank takes.  The
-steps are read over the rows of ``core.member_survivors`` alone: a
-threshold pass on slabs of the angle (in 2-D the cells of its grid) and a
-dominance pass drop every row that scores below the best member at every
-angle, which leaves the best member's rank unchanged.
+off the same k-level (``ExchangeSweep``).  ``exact_rank_regret_2d``, the
+one 2-D evaluator (``evaluate.estimate_rank_regret`` returns it in 2-D),
+gives each row the one interval of angles on which it ranks ahead of
+every member of a subset, so of the best one, and takes 1 plus the
+largest depth of these intervals, exactly at every n.  It reads only the
+rows of ``core.member_survivors``: a threshold pass on slabs of the angle
+(in 2-D the cells of its grid) and a dominance pass drop every row that
+scores below the best member at every angle, which leaves the best
+member's rank unchanged.
 
 The k-level is computed over the candidates (``_candidates``) alone, and
 it is the k-level of all tuples:
@@ -57,7 +56,7 @@ it is the k-level of all tuples:
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -236,7 +235,11 @@ def _rank_trajectories(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
     bit for a row passing.  Rows that never cross get the key of _NEVER.
     The state after a group of equal angles does not depend on its order.
     """
-    du, dv, ahead, rank0 = _offsets(points, ids, own, own_ids)
+    du = points[:, 0] - own[:, 0, None]
+    dv = points[:, 1] - own[:, 1, None]
+    ahead = ids < own_ids[:, None]  # the row has the smaller id
+    rank0 = 1 + np.count_nonzero(
+        (du > 0) | (du == 0) & ((dv > 0) | (dv == 0) & ahead), axis=1)
     angles, passing = _crossings(du, dv)
     keys = angles.view(np.uint64) << _TWO
     keys |= (ahead.view(np.uint8) << 1) | passing
@@ -248,19 +251,6 @@ def _rank_trajectories(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
     last[:, :-1] = angles[:, 1:] != angles[:, :-1]
     last[:, -1] = True
     return _Trajectories(angles, states, last, rank0, keys)
-
-
-def _offsets(points: np.ndarray, ids: np.ndarray, own: np.ndarray,
-             own_ids: np.ndarray):
-    """(du, dv, ahead, rank0): the rows ``points`` (ids ``ids``) less the
-    tuples ``own`` (ids ``own_ids``), one row per tuple, whether each row
-    has the smaller id, and each tuple's rank just after angle 0."""
-    du = points[:, 0] - own[:, 0, None]
-    dv = points[:, 1] - own[:, 1, None]
-    ahead = ids < own_ids[:, None]
-    rank0 = 1 + np.count_nonzero(
-        (du > 0) | (du == 0) & ((dv > 0) | (dv == 0) & ahead), axis=1)
-    return du, dv, ahead, rank0
 
 
 def _crossings(du: np.ndarray,
@@ -406,9 +396,10 @@ def rrr_2d(dataset: Dataset, k: int) -> Representative:
 
 
 #: a float crossing angle lies within 4 representable steps of the exact
-#: one (3 from rounding du, dv and their quotient, under 1 from arctan),
-#: so crossings whose float angles are more than 8 steps apart are
-#: ordered as their exact ratios
+#: one (3 from rounding du, dv and their quotient, under 1 from arctan;
+#: arctan2 of du and dv, as ``exact_rank_regret_2d`` takes it, has no
+#: quotient), so crossings whose float angles are more than 8 steps apart
+#: are ordered as their exact ratios
 NEAR_TIE_ULPS = 8
 
 
@@ -483,9 +474,7 @@ def _level_events(points: np.ndarray, ids: np.ndarray, k: int) -> _KLevel:
     found = [np.concatenate(c) for c in zip(*found)]
     order = np.argsort(found[0], kind="stable")
     angles, rows, change, at, partners = (c[order] for c in found)
-    # two events form one group in exact arithmetic too: apart, each
-    # would change the size of the top k
-    perm, new = _exact_groups(points, angles, rows, partners, 2)
+    perm, new = _exact_groups(points, angles, rows, partners)
     angles, rows, change, at = angles[perm], rows[perm], change[perm], at[perm]
     bounds = np.flatnonzero(new)
     moving = np.where(change != 0, angles, _NEVER)
@@ -578,13 +567,14 @@ def _exact_run(points: np.ndarray, t: int, lo: float, hi: float,
 
 
 def _exact_groups(points: np.ndarray, angles: np.ndarray, rows: np.ndarray,
-                  partners: np.ndarray, least: int):
-    """(permutation, opens a group) of the crossings of ``rows[i]`` with
-    ``partners[i]`` (where -1, the row it crosses at that float angle),
-    sorted by float ``angles``.  A run of more than ``least``, each within
-    NEAR_TIE_ULPS of the next, is grouped by exact ratio
+                  partners: np.ndarray):
+    """(permutation, opens a group) of the k-level events of ``rows[i]``,
+    crossing ``partners[i]`` (where -1, the row it crosses at that float
+    angle), sorted by float ``angles``.  A run of more than two, each
+    within NEAR_TIE_ULPS of the next, is grouped by exact ratio
     (``_ratio_groups``) unless it is one pair seen from both sides; any
-    other run is one group."""
+    other run is one group, as two events form one group in exact
+    arithmetic too: apart, each would change the size of the top k."""
     perm = np.arange(angles.size)
     opens = np.ones(angles.size, dtype=bool)
     opens[1:] = np.diff(angles.view(np.int64)) > NEAR_TIE_ULPS
@@ -592,7 +582,7 @@ def _exact_groups(points: np.ndarray, angles: np.ndarray, rows: np.ndarray,
     lo, size = runs[:-1], np.diff(runs)
     nxt = np.minimum(lo + 1, angles.size - 1)
     pair = (size == 2) & (rows[lo] == partners[nxt]) & (rows[nxt] == partners[lo])
-    near = np.flatnonzero((size > least) & ~pair)
+    near = np.flatnonzero((size > 2) & ~pair)
     for lo, hi in zip(runs[near].tolist(), runs[near + 1].tolist()):
         found = partners[lo:hi].copy()
         for i in np.flatnonzero(found < 0).tolist():
@@ -628,98 +618,131 @@ def _ratio(points: np.ndarray, t: int, u: int) -> Fraction:
 
 
 def exact_rank_regret_2d(dataset: Dataset, subset) -> int:
-    """max over theta of (best rank among ``subset`` members), exactly:
-    the maximum of ``member_rank_steps`` and of the rank at pi/2
-    (``_axis_ranks``).  Both see only the kernel's rows
-    (``core.member_survivors``), the members and the rows that may come
-    within NUMERIC_TOL of the best member at some angle.  A dropped row
-    scores below the best member at every angle in exact arithmetic, and
-    every other member still ranks behind the best one among the rows
-    kept, so the best member's rank is unchanged.
+    """max over theta in [0, pi/2] of the best rank among ``subset``'s
+    members, exactly: 1 plus the largest depth of one interval per row.
+
+    Ranking by (score descending, id ascending) is a total order at every
+    angle, so a row is ahead of the best member exactly where it is ahead
+    of every member, and the best member's rank is 1 plus the number of
+    rows ahead of it.  For a row t and a member m let a = t1 - m1 and
+    b = t2 - m2; t scores a cos(theta) + b sin(theta) above m, so with c
+    the angle arctan(|a| / |b|) (pi/2 where b = 0):
+
+    - a >= 0 >= b (not both 0): t is ahead on [0, c);
+    - a <= 0 <= b (not both 0): t is ahead on (c, pi/2];
+    - a < 0 and b < 0: t is never ahead, and a > 0 and b > 0: always;
+    - t equal to m: t is ahead on all of [0, pi/2] if its id is smaller,
+      and nowhere otherwise.
+
+    At c the two tie, so t is ahead there too, the end closed, exactly
+    when its id is smaller than m's.  Where a = 0 or b = 0 the end is
+    exactly 0 or pi/2.  The intersection over the members, t's interval,
+    runs from the largest of its lower ends to the smallest of its upper
+    ends, open at an end where any member giving it is open
+    (``_row_ends``).  The largest depth of these intervals comes from one
+    sweep over their ends in order (Klee), where at one point the open
+    stops come first, then the closed starts, the closed stops and the
+    open starts; a row whose interval stops before it starts in that
+    order is empty and counts nowhere.
+
+    Float angles order ends more than NEAR_TIE_ULPS apart as their exact
+    values.  Closer ones are compared by exact ratio (``_end_key``) where
+    it matters: among the ends of a row that may be its extreme, and in a
+    run of the sweep's ends that holds both starts and stops (the depth
+    over a run of starts alone, or of stops alone, does not depend on
+    their order).
+
+    Only the kernel's rows (``core.member_survivors``) are read: the
+    members and the rows that may come within NUMERIC_TOL of the best
+    member at some angle.  Every other row scores below the best member
+    at every angle in exact arithmetic, so it is ahead of it nowhere.
     """
     _require_2d(dataset)
     kernel = RankRegretKernel(dataset.values, subset)
-    steps = member_rank_steps(kernel)
-    at_end = _axis_ranks(kernel.kept[:, 1])[kernel.member_cols].min()
-    return int(max(steps.after.max(), steps.points.max(), at_end))
-
-
-@dataclass(frozen=True)
-class RankSteps:
-    """The best member rank as a step function of the angle: ``angles``
-    holds 0 and one entry per group of the members' crossings, ascending;
-    ``after[j]`` is the best member rank just after ``angles[j]`` and
-    ``points[j]`` the one at exactly ``angles[j]``, ties going to the
-    smaller id (None where the groups are near runs)."""
-
-    angles: np.ndarray
-    points: Optional[np.ndarray]
-    after: np.ndarray
-
-    def at(self, thetas: np.ndarray) -> np.ndarray:
-        """The rank on the open interval just after the last angle at or
-        before each theta in [0, pi/2]."""
-        return self.after[np.searchsorted(self.angles, thetas, side="right") - 1]
-
-
-def member_rank_steps(kernel: RankRegretKernel, exact: bool = True) -> RankSteps:
-    """The best rank of ``kernel``'s members among its kept rows, read off
-    their crossings with those rows (blocks of members), sorted by float
-    angle and with near runs grouped exactly (``_exact_groups``).
-
-    Just after a group a member's rank is its rank just after 0 moved by
-    its crossings so far.  At a group it moves only by the rows crossing
-    it there with a smaller id (passing) or a larger one (falling
-    behind), as ties go to the smaller id; at 0 ``_axis_ranks`` gives it.
-
-    With ``exact`` False, what ``evaluate.estimate_rank_regret`` reads,
-    each run of crossings within NEAR_TIE_ULPS of the next is one group,
-    with no ``Fraction`` and no ``points``.  Float angles more than
-    NEAR_TIE_ULPS apart are ordered as the exact ones, so every exact
-    crossing angle of a run lies strictly below every one of the next
-    run.  Each ``after[j]`` is then the exact best member rank on the
-    open interval from the last exact crossing of run j to the first of
-    run j + 1 (or pi/2), which is not empty: a value the rank takes.
-    """
-    kept, ids, cols = kernel.kept, kernel.rows, kernel.member_cols
-    step = _block_size(ids.size)
-    found = []  # every crossing: member, row crossed, angle, passing; rank0
-    for lo in range(0, cols.size, step):
-        du, dv, _, rank0 = _offsets(kept, ids, kept[cols[lo:lo + step]],
-                                    kernel.members[lo:lo + step])
-        angles, passing = _crossings(du, dv)
-        m, u = np.nonzero(angles < _NEVER)
-        found.append((lo + m, u, angles[m, u], passing[m, u], rank0))
-    mine, rows, angles, up, rank0 = (np.concatenate(c) for c in zip(*found))
+    points = kernel.kept
+    rows, angles, member, closed = _row_ends(points, kernel.rows,
+                                             kernel.member_cols)
+    # the lower ends (starts), then the upper ends (stops), each with its
+    # place among the ends at one point
+    half = rows.size // 2
+    start = np.arange(rows.size) < half
+    tie = 2 * (closed != start) + start
     order = np.argsort(angles, kind="stable")
-    if exact:
-        perm, opens = _exact_groups(kept, angles[order], cols[mine[order]],
-                                    rows[order], 1)
-        order = order[perm]
-    else:
-        opens = np.ones(order.size, dtype=bool)
-        opens[1:] = np.diff(angles[order].view(np.int64)) > NEAR_TIE_ULPS
-    starts = np.flatnonzero(opens)
-    group = np.empty(order.size, dtype=np.int64)
-    group[order] = np.cumsum(opens) - 1
-    moves = np.where(up, 1.0, -1.0)
-    taken = np.where(up == (rows < cols[mine]), moves, 0.0)  # at the angle
-    after = np.full(starts.size, float(ids.size))
-    points = after.copy() if exact else None
-    bounds = np.searchsorted(mine, np.arange(cols.size + 1)).tolist()
-    for r0, i, j in zip(rank0.tolist(), bounds[:-1], bounds[1:]):
-        net = np.bincount(group[i:j], moves[i:j], starts.size)
-        state = r0 + np.cumsum(net)
-        np.minimum(after, state, out=after)
-        if exact:
-            at = state - net + np.bincount(group[i:j], taken[i:j], starts.size)
-            np.minimum(points, at, out=points)
-    first = np.maximum.accumulate(np.minimum.reduceat(angles[order], starts))
-    if exact:
-        points = np.append(_axis_ranks(kept[:, 0])[cols].min(),
-                           points).astype(np.int64)
-    return RankSteps(np.append(0.0, first), points,
-                     np.append(rank0.min(), after).astype(np.int64))
+    bits = angles[order].view(np.int64)
+    opens = np.ones(order.size, dtype=bool)
+    opens[1:] = bits[1:] - bits[:-1] > NEAR_TIE_ULPS
+    runs = np.append(np.flatnonzero(opens), order.size)
+    starts = np.add.reduceat(start[order], runs[:-1])
+    mixed = np.flatnonzero((starts > 0) & (starts < runs[1:] - runs[:-1]))
+    for lo, hi in zip(runs[mixed].tolist(), runs[mixed + 1].tolist()):
+        run = order[lo:hi]
+        keys = [(_end_key(points, t, m, s), k) for t, m, s, k in zip(
+            rows[run].tolist(), member[run].tolist(), start[run].tolist(),
+            tie[run].tolist())]
+        order[lo:hi] = run[sorted(range(run.size), key=keys.__getitem__)]
+    place = np.argsort(order)
+    counted = np.tile(place[:half] < place[half:], 2)
+    depth = np.cumsum(np.where(start, 1, -1)[order] * counted[order])
+    return 1 + int(depth.max(initial=0))
+
+
+#: the key of a side on which no member bounds a row, below the bits of
+#: every angle and of its negative
+_UNBOUNDED = -(1 << 62)
+
+
+def _row_ends(points: np.ndarray, ids: np.ndarray, members: np.ndarray):
+    """(rows, angles, member, closed) of the ends of the intervals of the
+    rows of ``points`` (ids ``ids``) ahead of every member (rows
+    ``members``) at some angle (``exact_rank_regret_2d``): all lower ends,
+    then all upper ends, each as its row, its float angle, the member row
+    giving it (-1 for the ends 0 and pi/2 no member gives) and whether it
+    is closed.  A member is never ahead of itself.
+
+    A side's float extreme decides it unless another member's end lies
+    within NEAR_TIE_ULPS of it; then the exact extreme of those ends
+    (``_end_key``) does.  Where several members give it, it is closed
+    only where it is for every one, so for the one of smallest id.
+    The lower ends are the largest of the angles' bits, the upper ends
+    the largest of their negatives.
+    """
+    sign = np.array([[[1]], [[-1]]])  # the lower side, the upper side
+    step = _block_size(members.size)
+    found = []
+    for lo in range(0, ids.size, step):
+        a = points[lo:lo + step, 0, None] - points[members, 0]
+        b = points[lo:lo + step, 1, None] - points[members, 1]
+        first = ids[lo:lo + step, None] < ids[members]
+        same = (a == 0) & (b == 0)
+        ahead = np.flatnonzero(~((a < 0) & (b < 0) | same & ~first).any(axis=1))
+        a, b, first, same = a[ahead], b[ahead], first[ahead], same[ahead]
+        bits = np.arctan2(np.abs(a), np.abs(b)).view(np.int64)
+        bounds = (sign * a <= 0) & (sign * b >= 0) & ~same
+        keys = np.where(bounds, sign * bits, _UNBOUNDED)
+        col = keys.argmax(axis=2)
+        near = bounds & (keys >= keys.max(axis=2, keepdims=True) - NEAR_TIE_ULPS)
+        count = np.count_nonzero(near, axis=2)
+        for side, i in zip(*np.nonzero(count > 1)):
+            cand = np.flatnonzero(near[side, i]).tolist()
+            exact = [_end_key(points, lo + ahead[i], members[j], True) for j in cand]
+            extreme = (max, min)[side](exact)
+            # the member of smallest id giving it: members ascend
+            col[side, i] = next(j for j, e in zip(cand, exact) if e == extreme)
+        closed = first[np.arange(ahead.size), col] | (count == 0)
+        angles = bits[np.arange(ahead.size), col].view(np.float64)
+        found.append((np.repeat([lo + ahead], 2, axis=0),
+                      np.where(count > 0, angles, [[0.0], [HALF_PI]]),
+                      np.where(count > 0, members[col], -1), closed))
+    return [np.concatenate(c, axis=1).ravel() for c in zip(*found)]
+
+
+def _end_key(points: np.ndarray, t: int, m: int, start: bool):
+    """The exact tan of the angle of an end of row ``t``'s interval given
+    by the member row ``m`` (by none where -1: 0 for a ``start``, pi/2
+    otherwise), infinite at pi/2, where the two rows' x2 are equal."""
+    if m < 0:
+        return 0 if start else np.inf
+    return np.inf if points[t, 1] == points[m, 1] else _ratio(points, t, m)
 
 
 def _require_2d(dataset: Dataset) -> None:

@@ -31,7 +31,7 @@ from rankregret.evaluate import (
     reports_to_csv,
     reports_to_jsonl,
 )
-from rankregret.sweep2d import member_rank_steps
+from rankregret import sweep2d
 
 from conftest import anticorrelated, grid_with_duplicates, random_dataset, tids
 from oracles import (
@@ -65,11 +65,11 @@ class TestEstimate:
 
     def test_single_sample_matches_definition(self):
         # with one sampled function the estimate is exactly the best
-        # member rank under that function
+        # member rank under that function (beyond 2-D, where it samples)
         rng = np.random.default_rng(2)
         for _ in range(20):
             n = int(rng.integers(4, 40))
-            d = int(rng.integers(2, 5))
+            d = int(rng.integers(3, 5))
             ds = random_dataset(rng, n, d)
             subset = sorted(rng.choice(n, size=int(rng.integers(1, 4)),
                                        replace=False))
@@ -88,7 +88,7 @@ class TestEstimate:
         assert values == sorted(values)
 
     def test_never_exceeds_exact_2d_and_usually_matches(self):
-        equal = 0
+        # in 2-D the estimate is the exact value
         trials = 30
         for t in range(trials):
             g = np.random.default_rng(500 + t)
@@ -97,10 +97,7 @@ class TestEstimate:
             ds = random_dataset(g, n, 2)
             members = rrr_2d(ds, k).members
             exact = exact_rank_regret_2d(ds, members)
-            est = estimate_rank_regret(ds, members, 10_000, g)
-            assert est <= exact
-            equal += est == exact
-        assert equal >= int(0.95 * trials)
+            assert estimate_rank_regret(ds, members, 10_000, g) == exact
         # tie-heavy inputs: i/q grids with copied rows, and a member with
         # an exact duplicate of larger id
         for t in range(trials):
@@ -112,24 +109,27 @@ class TestEstimate:
                 values[-1] = values[min(subset)]
                 ds = Dataset(values)
                 assert (estimate_rank_regret(ds, subset, 5000, g)
-                        <= exact_rank_regret_2d(ds, subset))
+                        == exact_rank_regret_2d(ds, subset))
 
 
 class TestEstimateMatchesTwoPass:
-    """The estimate against the same functions ranked over all rows, value
-    for value: by exact scores in 2-D
-    (``oracles.rational_sampled_rank_regret``), and beyond it by the
-    two-pass estimator over one float product
-    (``oracles.sampled_rank_regret``)."""
+    """Beyond 2-D, the estimate against the same functions ranked over all
+    rows by the two-pass estimator over one float product
+    (``oracles.sampled_rank_regret``), value for value.  In 2-D the
+    estimate is the exact value, at least the same functions ranked by
+    exact scores (``oracles.rational_sampled_rank_regret``)."""
 
     @staticmethod
     def check(values, subset, samples, seed):
         got = estimate_rank_regret(Dataset(values), subset, samples,
                                    np.random.default_rng(seed))
-        oracle = (rational_sampled_rank_regret if np.shape(values)[1] == 2
-                  else sampled_rank_regret)
-        assert got == oracle(values, subset, samples,
-                             np.random.default_rng(seed))
+        if np.shape(values)[1] == 2:
+            assert got == exact_rank_regret_2d(Dataset(values), subset)
+            assert got >= rational_sampled_rank_regret(
+                values, subset, samples, np.random.default_rng(seed))
+        else:
+            assert got == sampled_rank_regret(values, subset, samples,
+                                              np.random.default_rng(seed))
         return got
 
     @pytest.mark.parametrize("make", [
@@ -206,9 +206,9 @@ class TestEstimateMatchesTwoPass:
 
 
 class TestEstimate2DSteps:
-    """The 2-D estimate, which reads every sampled function's rank off the
-    members' rank steps with near runs merged, against the same functions
-    ranked by exact scores (``oracles.rational_sampled_rank_regret``)."""
+    """The 2-D estimate, which is the exact value, against the same
+    functions ranked by exact scores
+    (``oracles.rational_sampled_rank_regret``)."""
 
     check = staticmethod(TestEstimateMatchesTwoPass.check)
 
@@ -232,7 +232,7 @@ class TestEstimate2DSteps:
     @pytest.mark.parametrize("n", [196, 1500])
     def test_member_duplicated_in_last_row(self, n):
         # a BLAS product can score the last row's copy above its member,
-        # but the exact steps rank the copy behind it, by id
+        # but the exact value ranks the copy behind it, by id
         rng = np.random.default_rng(71)
         values = rng.random((n, 2))
         values[-1] = values[n // 2]
@@ -254,44 +254,35 @@ class TestEstimate2DSteps:
     TIE_VALUES = np.array([[0.6, 0.2], [0.2, 0.6], [0.3, 0.3], [0.1, 0.5]])
 
     def test_samples_read_the_step_at_their_angle(self, monkeypatch):
-        kernel = RankRegretKernel(self.TIE_VALUES, [0])
-        steps = member_rank_steps(kernel, exact=False)
-        assert steps.angles.tolist() == [0.0, np.pi / 4, np.arctan(5 / 3),
-                                         np.arctan(3)]
-        assert steps.after.tolist() == [1, 2, 3, 4]
-        assert steps.points is None
-        # between the crossings the step is the rank there; at a crossing
-        # (and at the axes) it is the rank just after, never above the max
-        far = (steps.angles + np.append(steps.angles[1:], HALF_PI)) / 2
-        for theta, rank in zip(far, steps.at(far)):
-            assert rank == rank_by_definition(
-                self.TIE_VALUES, [np.cos(theta), np.sin(theta)], 0)
-        thetas = np.append(steps.angles, HALF_PI)
-        assert steps.at(thetas).tolist() == [1, 2, 3, 4, 4]
-        weights = np.column_stack((np.cos(thetas), np.sin(thetas)))
+        # member 0 ranks 1, 2, 3 and 4 between the crossings; the 2-D
+        # estimate is the largest, 4, also where every sampled function
+        # would put it first
+        crossings = np.array([0.0, np.pi / 4, np.arctan(5 / 3), np.arctan(3),
+                              HALF_PI])
+        middles = (crossings[:-1] + crossings[1:]) / 2
+        assert [rank_by_definition(self.TIE_VALUES, [np.cos(a), np.sin(a)], 0)
+                for a in middles] == [1, 2, 3, 4]
+        assert rational_rank_regret_2d(self.TIE_VALUES, [0]) == 4
         monkeypatch.setattr(evaluate, "sample_functions",
-                            lambda rng, d, count: weights[:count])
+                            lambda rng, d, count: np.eye(d)[[0] * count])
         assert estimate_rank_regret(Dataset(self.TIE_VALUES), [0], 5) == 4
 
-    def test_merged_runs_end_on_exact_groups(self):
-        # rounded values put members' crossings in near runs; each run's
-        # rank is the exact one at the last exact group of the run, which
-        # sits before the next run
+    def test_merged_runs_end_on_exact_groups(self, monkeypatch):
+        # rounded values put ends of the rows' intervals in near runs,
+        # which are ordered by exact ratio; the value is the exact one
         rng = np.random.default_rng(74)
-        merged_groups = 0
+        exact_keys = []
+        end_key = sweep2d._end_key
+        monkeypatch.setattr(sweep2d, "_end_key",
+                            lambda *a: exact_keys.append(a) or end_key(*a))
         for _ in range(40):
-            n = int(rng.integers(5, 80))
+            n = int(rng.integers(5, 60))
             values = np.round(anticorrelated(rng, n, 2), int(rng.integers(1, 3)))
             members = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)),
                                  replace=False)
-            kernel = RankRegretKernel(values, members)
-            merged = member_rank_steps(kernel, exact=False)
-            exact = member_rank_steps(kernel)
-            last = np.searchsorted(exact.angles,
-                                   np.append(merged.angles[1:], np.inf)) - 1
-            assert merged.after.tolist() == exact.after[last].tolist()
-            merged_groups += exact.angles.size - merged.angles.size
-        assert merged_groups > 0
+            assert estimate_rank_regret(Dataset(values), members) == \
+                rational_rank_regret_2d(values, members)
+        assert exact_keys
 
 
 class TestRankRegretKernel:
@@ -505,10 +496,17 @@ class TestBenchmark:
 
 
 def test_evaluate_representative_modes(fig1):
+    # 2-D evaluation is exact in every mode; beyond 2-D "auto" and
+    # "estimate" sample
     rep = rrr_2d(fig1, 2)
-    exact = evaluate_representative(fig1, rep, mode="exact")
-    assert exact.exact and exact.rank_regret == 2
-    est = evaluate_representative(fig1, rep, mode="estimate", samples=2000,
-                                  seed=1)
-    assert not est.exact
-    assert est.rank_regret <= exact.rank_regret
+    for mode in ("exact", "auto", "estimate"):
+        report = evaluate_representative(fig1, rep, mode=mode, samples=2000,
+                                         seed=1)
+        assert report.exact and report.samples is None
+        assert report.rank_regret == 2
+    ds = random_dataset(np.random.default_rng(73), 40, 3)
+    rep = run_algorithm("mdrc", ds, 3)
+    for mode in ("auto", "estimate"):
+        report = evaluate_representative(ds, rep, mode=mode, samples=2000,
+                                         seed=1)
+        assert not report.exact and report.samples == 2000

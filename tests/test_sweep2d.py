@@ -678,6 +678,92 @@ class TestCrossingPoints:
                 assert rep.size <= exhaustive_min_hitting_size(sets)
 
 
+def some_members(rng, n, most=6):
+    return rng.choice(n, size=int(rng.integers(1, min(n, most) + 1)),
+                      replace=False)
+
+
+def on_an_edge(rng, count):
+    """``count`` points j/4 of the way along a segment between two points
+    of the grid i/q, j = 0..4, rounded to 3 decimals: exactly collinear
+    for q = 8, as all are multiples of 1/32, and collinear but for the
+    rounding of decimals to doubles for q = 10."""
+    q = rng.choice([8, 10])
+    a, b = rng.integers(0, q + 1, size=(2, 2)) / q
+    return np.round(a + rng.integers(0, 5, size=(count, 1)) / 4 * (b - a), 3)
+
+
+def grids(rng):
+    """values i/q, q = 2..7"""
+    n, q = int(rng.integers(2, 30)), int(rng.integers(2, 8))
+    return rng.integers(0, q + 1, size=(n, 2)) / q, None
+
+
+def duplicated_members(rng):
+    """members copied to other rows, one copy at a smaller id"""
+    n = int(rng.integers(3, 30))
+    values = (rng.integers(0, 6, size=(n, 2)) / 5 if rng.random() < 0.5
+              else rng.random((n, 2)))
+    members = some_members(rng, n)
+    copies = rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False)
+    values[copies] = values[rng.choice(members, size=copies.size)]
+    top = int(members.max())
+    values[rng.integers(0, top) if top else -1] = values[top]
+    return values, members
+
+
+def collinear_members(rng):
+    """members on one segment, rows of the grid i/16 around them"""
+    n = int(rng.integers(3, 30))
+    values = rng.integers(0, 17, size=(n, 2)) / 16
+    members = some_members(rng, n)
+    values[members] = on_an_edge(rng, members.size)
+    return values, members
+
+
+def rows_on_an_edge(rng):
+    """members and rows on one segment"""
+    n = int(rng.integers(4, 30))
+    values = rng.integers(0, 17, size=(n, 2)) / 16
+    rows = rng.choice(n, size=int(rng.integers(3, n + 1)), replace=False)
+    values[rows] = on_an_edge(rng, rows.size)
+    return values, rows[:int(rng.integers(1, 4))]
+
+
+def rows_on_a_line(rng):
+    """every row on the segment from (1, 0) to (0, s), s = 1/2, 1 or 2,
+    scaled into the unit square, up to 2-decimal rounding: every pair of
+    rows crosses within a few ulps of one angle"""
+    n = int(rng.integers(2, 30))
+    x, s = rng.random(n), rng.choice([0.5, 1.0, 2.0])
+    return np.round(np.column_stack((x, s * (1 - x))) / max(1.0, s), 2), None
+
+
+def shared_attributes(rng):
+    """rows equal to a member in one attribute, so that their ends lie
+    exactly on an axis"""
+    n = int(rng.integers(3, 30))
+    values = np.round(rng.random((n, 2)), int(rng.integers(1, 4)))
+    members = some_members(rng, n)
+    rows = rng.choice(n, size=n // 2, replace=False)
+    axis = rng.integers(0, 2, size=rows.size)
+    values[rows, axis] = values[rng.choice(members, size=rows.size), axis]
+    return values, members
+
+
+def zeros_on_the_axes(rng):
+    """values i/5 or uniform, with a third of them 0"""
+    n = int(rng.integers(2, 30))
+    values = (rng.integers(0, 6, size=(n, 2)) / 5 if rng.random() < 0.5
+              else rng.random((n, 2)))
+    values[rng.random((n, 2)) < 0.3] = 0.0
+    return values, None
+
+
+TIE_FAMILIES = [grids, duplicated_members, collinear_members, rows_on_an_edge,
+                rows_on_a_line, shared_attributes, zeros_on_the_axes]
+
+
 class TestExactRankRegret:
     def test_fig1_cover_output(self, fig1):
         assert exact_rank_regret_2d(fig1, tids("t3", "t1")) == 2
@@ -730,6 +816,29 @@ class TestExactRankRegret:
                                 replace=False)
             assert exact_rank_regret_2d(Dataset(vals), subset) == \
                 rational_rank_regret_2d(vals, subset)
+
+    @pytest.mark.parametrize("family", TIE_FAMILIES,
+                             ids=[f.__name__ for f in TIE_FAMILIES])
+    def test_tie_families_match_rational_oracle(self, family):
+        rng = np.random.default_rng(TIE_FAMILIES.index(family) + 90)
+        for _ in range(100):
+            values, members = family(rng)
+            if members is None:
+                members = some_members(rng, len(values))
+            assert exact_rank_regret_2d(Dataset(values), members) == \
+                rational_rank_regret_2d(values, members)
+
+    # every row on x1 + x2 = 1 up to the rounding of decimals to doubles,
+    # so that the ends of all the rows' intervals lie within a few ulps of
+    # pi/4 and only their exact ratios order them
+    @pytest.mark.parametrize("vals, subset, regret", [
+        ([[0.94, 0.06], [0.1, 0.9], [0.35, 0.65]], [0, 1], 1),
+        ([[0.2, 0.8], [0.2, 0.8], [0.6, 0.4], [0.7, 0.3], [0.5, 0.5]], [1, 3], 4),
+        ([[0.5, 0.5], [0.4, 0.6], [1.0, 0.0], [0.9, 0.1]], [1, 2, 3], 1),
+        ([[0.13, 0.87], [0.1, 0.9], [0.35, 0.65], [0.7, 0.3]], [0, 2], 2)])
+    def test_ends_within_ulps_are_ordered_exactly(self, vals, subset, regret):
+        assert rational_rank_regret_2d(np.array(vals), subset) == regret
+        assert exact_rank_regret_2d(Dataset(vals), subset) == regret
 
     def test_many_members_match_full_sweep(self):
         rng = np.random.default_rng(58)
