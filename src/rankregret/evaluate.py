@@ -200,7 +200,7 @@ def mdrrr_representative(collection: KSetCollection, k: int, source: str,
 def collection_params(collection: KSetCollection) -> dict:
     """What an mdrrr run reports about its k-set collection: its size,
     whether it is complete, and the collector's draws or the graph's LPs
-    and dominance-filtered candidates (None where they do not apply)."""
+    and certificate-rejected candidates (None where they do not apply)."""
     return {"collection_size": len(collection),
             "complete": collection.complete,
             "draws": collection.draws,
@@ -241,8 +241,11 @@ def measure_rank_regret(dataset: Dataset, members, *,
     ``mode`` "exact" is ``exact_rank_regret_2d`` (2-D only); "auto" and
     "estimate" are ``estimate_rank_regret``, which is exact in 2-D and a
     sampled estimate otherwise, its functions derived from ``seed``, so
-    equal seeds measure equal members identically.
+    equal seeds measure equal members identically.  ``samples`` must be
+    positive in every mode, also where no function is drawn.
     """
+    if samples < 1:
+        raise ConfigError("samples must be positive")
     if mode == "exact":
         return int(exact_rank_regret_2d(dataset, members)), True, None
     rng = np.random.Generator(np.random.PCG64(

@@ -16,9 +16,9 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from .core import Dataset, LinearFunction, top_k, top_k_many
+from .core import Dataset, LinearFunction, block_rows, top_k, top_k_ids
 from .errors import (ConfigError, KOutOfRange, LPNumericalFailure,
-                     MalformedKSetFile)
+                     MalformedKSetFile, NonFiniteValue)
 from .simplex import simplex_max
 
 log = logging.getLogger(__name__)
@@ -44,8 +44,8 @@ class KSetCollection:
     hitting-set solver for the VC dimension); ``draws`` is the number of
     ranking functions a sampling collector drew (None for exact sources);
     ``lps`` and ``filtered`` are the separation LPs the k-set graph solved
-    and the candidates its dominance test rejected without one (None for
-    other sources).
+    and the candidates its segment certificates rejected without one
+    (None for other sources).
     """
 
     sets: List[KSet]
@@ -116,22 +116,48 @@ def enumerate_ksets_graph(dataset: Dataset, k: int) -> KSetCollection:
     (removed, added) order), keeping LP-valid sets.  Connectivity of the
     k-set graph makes this traversal complete.
 
-    Each distinct candidate is decided at most once: ``is_valid_kset`` is
+    Each distinct candidate S is decided at most once: ``is_valid_kset`` is
     a pure function of the set, so a candidate already found valid or
-    rejected is skipped.  A candidate in which some non-member weakly
-    dominates (>= on every attribute) a member is rejected without an LP:
-    v.u >= v.t for every v >= 0 leaves that LP no positive margin, so it
-    would reject the candidate too.  Neither shortcut changes a decision,
-    so the sets, their order and their witnesses are those of solving
+    rejected is skipped.  S is rejected without an LP when a segment
+    certificate holds:
+
+    - a member t lies weakly below (<= on every attribute) some point
+      x = lam*u + (1-lam)*u' of the segment between two non-members u, u'
+      (u = u' is weak dominance); or
+    - some point x = lam*t + (1-lam)*t' of the segment between two members
+      lies weakly below a non-member u.
+
+    Either way the LP has no positive margin.  Any feasible (v, s, delta)
+    has v >= 0 and sum(v) = 1, so in the first case s + delta <= v.t <=
+    v.x = lam*v.u + (1-lam)*v.u' <= s, and in the second s + delta <=
+    lam*v.t + (1-lam)*v.t' = v.x <= v.u <= s: delta <= 0 <= VALIDITY_TOL,
+    and the LP would reject S too.
+
+    The certificates are decided in floats (see ``_SegmentTables``), and
+    hold up to rounding.  Each attribute i asks b_i <= lam*a_i with
+    a_i = u_i - u'_i and b_i = t_i - u'_i (the second case is the first
+    on negated values).  A float difference is zero, or has its sign,
+    exactly when the real one does, so attributes with a_i = 0 are decided
+    exactly; every other attribute bounds lam by the quotient b_i/a_i,
+    which floats give within 3 relative ulps.  The test passes when
+    lam* = max(0, lower bounds) <= min(1, upper bounds), and then at lam*
+    each b_i - lam*a_i is at most 3 ulps of |b_i| <= 1 + 2e-9 (values lie
+    in [0, 1] up to NUMERIC_TOL) plus at most one subnormal ulp.  So x at
+    lam* is a true segment point with t <= x + 4*eps on every attribute,
+    which by the argument above gives delta <= 4*eps = 9e-16, far below
+    VALIDITY_TOL: the LP still rejects S.
+
+    So the sets, their order and their witnesses are those of solving
     every LP.  ``lps`` and ``filtered`` on the result count the LPs solved
-    and the candidates the dominance test rejected.  Each LP is still a
-    dense simplex solve, so this is a verification-scale tool; use the
-    randomized collector for large inputs.
+    and the candidates the certificates rejected; their sum is the number
+    of distinct candidates decided.  Each LP is still a dense simplex
+    solve, so this is a verification-scale tool; use the randomized
+    collector for large inputs.
     """
     n = dataset.n
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} not in [1, {n}]")
-    dominators = _weak_dominators(dataset.values)
+    tables = _SegmentTables(dataset.values)
     rejected = set()
     lps = filtered = 0
 
@@ -139,7 +165,7 @@ def enumerate_ksets_graph(dataset: Dataset, k: int) -> KSetCollection:
         nonlocal lps, filtered
         if candidate in rejected:
             return None
-        if any(not dominators[t] <= candidate for t in candidate):
+        if tables.certify(candidate):
             filtered += 1
             rejected.add(candidate)
             return None
@@ -172,11 +198,79 @@ def enumerate_ksets_graph(dataset: Dataset, k: int) -> KSetCollection:
                           lps=lps, filtered=filtered)
 
 
-def _weak_dominators(values: np.ndarray) -> List[frozenset]:
-    """Per tuple t, the other tuples u with values[u] >= values[t] on every
-    attribute; exact duplicates count."""
-    return [frozenset(np.flatnonzero((values >= row).all(axis=1)).tolist()) - {t}
-            for t, row in enumerate(values)]
+class _SegmentTables:
+    """The segment certificates of :func:`enumerate_ksets_graph`.
+
+    Per row t, ``below[t]`` is an int of n*n bits whose bit p*n + q is set
+    when values[t] lies weakly below some point of the segment from
+    values[p] to values[q], and ``above[t]`` when weakly above one.  Rows
+    are built on first use, in blocks of rows whose (rows, n, n, d)
+    quotients fill about SCORE_BLOCK_BYTES, so n^3*d floats are never held
+    at once.  A candidate is certified by one AND per row with the pair
+    mask of its non-members (for ``below``) or of its members (for
+    ``above``); the pair mask of an n-bit set m is m * (sum of 2^(p*n)
+    over p in m), whose terms occupy disjoint n-bit fields.
+    """
+
+    def __init__(self, values: np.ndarray):
+        n = len(values)
+        self.n = n
+        # pair[p, q] = values[p] - values[q]
+        self.pair = values[:, None, :] - values[None, :, :]
+        self.rise = self.pair > 0
+        self.fall = self.pair < 0
+        self.block = block_rows(self.pair.size)
+        self.below: List[Optional[int]] = [None] * n
+        self.above: List[Optional[int]] = [None] * n
+        self.full = (1 << n) - 1
+        self.spread = [1 << (p * n) for p in range(n)]
+        self.spread_all = sum(self.spread)
+
+    def certify(self, candidate: frozenset) -> bool:
+        """Whether either certificate rejects ``candidate``."""
+        inside = sum(1 << t for t in candidate)
+        if inside == self.full:
+            return False
+        spread_in = sum(self.spread[t] for t in candidate)
+        outside_pairs = (self.full ^ inside) * (self.spread_all - spread_in)
+        inside_pairs = inside * spread_in
+        return (any(self._row(self.below, t) & outside_pairs
+                    for t in candidate)
+                or any(self._row(self.above, u) & inside_pairs
+                       for u in range(self.n) if not inside >> u & 1))
+
+    def _row(self, table: list, t: int) -> int:
+        if table[t] is None:
+            self._build(t - t % self.block)
+        return table[t]
+
+    def _build(self, lo: int) -> None:
+        rows = slice(lo, min(self.n, lo + self.block))
+        pair, rise, fall = self.pair, self.rise, self.fall
+        b = pair[rows, None]  # values[t] - values[q], over (t, p, q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = b / pair
+        # where values[p] > values[q], below needs lam >= ratio, above
+        # lam <= ratio; where values[p] < values[q] the reverse; where equal,
+        # below needs values[t] <= values[q] and above >=
+        moves = rise | fall
+        up = np.where(rise, ratio, -np.inf).max(axis=-1)
+        down = np.where(fall, ratio, np.inf).min(axis=-1)
+        below = ((moves | (b <= 0)).all(axis=-1)
+                 & (np.maximum(up, 0.0) <= np.minimum(down, 1.0)))
+        up = np.where(fall, ratio, -np.inf).max(axis=-1)
+        down = np.where(rise, ratio, np.inf).min(axis=-1)
+        above = ((moves | (b >= 0)).all(axis=-1)
+                 & (np.maximum(up, 0.0) <= np.minimum(down, 1.0)))
+        self.below[rows] = _bit_rows(below)
+        self.above[rows] = _bit_rows(above)
+
+
+def _bit_rows(table: np.ndarray) -> List[int]:
+    """Each (n, n) boolean slice of ``table`` as an int with bit p*n + q."""
+    packed = np.packbits(table.reshape(len(table), -1), axis=1,
+                         bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _seed_kset(dataset: Dataset, k: int, witness_of):
@@ -252,7 +346,13 @@ def collect_ksets_random(dataset: Dataset, k: int, c: int,
     The functions are drawn and scored in blocks of ``c - misses``, the
     fewest draws that could end the run, so the stop falls on a block's
     last draw: the sets, their order, the witnesses and the generator's
-    final state are those of drawing one function at a time.
+    final state are those of drawing one function at a time.  Within a
+    block, the ascending ``top_k_ids`` rows are keyed by their bytes, one
+    ``np.unique`` finds each key's first draw, and only those keys are
+    looked up among the sets seen before; the run of misses restarts after
+    the block's last new set.  ``sample_functions`` output is finite,
+    non-negative and unit, and the block is checked once for the
+    witnesses.
     """
     if c < 1:
         raise ConfigError("termination counter c must be >= 1")
@@ -264,13 +364,20 @@ def collect_ksets_random(dataset: Dataset, k: int, c: int,
     while misses < c:
         weights = sample_functions(rng, dataset.d, c - misses)
         draws += len(weights)
-        for w, members in zip(weights, top_k_many(dataset, weights, k)):
-            if members in seen:
-                misses += 1
-            else:
-                seen.add(members)
-                ordered.append(KSet(members, LinearFunction(w)))
-                misses = 0
+        ids = top_k_ids(dataset, weights, k)
+        keys = ids.view(np.dtype((np.void, ids.itemsize * k))).ravel()
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        new = [i for i, key in zip(first.tolist(), keys[first].tolist())
+               if key not in seen]
+        if not new:
+            misses += len(weights)
+            continue
+        seen.update(keys[new].tolist())
+        witnesses = LinearFunction.from_rows(weights[new])
+        ordered.extend(KSet(frozenset(members), witness) for members, witness
+                       in zip(ids[new].tolist(), witnesses))
+        misses = len(weights) - 1 - new[-1]
     return KSetCollection(sets=ordered, k=k, complete=False, d=dataset.d,
                           draws=draws)
 
@@ -291,8 +398,10 @@ def collection_to_lines(collection: KSetCollection) -> List[str]:
 def collection_from_lines(lines: Iterable[str],
                           d: Optional[int] = None) -> KSetCollection:
     """Parse the wire format (never known to be complete); a line that does
-    not parse, a set without k members, mixed k values, a witness whose
-    length is not ``d`` (or the first's) and no sets raise MalformedKSetFile."""
+    not parse, a witness that is no ``LinearFunction`` (non-finite, negative
+    or all zero), a set without k members, mixed k values, a witness whose
+    length is not ``d`` (or the first's) and no sets raise MalformedKSetFile
+    naming the line."""
     sets: List[KSet] = []
     k = None
     for number, raw in enumerate(lines, 1):
@@ -310,7 +419,7 @@ def collection_from_lines(lines: Iterable[str],
         except KeyError as exc:
             raise MalformedKSetFile(
                 f"k-set line {number} has no {exc.args[0]}= field") from None
-        except ValueError as exc:
+        except (ValueError, NonFiniteValue) as exc:
             raise MalformedKSetFile(f"k-set line {number}: {exc}") from None
         if k is None:
             k = line_k

@@ -435,9 +435,9 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
         if stop <= start:
             continue  # a zero-width segment
         middles.setdefault(members, (start + stop) / 2.0)
-    witnesses = angle_weights(np.array(list(middles.values()))[:, None])
-    sets = [KSet(members, LinearFunction(w))
-            for members, w in zip(middles, witnesses)]
+    witnesses = LinearFunction.from_rows(
+        angle_weights(np.array(list(middles.values()))[:, None]))
+    sets = [KSet(members, w) for members, w in zip(middles, witnesses)]
     return KSetCollection(sets=sets, k=k, complete=True, d=2)
 
 

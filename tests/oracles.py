@@ -411,18 +411,23 @@ def _draw_one_function(rng, d):
     return (w / np.linalg.norm(w, axis=1)[:, None])[0]
 
 
-def one_at_a_time_ksets(values, k, c, rng):
+def sequential_ksets_random(values, k, c, rng, top_k_of=None):
     """(sets, draws) of the coupon-collector run that draws one function at
-    a time, scores it against every tuple and stops after ``c`` draws in a
-    row find no new top-k set; ``sets`` holds (members, witness weights)."""
+    a time, takes its top k and stops after ``c`` draws in a row find no
+    new top-k set; ``sets`` holds (members, witness weights).  The top k
+    is ``top_k_of(weights)`` (the package's ``core.top_k``, say), by
+    definition when None."""
     values = np.asarray(values, dtype=np.float64)
+    if top_k_of is None:
+        def top_k_of(w):
+            return topk_by_definition(values, w, k)
     seen = set()
     out = []
     misses = draws = 0
     while misses < c:
         w = _draw_one_function(rng, values.shape[1])
         draws += 1
-        members = topk_by_definition(values, w, k)
+        members = top_k_of(w)
         if members in seen:
             misses += 1
         else:
@@ -615,22 +620,41 @@ def has_weakly_dominated_member(values, members):
 
 
 def lp_graph_ksets(values, k):
-    """[(members, witness weights)] of the k-set graph BFS that solves the
-    separation LP for every candidate it generates: seeded by the first
-    separable top-k among the first axis and 16 functions drawn from
+    """[(members, witness weights)] of :func:`lp_ksets_graph` with this
+    module's own separation LP."""
+    sets, _ = lp_ksets_graph(values, k,
+                             lambda members: lp_separation_witness(values, members))
+    return sets
+
+
+def lp_ksets_graph(values, k, separate):
+    """(sets, decisions) of the k-set graph BFS that decides every distinct
+    candidate it generates by ``separate(members)`` (a witness or None, such
+    as the package's ``is_valid_kset``), with no filter: seeded by the
+    first separable top-k among the first axis and 16 functions drawn from
     PCG64(0), then every swap of one member for one non-member in
-    ascending (removed, added) order, keeping the separable ones."""
+    ascending (removed, added) order, keeping the separable ones.  ``sets``
+    holds (members, witness) in discovery order; ``decisions`` maps each
+    candidate decided, in order, to its witness or None, so its length is
+    the number of LPs.  With no separable seed, ``sets`` is empty."""
     values = np.asarray(values, dtype=np.float64)
     n, d = values.shape
+    decisions = {}
+
+    def decide(candidate):
+        if candidate not in decisions:
+            decisions[candidate] = separate(candidate)
+        return decisions[candidate]
+
     rng = np.random.Generator(np.random.PCG64(0))
     functions = [np.eye(d)[0]] + [_draw_one_function(rng, d) for _ in range(16)]
     for w in functions:
         seed = topk_by_definition(values, w, k)
-        witness = lp_separation_witness(values, seed)
+        witness = decide(seed)
         if witness is not None:
             break
     else:
-        raise AssertionError("no separable seed k-set")
+        return [], decisions
     out = [(seed, witness)]
     found = {seed}
     queue = [seed]
@@ -642,12 +666,12 @@ def lp_graph_ksets(values, k):
                 candidate = (current - {removed}) | {added}
                 if candidate in found:
                     continue
-                witness = lp_separation_witness(values, candidate)
+                witness = decide(candidate)
                 if witness is not None:
                     found.add(candidate)
                     out.append((candidate, witness))
                     queue.append(candidate)
-    return out
+    return out, decisions
 
 
 def loop_find_ranges(values, k):

@@ -267,6 +267,16 @@ class TestKsets:
         assert payload["error"] == "MalformedKSetFile"
         assert payload["message"].startswith("k-set line 1: ")
 
+    def test_kset_non_finite_witness_is_input_error(self, fig1_csv, tmp_path,
+                                                    capsys):
+        code, payload = self.solve_from_lines(
+            fig1_csv, tmp_path, capsys,
+            "k=2;members=0,2;witness=0.6,0.8\nk=2;members=1,2;witness=nan,1\n")
+        assert code == 2
+        assert payload["error"] == "MalformedKSetFile"
+        assert payload["message"] == \
+            "k-set line 2: weights contain non-finite values"
+
     def test_kset_id_out_of_range_is_input_error(self, fig1_csv, tmp_path,
                                                  capsys):
         code, payload = self.solve_from_lines(
@@ -386,6 +396,8 @@ class TestExitCodes:
          "MalformedMembersFile"),
         (["eval", "{fig1}", "--members-file", "{text_ids}"], 2,
          "MalformedMembersFile"),
+        (["eval", "{fig1}", "--members", "0", "--eval", "exact",
+          "--samples", "0"], 3, "ConfigError"),
     ])
     def test_exit_code_by_cause(self, argv, code, error, fig1_csv, tmp_path,
                                 capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from rankregret import (
     Dataset,
+    LinearFunction,
     collect_ksets_random,
     enumerate_ksets_2d,
     enumerate_ksets_graph,
@@ -12,8 +13,8 @@ from rankregret import (
     top_k,
     weights_to_angles,
 )
-from rankregret import kset
-from rankregret.errors import MalformedKSetFile
+from rankregret import core, kset
+from rankregret.errors import LPNumericalFailure, MalformedKSetFile
 from rankregret.kset import (
     collection_from_lines,
     collection_to_lines,
@@ -32,7 +33,8 @@ from oracles import (
     exhaustive_lp_ksets,
     has_weakly_dominated_member,
     lp_graph_ksets,
-    one_at_a_time_ksets,
+    lp_ksets_graph,
+    sequential_ksets_random,
 )
 
 HALF_PI = np.pi / 2
@@ -133,6 +135,61 @@ class TestGraphEnumeration:
                 assert len(solved) == len(set(solved)) == got.lps
                 assert not any(has_weakly_dominated_member(values, c)
                                for c in solved)
+
+    @pytest.mark.parametrize("family", ["grid", "duplicates", "collinear"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_certificates_reject_only_what_the_lp_rejects(self, family, d,
+                                                           monkeypatch):
+        # against deciding every distinct candidate by is_valid_kset: the
+        # same sets, order and witness bits, one decision per candidate
+        # (lps + filtered), and every candidate rejected without an LP is
+        # one the LP rejects
+        solved = []
+        real = kset.is_valid_kset
+
+        def counted(dataset, members):
+            solved.append(frozenset(members))
+            return real(dataset, members)
+
+        monkeypatch.setattr(kset, "is_valid_kset", counted)
+        rng = np.random.default_rng([d, len(family), 22])
+        certified = 0
+        for trial in range(6):
+            n = int(rng.integers(5, 12))
+            values = _tie_family(rng, family, n, d)
+            k = 1 + trial * (n - 2) // 5  # 1 ... n - 1
+            ds = Dataset(values)
+            solved.clear()
+            expected, decisions = lp_ksets_graph(
+                values, k, lambda members: real(ds, members))
+            if not expected:
+                with pytest.raises(LPNumericalFailure):
+                    enumerate_ksets_graph(ds, k)
+                continue
+            got = enumerate_ksets_graph(ds, k)
+            assert [s.members for s in got.sets] == [m for m, _ in expected]
+            for s, (_, w) in zip(got.sets, expected):
+                assert s.witness.weights.tobytes() == w.weights.tobytes()
+            assert got.lps + got.filtered == len(decisions)
+            assert len(solved) == len(set(solved)) == got.lps
+            skipped = set(decisions) - set(solved)
+            assert len(skipped) == got.filtered
+            assert all(decisions[c] is None for c in skipped)
+            certified += len(skipped)
+        assert certified > 0
+
+    def test_segment_certificates(self):
+        # row 2 is the midpoint of rows 0 and 1 and row 3 lies above it, so
+        # no 2-set holds 2 without 0 or 1, nor 0 and 1 without 3, though no
+        # non-member of {2, 3} or {0, 1} dominates a member
+        ds = Dataset([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.6, 0.6]])
+        col = enumerate_ksets_graph(ds, 2)
+        tables = kset._SegmentTables(ds.values)
+        assert tables.certify(frozenset({2, 3}))  # 2 below the segment 0-1
+        assert tables.certify(frozenset({0, 1}))  # 3 above the segment 0-1
+        assert not tables.certify(frozenset({0, 3}))
+        assert {s.members for s in col.sets} == \
+            {frozenset({0, 3}), frozenset({1, 3})}
 
     def test_counts_lps_and_filtered_candidates(self):
         # (0, 0) is dominated by every other row, so the swaps that add it
@@ -254,12 +311,46 @@ class TestRandomCollector:
             ours = np.random.default_rng(trial)
             theirs = np.random.default_rng(trial)
             got = collect_ksets_random(Dataset(values), k, c, ours)
-            expected, draws = one_at_a_time_ksets(values, k, c, theirs)
+            expected, draws = sequential_ksets_random(values, k, c, theirs)
             assert [s.members for s in got.sets] == [m for m, _ in expected]
             for s, (_, w) in zip(got.sets, expected):
                 assert s.witness.weights.tobytes() == w.tobytes()
             assert ours.bit_generator.state == theirs.bit_generator.state
             assert got.draws == draws
+
+    @pytest.mark.parametrize("family", ["grid", "duplicates", "collinear"])
+    def test_same_run_as_sequential_top_k(self, family, monkeypatch):
+        # against drawing one function at a time and taking core.top_k, on
+        # tie-heavy inputs where top_k_ids sends rows to top_k: the same
+        # sets, order, witness bits, draws and next draw of the generator
+        real = core.top_k
+        fallbacks = []
+
+        def counted(dataset, function, k):
+            fallbacks.append(k)
+            return real(dataset, function, k)
+
+        monkeypatch.setattr(core, "top_k", counted)
+        rng = np.random.default_rng([23, len(family)])
+        for trial in range(8):
+            d = 2 + trial % 3
+            n = int(rng.integers(6, 60))
+            k = int(rng.integers(1, n))
+            c = int(rng.choice([1, 5, 40]))
+            values = _tie_family(rng, family, n, d)
+            ds = Dataset(values)
+            ours = np.random.default_rng([trial, 1])
+            theirs = np.random.default_rng([trial, 1])
+            got = collect_ksets_random(ds, k, c, ours)
+            expected, draws = sequential_ksets_random(
+                values, k, c, theirs,
+                lambda w: real(ds, LinearFunction(w), k))
+            assert [s.members for s in got.sets] == [m for m, _ in expected]
+            for s, (_, w) in zip(got.sets, expected):
+                assert s.witness.weights.tobytes() == w.tobytes()
+            assert got.draws == draws
+            assert ours.random() == theirs.random()
+        assert fallbacks
 
     def test_exact_sources_have_no_draws(self, fig1):
         assert enumerate_ksets_graph(fig1, 2).draws is None
@@ -272,6 +363,24 @@ class TestRandomCollector:
         drawn = collect_ksets_random(fig1, 2, 10, np.random.default_rng(0))
         for col in (plane, drawn):
             assert col.lps is None and col.filtered is None
+
+
+def _tie_family(rng, family, n, d):
+    """Tie-heavy values: i/q grids (q = 2-4), a random input with a third
+    of its rows copied, or rows at i/8 along a few segments (collinear up
+    to rounding)."""
+    if family == "grid":
+        q = int(rng.integers(2, 5))
+        return rng.integers(0, q + 1, size=(n, d)) / q
+    if family == "duplicates":
+        values = rng.random((n, d))
+        copies = rng.choice(n, size=max(1, n // 3), replace=False)
+        values[copies] = values[rng.choice(n, size=copies.size)]
+        return values
+    ends = rng.random((3, 2, d))
+    line = rng.integers(0, 3, size=n)
+    lam = rng.integers(0, 9, size=(n, 1)) / 8
+    return lam * ends[line, 0] + (1 - lam) * ends[line, 1]
 
 
 def _min_wedge(ds, k):
@@ -336,3 +445,9 @@ class TestSerialization:
                                    "k=2;members=0,2;witness=0.6,0.8,0"])
         with pytest.raises(MalformedKSetFile, match="line 1 has a witness of 3"):
             collection_from_lines(["k=2;members=1,3;witness=0.6,0.8,0"], d=2)
+
+    @pytest.mark.parametrize("witness", ["nan,1", "1,inf", "-0.5,1", "0,0"])
+    def test_witness_that_is_no_function_names_its_line(self, witness):
+        with pytest.raises(MalformedKSetFile, match="^k-set line 2: "):
+            collection_from_lines(["k=2;members=1,3;witness=0.6,0.8",
+                                   f"k=2;members=0,2;witness={witness}"])
