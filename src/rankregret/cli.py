@@ -37,7 +37,7 @@ from .errors import (
     RankRegretError,
     UncoverableSpace,
 )
-from .kset import collection_to_lines, load_collection, save_collection
+from .kset import collection_to_lines
 
 log = logging.getLogger(__name__)
 
@@ -87,8 +87,6 @@ def ingest(path: str, cols: Optional[Sequence[str]] = None,
 
     if dirs is None:
         dirs = ["higher"] * len(names)
-    if len(dirs) != len(names):
-        raise ConfigError(f"{len(dirs)} directions for {len(names)} columns")
 
     rows = []
     dropped = 0
@@ -139,75 +137,60 @@ def _write(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _data_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("input", help="delimited text file with a header row")
-    p.add_argument("--cols", help="comma-separated column names (default: all)")
-    p.add_argument("--dirs", help="comma-separated directions higher|lower per column")
-    p.add_argument("--delimiter", help="field delimiter (default: auto comma/tab)")
-    p.add_argument("--seed", type=int, help="RNG seed (generated and printed if absent)")
-    p.add_argument("-o", "--output", help="output path (default: stdout)")
-    return p
-
-
-def _k_arguments(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
+def build_parser() -> argparse.ArgumentParser:
+    data, run, threshold, sampler, samples, mode = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    data.add_argument("input", help="delimited text file with a header row")
+    data.add_argument("--cols", help="comma-separated column names (default: all)")
+    data.add_argument("--dirs", help="comma-separated directions higher|lower per column")
+    data.add_argument("--delimiter", help="field delimiter (default: auto comma/tab)")
+    run.add_argument("--seed", type=int, help="RNG seed (generated and printed if absent)")
+    run.add_argument("-o", "--output", help="output path (default: stdout)")
+    sampler.add_argument("--c", type=int, default=ev.DEFAULT_SAMPLER_C,
+                         help="termination counter of the random k-set collector")
+    samples.add_argument("--samples", type=int, default=ev.DEFAULT_SAMPLES,
+                         help="functions sampled when estimating rank-regret (d > 2)")
+    mode.add_argument("--eval", choices=["auto", "exact", "estimate"], default="auto",
+                      help="rank-regret evaluation: exact in 2-D in every mode, at "
+                           "any n; for d > 2 auto and estimate sample, exact fails")
+    group = threshold.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="absolute rank threshold")
     group.add_argument("--k-pct", type=float,
                        help="rank threshold as a percentage of n (rounded up)")
 
-
-def _eval_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=int, default=ev.DEFAULT_SAMPLES,
-                   help="functions sampled when estimating rank-regret (d > 2)")
-    p.add_argument("--eval", choices=["auto", "exact", "estimate"], default="auto",
-                   help="rank-regret evaluation: exact in 2-D in every mode, at "
-                        "any n; for d > 2 auto and estimate sample, exact fails")
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rrr",
         description="rank-regret representatives of multi-attribute data")
     sub = parser.add_subparsers(dest="command", required=True)
-    data = _data_parser()
-
-    p_solve = sub.add_parser("solve", parents=[data],
-                             help="compute a representative")
+    p_solve = sub.add_parser("solve", help="compute a representative",
+                             parents=[data, run, threshold, sampler, samples, mode])
     p_solve.add_argument("--algo", required=True,
                          choices=["2drrr", "mdrrr", "mdrc"])
-    _k_arguments(p_solve)
-    p_solve.add_argument("--source", choices=["sweep2d", "graph", "random"],
-                         help="k-set source for mdrrr (default: sweep2d if d=2 else random)")
+    p_solve.add_argument("--source", choices=ev.KSET_SOURCES,
+                         help="k-set source for mdrrr (default: the exact sweep if "
+                              "d=2, else the random collector)")
     p_solve.add_argument("--ksets-file",
                          help="mdrrr only: read the k-set collection from a "
                               "file in the ksets line format")
-    p_solve.add_argument("--c", type=int, default=ev.DEFAULT_SAMPLER_C,
-                         help="termination counter of the random k-set collector")
-    _eval_arguments(p_solve)
 
-    p_ksets = sub.add_parser("ksets", parents=[data], help="enumerate k-sets")
-    p_ksets.add_argument("--source", required=True,
-                         choices=["sweep2d", "graph", "random"])
-    _k_arguments(p_ksets)
-    p_ksets.add_argument("--c", type=int, default=ev.DEFAULT_SAMPLER_C)
+    p_ksets = sub.add_parser("ksets", parents=[data, run, threshold, sampler],
+                             help="enumerate k-sets")
+    p_ksets.add_argument("--source", required=True, choices=ev.KSET_SOURCES)
 
-    p_eval = sub.add_parser("eval", parents=[data],
+    p_eval = sub.add_parser("eval", parents=[data, run, samples, mode],
                             help="rank-regret of a given subset")
     group = p_eval.add_mutually_exclusive_group(required=True)
     group.add_argument("--members", help="comma-separated tuple ids")
     group.add_argument("--members-file",
                        help="JSON produced by solve (member_ids field)")
-    _eval_arguments(p_eval)
 
-    p_dual = sub.add_parser("dual", parents=[data],
+    p_dual = sub.add_parser("dual", parents=[data, run, sampler],
                             help="smallest k fitting a size budget")
     p_dual.add_argument("--size-budget", type=int, required=True)
     p_dual.add_argument("--algo", default="mdrc",
                         choices=["2drrr", "mdrrr", "mdrc"])
-    p_dual.add_argument("--c", type=int, default=ev.DEFAULT_SAMPLER_C)
 
-    p_bench = sub.add_parser("bench", parents=[data],
+    p_bench = sub.add_parser("bench", parents=[data, sampler, samples],
                              help="run a benchmark grid")
     p_bench.add_argument("--algos", default="2drrr,mdrrr,mdrc",
                          help="comma-separated algorithm names")
@@ -215,33 +198,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k-pcts", help="comma-separated percentage k values")
     p_bench.add_argument("--seeds", default="0",
                          help="comma-separated seeds (one run per seed)")
-    p_bench.add_argument("--samples", type=int, default=ev.DEFAULT_SAMPLES)
-    p_bench.add_argument("--c", type=int, default=ev.DEFAULT_SAMPLER_C)
     p_bench.add_argument("--jsonl", help="write JSON-lines report here")
     p_bench.add_argument("--csv", help="write CSV summary here")
     return parser
 
 
-def _cmd_solve(args) -> int:
-    ing = ingest(args.input, _split_list(args.cols), _split_list(args.dirs),
-                 args.delimiter)
+def _cmd_solve(args, ing: IngestResult) -> dict:
     dataset = ing.dataset
     k = ev.resolve_k(dataset.n, args.k, args.k_pct)
     seed = _resolve_seed(args)
+    if args.ksets_file and args.algo != "mdrrr":
+        raise ConfigError("--ksets-file applies to --algo mdrrr only")
     start = time.perf_counter()
-    if args.ksets_file:
-        if args.algo != "mdrrr":
-            raise ConfigError("--ksets-file applies to --algo mdrrr only")
-        rep = _solve_from_kset_file(dataset, args.ksets_file, k, seed)
-    else:
-        rep = ev.run_algorithm(args.algo, dataset, k, seed=seed, c=args.c,
-                               kset_source=args.source)
+    rep = ev.run_algorithm(args.algo, dataset, k, seed=seed, c=args.c,
+                           kset_source=args.source, ksets_file=args.ksets_file)
     elapsed = time.perf_counter() - start
     report = ev.evaluate_representative(dataset, rep, samples=args.samples,
                                         seed=seed, mode=args.eval,
                                         wall_time_seconds=elapsed)
     member_ids = rep.sorted_members()
-    payload = {
+    return {
         "algorithm": rep.algorithm,
         "params": rep.params,
         "seed": seed,
@@ -251,49 +227,24 @@ def _cmd_solve(args) -> int:
         "columns": ing.columns,
         "evaluation": asdict(report),
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.output)
-    return 0
 
 
-def _solve_from_kset_file(dataset, path, k, seed):
-    collection = load_collection(path, d=dataset.d)
-    unknown = sorted({t for s in collection.sets for t in s.members
-                      if not 0 <= t < dataset.n})
-    if unknown:
-        raise MalformedKSetFile(
-            f"k-set file names {len(unknown)} tuple ids outside "
-            f"[0, {dataset.n}), the first {unknown[:5]}")
-    if collection.k != k:
-        raise ConfigError(f"k-set file has k={collection.k}, requested k={k}")
-    return ev.mdrrr_representative(collection, k, "file", seed,
-                                   ev.mdrrr_rngs(seed)[1])
-
-
-def _cmd_ksets(args) -> int:
-    ing = ingest(args.input, _split_list(args.cols), _split_list(args.dirs),
-                 args.delimiter)
-    dataset = ing.dataset
-    k = ev.resolve_k(dataset.n, args.k, args.k_pct)
-    seed = _resolve_seed(args) if args.source == "random" else None
-    collector_rng, _ = ev.mdrrr_rngs(seed)
-    collection = ev.collect_ksets(dataset, k, args.source, c=args.c,
-                                  rng=collector_rng)
-    if args.output:
-        save_collection(collection, args.output)
-    else:
-        sys.stdout.write("\n".join(collection_to_lines(collection)) + "\n")
+def _cmd_ksets(args, ing: IngestResult) -> None:
+    k = ev.resolve_k(ing.dataset.n, args.k, args.k_pct)
+    seed = secrets.randbits(32) if args.seed is None else args.seed
+    _, collection = ev.collect_ksets(ing.dataset, k, args.source, c=args.c,
+                                     seed=seed)
+    if args.seed is None and collection.draws is not None:
+        log.info("seed: %d", seed)  # only a drawn collection used it
+    _write("\n".join(collection_to_lines(collection)) + "\n", args.output)
     params = ev.collection_params(collection)
     size, complete = params.pop("collection_size"), params.pop("complete")
     counts = "".join(f", {key}={value}" for key, value in params.items()
                      if value is not None)
     log.info("%d k-sets (complete=%s%s)", size, complete, counts)
-    return 0
 
 
-def _cmd_eval(args) -> int:
-    ing = ingest(args.input, _split_list(args.cols), _split_list(args.dirs),
-                 args.delimiter)
-    dataset = ing.dataset
+def _cmd_eval(args, ing: IngestResult) -> dict:
     if args.members is not None:
         members = _numbers(args.members, int, "--members")
     else:
@@ -306,30 +257,23 @@ def _cmd_eval(args) -> int:
                     f"({type(exc).__name__}: {exc})") from None
     seed = _resolve_seed(args)
     regret, exact, samples = ev.measure_rank_regret(
-        dataset, members, samples=args.samples, seed=seed, mode=args.eval)
-    payload = {"member_ids": sorted(members),
-               "rank_regret": regret, "exact": exact,
-               "samples": samples, "seed": seed, "n": dataset.n, "d": dataset.d}
-    _write(json.dumps(payload, indent=2) + "\n", args.output)
-    return 0
+        ing.dataset, members, samples=args.samples, seed=seed, mode=args.eval)
+    return {"member_ids": sorted(members),
+            "rank_regret": regret, "exact": exact,
+            "samples": samples, "seed": seed,
+            "n": ing.dataset.n, "d": ing.dataset.d}
 
 
-def _cmd_dual(args) -> int:
-    ing = ingest(args.input, _split_list(args.cols), _split_list(args.dirs),
-                 args.delimiter)
+def _cmd_dual(args, ing: IngestResult) -> dict:
     seed = _resolve_seed(args)
     k, rep = ev.dual_problem(ing.dataset, args.size_budget, solver=args.algo,
                              seed=seed, c=args.c)
-    payload = {"k": k, "size_budget": args.size_budget,
-               "algorithm": rep.algorithm, "seed": seed,
-               "member_ids": rep.sorted_members(), "params": rep.params}
-    _write(json.dumps(payload, indent=2) + "\n", args.output)
-    return 0
+    return {"k": k, "size_budget": args.size_budget,
+            "algorithm": rep.algorithm, "seed": seed,
+            "member_ids": rep.sorted_members(), "params": rep.params}
 
 
-def _cmd_bench(args) -> int:
-    ing = ingest(args.input, _split_list(args.cols), _split_list(args.dirs),
-                 args.delimiter)
+def _cmd_bench(args, ing: IngestResult) -> None:
     dataset = ing.dataset
     if args.ks:
         k_values = _numbers(args.ks, int, "--ks")
@@ -344,14 +288,11 @@ def _cmd_bench(args) -> int:
                                samples=args.samples, c=args.c)
     jsonl = ev.reports_to_jsonl(reports)
     if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            fh.write(jsonl)
+        _write(jsonl, args.jsonl)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(ev.reports_to_csv(reports))
+        _write(ev.reports_to_csv(reports), args.csv)
     if not args.jsonl and not args.csv:
         sys.stdout.write(jsonl)
-    return 0
 
 
 COMMANDS = {
@@ -367,7 +308,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     with _diagnostics_to_stderr():
         try:
-            return COMMANDS[args.command](args)
+            ing = ingest(args.input, _split_list(args.cols),
+                         _split_list(args.dirs), args.delimiter)
+            payload = COMMANDS[args.command](args, ing)
+            if payload is not None:
+                _write(json.dumps(payload, indent=2) + "\n", args.output)
+            return 0
         except INPUT_ERRORS as exc:
             _emit_error(exc, 2)
             return 2

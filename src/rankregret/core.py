@@ -185,6 +185,10 @@ def normalize(raw, directions: Sequence[str],
     arr = np.array(raw, dtype=np.float64, copy=True)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError("raw data must be a non-empty 2-D table")
+    if len(directions) != arr.shape[1]:
+        raise DimensionMismatch(
+            f"{len(directions)} directions given for {arr.shape[1]} columns"
+        )
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValue("raw data contains non-finite values")
     lo = arr.min(axis=0)
@@ -195,10 +199,6 @@ def normalize(raw, directions: Sequence[str],
         label = repr(names[j]) if names is not None else j
         raise ConstantAttribute(f"column {label} is constant (max == min)")
     dirs = [_parse_direction(x) for x in directions]
-    if len(dirs) != arr.shape[1]:
-        raise DimensionMismatch(
-            f"{len(dirs)} directions given for {arr.shape[1]} columns"
-        )
     span = hi - lo
     out = (arr - lo) / span
     for j, direction in enumerate(dirs):
@@ -245,10 +245,16 @@ def ranks(dataset: Dataset, function: LinearFunction, ids=None) -> np.ndarray:
     return out[np.atleast_1d(np.asarray(ids, dtype=np.int64))]
 
 
+def check_k(k: int, n: int) -> None:
+    """Raise KOutOfRange unless 1 <= k <= n: every solver, enumerator and
+    top-k kernel checks its k here."""
+    if not 1 <= k <= n:
+        raise KOutOfRange(f"k={k} not in [1, {n}]")
+
+
 def top_k(dataset: Dataset, function: LinearFunction, k: int) -> frozenset:
     """The ids of the k best tuples under ``function`` (tie rule applied)."""
-    if not 1 <= k <= dataset.n:
-        raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
+    check_k(k, dataset.n)
     scores = function.score(dataset.values)
     return frozenset(_select_top_k(scores, k).tolist())
 
@@ -290,8 +296,7 @@ def top_k_ids(dataset: Dataset, weights, k: int) -> np.ndarray:
     :func:`top_k` itself.  With k = n every row holds every id.
     """
     n, d = dataset.n, dataset.d
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} not in [1, {n}]")
+    check_k(k, n)
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] != d:
         raise DimensionMismatch(f"weights must be an (m, {d}) array")

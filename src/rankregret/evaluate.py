@@ -1,5 +1,9 @@
 """Evaluation harness: rank-regret measurement, the dual problem, benchmarks.
 
+The solvers' k-set sources and their default are named here
+(``collect_ksets``), and here alone a run's seed becomes its generators
+(``_generator``): callers pass integer seeds only.
+
 In 2-D the rank-regret of a subset is exact in every mode and at every
 n: ``sweep2d.exact_rank_regret_2d``, the largest depth of the intervals
 of angles on which rows rank ahead of the best member.  For d > 2 it is
@@ -23,20 +27,26 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Dataset, RankRegretKernel, Representative, score_slack
-from .errors import ConfigError, KOutOfRange
+from .core import (Dataset, RankRegretKernel, Representative, check_k,
+                   score_slack)
+from .errors import ConfigError, KOutOfRange, MalformedKSetFile
 from .hitting import mdrrr
 from .kset import (
     KSetCollection,
     collect_ksets_random,
     enumerate_ksets_graph,
+    load_collection,
     sample_functions,
 )
 from .mdrc import mdrc
-from .sweep2d import enumerate_ksets_2d, exact_rank_regret_2d, rrr_2d
+from .sweep2d import (_require_2d, enumerate_ksets_2d, exact_rank_regret_2d,
+                      rrr_2d)
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SAMPLER_C = 100
+
+#: the k-set sources of ``collect_ksets``
+KSET_SOURCES = ("sweep2d", "graph", "random")
 
 
 @dataclass(frozen=True)
@@ -125,49 +135,76 @@ def resolve_k(n: int, k: Optional[int] = None, k_pct: Optional[float] = None) ->
         if not 0 < k_pct <= 100:  # also NaN and infinity
             raise KOutOfRange(f"k_pct={k_pct} not in (0, 100]")
         k = math.ceil(k_pct / 100.0 * n)
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} not in [1, {n}]")
+    check_k(k, n)
     return int(k)
 
 
-def mdrrr_rngs(seed: Optional[int]) -> Tuple[np.random.Generator,
-                                              np.random.Generator]:
-    """The (k-set collector, hitting-set net) generators of an mdrrr run.
+def _generator(seed: Optional[int], use: str) -> np.random.Generator:
+    """The generator of one ``use`` of a run's ``seed`` (0 when None).
 
-    Both are children of ``SeedSequence(seed)``, so a collection made with
-    the first and solved with the second, possibly in separate runs, gives
-    the same members as one run with the same seed.
+    "collector" (the random k-set collector) and "net" (the hitting-set
+    net) are the two children of ``SeedSequence(seed)``, so a collection
+    made with the first and solved with the second, possibly in separate
+    runs, gives the same members as one run with the same seed.
+    "evaluation" (the functions of the estimate) is seeded by
+    ``SeedSequence([0xE7A1, seed])``.
     """
-    ss = np.random.SeedSequence(seed if seed is not None else 0)
-    collector, net = (np.random.Generator(np.random.PCG64(s))
-                      for s in ss.spawn(2))
-    return collector, net
+    seed = 0 if seed is None else seed
+    if use == "evaluation":
+        sequence = np.random.SeedSequence([0xE7A1, seed])
+    else:
+        sequence = np.random.SeedSequence(seed).spawn(2)[use == "net"]
+    return np.random.Generator(np.random.PCG64(sequence))
 
 
-def collect_ksets(dataset: Dataset, k: int, source: str, *,
+def collect_ksets(dataset: Dataset, k: int, source: Optional[str] = None, *,
                   c: int = DEFAULT_SAMPLER_C,
-                  rng: np.random.Generator) -> KSetCollection:
-    """The k-set collection of ``source``: the exact 2-D sweep ("sweep2d"),
-    the LP k-set graph ("graph") or the randomized collector ("random",
-    drawing from ``rng`` until ``c`` draws in a row find no new set)."""
+                  seed: Optional[int] = None) -> Tuple[str, KSetCollection]:
+    """The name of ``source`` and its k-set collection: the exact 2-D sweep
+    ("sweep2d"), the LP k-set graph ("graph") or the randomized collector
+    ("random", drawing from the collector generator of ``seed`` until
+    ``c`` draws in a row find no new set).  Without a source it is
+    "sweep2d" when d = 2 and "random" otherwise."""
+    source = source or ("sweep2d" if dataset.d == 2 else "random")
     if source == "sweep2d":
-        return enumerate_ksets_2d(dataset, k)
+        return source, enumerate_ksets_2d(dataset, k)
     if source == "graph":
-        return enumerate_ksets_graph(dataset, k)
+        return source, enumerate_ksets_graph(dataset, k)
     if source == "random":
-        return collect_ksets_random(dataset, k, c, rng)
+        return source, collect_ksets_random(dataset, k, c,
+                                            _generator(seed, "collector"))
     raise ValueError(f"unknown kset source {source!r}")
+
+
+def _load_ksets(dataset: Dataset, path: str, k: int) -> KSetCollection:
+    """The k-set collection saved at ``path`` (``rrr ksets -o``): every
+    tuple id must lie in [0, n) (MalformedKSetFile) and its k must be
+    ``k`` (ConfigError)."""
+    collection = load_collection(path, d=dataset.d)
+    unknown = sorted({t for s in collection.sets for t in s.members
+                      if not 0 <= t < dataset.n})
+    if unknown:
+        raise MalformedKSetFile(
+            f"k-set file names {len(unknown)} tuple ids outside "
+            f"[0, {dataset.n}), the first {unknown[:5]}")
+    if collection.k != k:
+        raise ConfigError(f"k-set file has k={collection.k}, requested k={k}")
+    return collection
 
 
 def run_algorithm(name: str, dataset: Dataset, k: int, *,
                   seed: Optional[int] = None,
                   c: int = DEFAULT_SAMPLER_C,
-                  kset_source: Optional[str] = None) -> Representative:
+                  kset_source: Optional[str] = None,
+                  ksets_file: Optional[str] = None) -> Representative:
     """Dispatch a solver by name.
 
-    The mdrrr pipeline takes its k-set collection from the exact 2-D sweep
-    when d = 2 and from the randomized collector otherwise, unless a
-    source ("sweep2d", "graph", "random") is forced.
+    The mdrrr pipeline solves the k-set collection of ``collect_ksets``
+    (``kset_source``, by default chosen by d), or the one saved at
+    ``ksets_file`` (``_load_ksets``), with its net drawn from the net
+    generator of ``seed``.  Its params are k, the source ("file" for a
+    file), ``c`` unless read from a file, and the collection's counters
+    (``collection_params``), in that order.
     """
     if name == "2drrr":
         rep = rrr_2d(dataset, k)
@@ -176,25 +213,18 @@ def run_algorithm(name: str, dataset: Dataset, k: int, *,
         rep = mdrc(dataset, k)
         return replace(rep, seed=seed)
     if name == "mdrrr":
-        source = kset_source or ("sweep2d" if dataset.d == 2 else "random")
-        collector_rng, net_rng = mdrrr_rngs(seed)
-        collection = collect_ksets(dataset, k, source, c=c, rng=collector_rng)
-        return mdrrr_representative(collection, k, source, seed, net_rng, c=c)
+        if ksets_file is None:
+            source, collection = collect_ksets(dataset, k, kset_source, c=c,
+                                               seed=seed)
+            params = {"k": k, "kset_source": source, "c": c}
+        else:
+            collection = _load_ksets(dataset, ksets_file, k)
+            params = {"k": k, "kset_source": "file"}
+        members = mdrrr(collection, rng=_generator(seed, "net"))
+        return Representative(
+            members=members, algorithm="mdrrr",
+            params={**params, **collection_params(collection)}, seed=seed)
     raise ValueError(f"unknown algorithm {name!r}")
-
-
-def mdrrr_representative(collection: KSetCollection, k: int, source: str,
-                         seed: Optional[int], net_rng: np.random.Generator,
-                         **params) -> Representative:
-    """The mdrrr representative of ``collection``, its net drawn from
-    ``net_rng`` (``mdrrr_rngs(seed)[1]``), with params k, ``source``, the
-    collector's ``params`` and the collection's counters, in that order."""
-    members = mdrrr(collection, rng=net_rng)
-    return Representative(
-        members=members, algorithm="mdrrr",
-        params={"k": k, "kset_source": source, **params,
-                **collection_params(collection)},
-        seed=seed)
 
 
 def collection_params(collection: KSetCollection) -> dict:
@@ -238,21 +268,18 @@ def measure_rank_regret(dataset: Dataset, members, *,
                         mode: str = "auto") -> Tuple[int, bool, Optional[int]]:
     """Rank-regret of ``members`` as (value, exact, samples used).
 
-    ``mode`` "exact" is ``exact_rank_regret_2d`` (2-D only); "auto" and
-    "estimate" are ``estimate_rank_regret``, which is exact in 2-D and a
-    sampled estimate otherwise, its functions derived from ``seed``, so
-    equal seeds measure equal members identically.  ``samples`` must be
-    positive in every mode, also where no function is drawn.
+    Every mode is ``estimate_rank_regret``, which checks ``samples`` and
+    is exact in 2-D; for d > 2 it samples functions from the evaluation
+    generator of ``seed``, so equal seeds measure equal members
+    identically.  ``mode`` "exact" refuses d > 2 (DimensionNot2D);
+    "auto" and "estimate" are the same.
     """
-    if samples < 1:
-        raise ConfigError("samples must be positive")
     if mode == "exact":
-        return int(exact_rank_regret_2d(dataset, members)), True, None
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([0xE7A1, seed if seed is not None else 0])))
+        _require_2d(dataset)
     exact = dataset.d == 2
-    return (int(estimate_rank_regret(dataset, members, samples, rng)), exact,
-            None if exact else samples)
+    return (int(estimate_rank_regret(dataset, members, samples,
+                                     _generator(seed, "evaluation"))),
+            exact, None if exact else samples)
 
 
 def evaluate_representative(dataset: Dataset, rep: Representative, *,

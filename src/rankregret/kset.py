@@ -16,8 +16,9 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from .core import Dataset, LinearFunction, block_rows, top_k, top_k_ids
-from .errors import (ConfigError, KOutOfRange, LPNumericalFailure,
+from .core import (Dataset, LinearFunction, block_rows, check_k, top_k,
+                   top_k_ids)
+from .errors import (ConfigError, LPNumericalFailure,
                      MalformedKSetFile, NonFiniteValue)
 from .simplex import simplex_max
 
@@ -155,8 +156,7 @@ def enumerate_ksets_graph(dataset: Dataset, k: int) -> KSetCollection:
     collector for large inputs.
     """
     n = dataset.n
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} not in [1, {n}]")
+    check_k(k, n)
     tables = _SegmentTables(dataset.values)
     rejected = set()
     lps = filtered = 0
@@ -356,8 +356,7 @@ def collect_ksets_random(dataset: Dataset, k: int, c: int,
     """
     if c < 1:
         raise ConfigError("termination counter c must be >= 1")
-    if not 1 <= k <= dataset.n:
-        raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
+    check_k(k, dataset.n)
     seen = set()
     ordered: List[KSet] = []
     misses = draws = 0

@@ -34,10 +34,11 @@ from .core import (
     Representative,
     angle_weights,
     block_rows,
+    check_k,
     top_k,  # noqa: F401  (perfbench's tracer wraps mdrc.top_k)
     top_k_ids,
 )
-from .errors import ConfigError, KOutOfRange
+from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -137,8 +138,7 @@ def partition_function_space(dataset: Dataset, k: int):
 def _partition(dataset: Dataset, k: int) -> _Run:
     if dataset.d < 2:
         raise ConfigError("partitioning requires d >= 2")
-    if not 1 <= k <= dataset.n:
-        raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
+    check_k(k, dataset.n)
 
     dims = dataset.d - 1
     depth_cap = DEPTH_CAP_PER_DIM * dims

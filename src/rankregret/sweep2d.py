@@ -68,9 +68,10 @@ from .core import (
     Representative,
     angle_weights,
     block_rows as _block_size,
+    check_k,
     score_slack,
 )
-from .errors import DimensionNot2D, KOutOfRange, UncoverableSpace
+from .errors import DimensionNot2D, UncoverableSpace
 from .kset import KSet, KSetCollection
 
 
@@ -146,8 +147,7 @@ def _top_k_ranges(dataset: Dataset,
     for the points) and the number of candidates the k-level was computed
     over (all n where k >= n)."""
     _require_2d(dataset)
-    if not 1 <= k <= dataset.n:
-        raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
+    check_k(k, dataset.n)
     values, n = dataset.values, dataset.n
     if k >= n:
         return ([AngularRange(t, 0.0, HALF_PI, 0, 2) for t in range(n)],
@@ -420,8 +420,7 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
     float interval to witness it and is left out.
     """
     _require_2d(dataset)
-    if not 1 <= k <= dataset.n:
-        raise KOutOfRange(f"k={k} not in [1, {dataset.n}]")
+    check_k(k, dataset.n)
     rows = _candidates(dataset.values, k)
     sweep = ExchangeSweep(dataset.values[rows], k, rows)
     segments = [(sweep.top(), 0.0)]

@@ -168,6 +168,14 @@ class TestKsets:
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 3
 
+    def test_random_source_prints_a_generated_seed(self, fig1_csv, capsys):
+        assert main(["ksets", fig1_csv, "--source", "random", "--k", "2"]) == 0
+        captured = capsys.readouterr()
+        seed = captured.err.splitlines()[0].removeprefix("seed: ")
+        assert main(["ksets", fig1_csv, "--source", "random", "--k", "2",
+                     "--seed", seed]) == 0
+        assert capsys.readouterr().out == captured.out
+
     def test_kset_file_feeds_the_hitting_solver(self, fig1_csv, tmp_path,
                                                 capsys):
         sets_path = tmp_path / "sets.txt"
@@ -345,6 +353,19 @@ class TestDualAndBench:
         assert rows[0].startswith("algorithm,")
         assert len(rows) == 5
 
+    def test_bench_takes_no_output_or_seed_flag(self, fig1_csv, tmp_path,
+                                                capsys):
+        # bench writes --jsonl/--csv and runs --seeds; -o is refused, and
+        # argparse reads --seed as an abbreviation of --seeds
+        out = tmp_path / "out.jsonl"
+        argv = ["bench", fig1_csv, "--algos", "2drrr", "--ks", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-o", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        assert "unrecognized arguments: -o" in capsys.readouterr().err
+        assert main([*argv, "--seed", "9"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 9
+
 
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
@@ -398,6 +419,8 @@ class TestExitCodes:
          "MalformedMembersFile"),
         (["eval", "{fig1}", "--members", "0", "--eval", "exact",
           "--samples", "0"], 3, "ConfigError"),
+        (["solve", "{fig1}", "--algo", "mdrc", "--k", "2",
+          "--dirs", "higher"], 3, "DimensionMismatch"),
     ])
     def test_exit_code_by_cause(self, argv, code, error, fig1_csv, tmp_path,
                                 capsys):
@@ -407,7 +430,9 @@ class TestExitCodes:
                            ("text_ids", '{"member_ids": [0, "x"]}')):
             files[name] = str(tmp_path / name)
             (tmp_path / name).write_text(text)
-        argv = [arg.format(**files) for arg in argv] + ["--seed", "0"]
+        argv = [arg.format(**files) for arg in argv]
+        if argv[0] != "bench":  # bench takes --seeds only
+            argv += ["--seed", "0"]
         assert main(argv) == code
         payload = json.loads(capsys.readouterr().out)
         assert (payload["exit_code"], payload["error"]) == (code, error)
@@ -436,3 +461,137 @@ class TestExitCodes:
         assert code == 2
         payload = json.loads(capsys.readouterr().out)
         assert "flat" in payload["message"]
+
+
+def _mdrrr_params(k, source, size, complete, draws=None, lps=None,
+                  filtered=None):
+    params = {"k": k, "kset_source": source, "c": 20,
+              "collection_size": size, "complete": complete, "draws": draws,
+              "lps": lps, "filtered": filtered}
+    if source == "file":
+        del params["c"]
+    return params
+
+
+FIG1_2DRRR = {"k": 2, "ranges": 4, "elements": 7, "candidates": 4}
+
+
+class TestGoldenSeeds:
+    """Fixed-seed outputs pinned bit for bit: member ids, rank-regret and
+    params of every solver and k-set source, the lines of the random
+    collector, ``eval`` and ``dual``, on the paper's figure-1 tuples and
+    on 24 uniform tuples in d=3 (no near ties).  They move only if a seed
+    reaches a different generator stream or a generator a different use.
+    """
+
+    @pytest.fixture
+    def inputs(self, fig1_csv, tmp_path):
+        path = tmp_path / "d3.csv"
+        np.savetxt(path, np.random.default_rng(7).random((24, 3)),
+                   delimiter=",", header="a,b,c", comments="")
+        return {"fig1": fig1_csv, "d3": str(path)}
+
+    @staticmethod
+    def run(capsys, *argv):
+        assert main([*argv, "--seed", "5"]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, k, algo, members, regret, params", [
+        ("fig1", 2, ["2drrr"], [0, 2], 2, FIG1_2DRRR),
+        ("fig1", 2, ["mdrc"], [2, 6], 2,
+         {"k": 2, "depth_cap": 48, "max_boxes": 262144, "leaves": 2,
+          "corners": 3, "capped_leaves": 0, "stopped": "complete"}),
+        ("fig1", 2, ["mdrrr"], [4, 6], 2,
+         _mdrrr_params(2, "sweep2d", 3, True)),
+        ("fig1", 2, ["mdrrr", "--source", "sweep2d"], [4, 6], 2,
+         _mdrrr_params(2, "sweep2d", 3, True)),
+        ("fig1", 2, ["mdrrr", "--source", "graph"], [4, 6], 2,
+         _mdrrr_params(2, "graph", 3, True, lps=3, filtered=15)),
+        ("fig1", 2, ["mdrrr", "--source", "random"], [4, 6], 2,
+         _mdrrr_params(2, "random", 3, False, draws=23)),
+        ("d3", 3, ["mdrc"], [0, 5, 9, 22], 1,
+         {"k": 3, "depth_cap": 96, "max_boxes": 262144, "leaves": 8,
+          "corners": 17, "capped_leaves": 0, "stopped": "complete"}),
+        ("d3", 3, ["mdrrr"], [5, 9, 22], 1,
+         _mdrrr_params(3, "random", 9, False, draws=66)),
+        ("d3", 3, ["mdrrr", "--source", "graph"], [5, 9, 22], 1,
+         _mdrrr_params(3, "graph", 18, True, lps=18, filtered=477)),
+        ("d3", 3, ["mdrrr", "--source", "random"], [5, 9, 22], 1,
+         _mdrrr_params(3, "random", 9, False, draws=66)),
+    ])
+    def test_solve(self, inputs, capsys, name, k, algo, members, regret,
+                   params):
+        payload = json.loads(self.run(
+            capsys, "solve", inputs[name], "--algo", *algo, "--k", str(k),
+            "--c", "20", "--samples", "4"))
+        assert payload["member_ids"] == members
+        assert payload["evaluation"]["rank_regret"] == regret
+        assert payload["params"] == params
+
+    @pytest.mark.parametrize("name, k, lines, members, regret", [
+        ("fig1", 2, [
+            "k=2;members=2,4;witness=0.022565912979438232,0.9997453573642663",
+            "k=2;members=0,6;witness=0.9915119656722475,0.13001546803652123",
+            "k=2;members=2,6;witness=0.9177717007690256,0.3971084301139048",
+        ], [4, 6], 2),
+        ("d3", 3, [
+            "k=3;members=0,5,19;witness=0.021901015315371402,"
+            "0.9702881688437374,0.24095894864068162",
+            "k=3;members=0,5,9;witness=0.8673899447596297,"
+            "0.37530886926613777,0.32676893423344217",
+            "k=3;members=0,5,6;witness=0.23742897297026488,"
+            "0.9547280415160362,0.1792256944113739",
+            "k=3;members=0,6,9;witness=0.8987136565953326,"
+            "0.4288435904530266,0.09168935803245214",
+            "k=3;members=1,13,22;witness=0.15039169293049656,"
+            "0.002786597565258845,0.9886225637580344",
+            "k=3;members=0,5,22;witness=0.14074332379687296,"
+            "0.21063788264247263,0.9673794494418952",
+            "k=3;members=0,2,5;witness=0.026740459043942413,"
+            "0.7123593388340305,0.7013052974461711",
+            "k=3;members=5,6,19;witness=0.21467881558705618,"
+            "0.9750377516298249,0.05669558214530139",
+            "k=3;members=0,5,14;witness=0.43420965690097046,"
+            "0.4143136632748031,0.7998788422490962",
+        ], [5, 9, 22], 1),
+    ])
+    def test_random_ksets_and_their_file(self, inputs, capsys, tmp_path,
+                                         name, k, lines, members, regret):
+        argv = ["ksets", inputs[name], "--source", "random", "--k", str(k),
+                "--c", "20"]
+        assert self.run(capsys, *argv).splitlines() == lines
+        sets_path = tmp_path / "sets.txt"
+        self.run(capsys, *argv, "-o", str(sets_path))
+        assert sets_path.read_text().splitlines() == lines
+        payload = json.loads(self.run(
+            capsys, "solve", inputs[name], "--algo", "mdrrr", "--k", str(k),
+            "--ksets-file", str(sets_path), "--samples", "4"))
+        assert payload["member_ids"] == members
+        assert payload["evaluation"]["rank_regret"] == regret
+        assert payload["params"] == _mdrrr_params(k, "file", len(lines), False)
+
+    @pytest.mark.parametrize("name, seed, regret", [
+        ("fig1", "5", 5), ("d3", "1", 1), ("d3", "4", 3), ("d3", "5", 3),
+        ("d3", "7", 2)])
+    def test_eval(self, inputs, capsys, name, seed, regret):
+        assert main(["eval", inputs[name], "--members", "0,5", "--samples",
+                     "4", "--seed", seed]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rank_regret"] == regret
+        assert payload["exact"] is (name == "fig1")
+
+    @pytest.mark.parametrize("name, algo, k, members, params", [
+        ("fig1", "2drrr", 2, [0, 2], FIG1_2DRRR),
+        ("fig1", "mdrrr", 2, [4, 6], _mdrrr_params(2, "sweep2d", 3, True)),
+        ("d3", "mdrrr", 9, [20, 23],
+         _mdrrr_params(9, "random", 24, False, draws=148)),
+        ("d3", "mdrc", 6, [0, 22],
+         {"k": 6, "depth_cap": 96, "max_boxes": 262144, "leaves": 5,
+          "corners": 12, "capped_leaves": 0, "stopped": "complete"}),
+    ])
+    def test_dual(self, inputs, capsys, name, algo, k, members, params):
+        payload = json.loads(self.run(
+            capsys, "dual", inputs[name], "--size-budget", "2", "--algo", algo,
+            "--c", "20"))
+        assert (payload["k"], payload["member_ids"]) == (k, members)
+        assert payload["params"] == params
