@@ -9,6 +9,7 @@ selected columns are dropped (and counted).  Exit codes: 0 success,
 import argparse
 import contextlib
 import csv
+import io
 import json
 import logging
 import secrets
@@ -48,6 +49,12 @@ CONFIG_ERRORS = (ConfigError, KOutOfRange, DimensionNot2D, DimensionMismatch,
 NUMERIC_ERRORS = (LPNumericalFailure, UncoverableSpace, EmptyCollection)
 
 
+#: characters that ``np.loadtxt`` reads unlike the ``csv`` loop: a quoted
+#: delimiter in an unselected column would shift its fields, and it strips
+#: the separators U+001C-U+001F around a number, which ``float`` refuses
+_LOOP_ONLY = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
 @dataclass
 class IngestResult:
     dataset: Dataset
@@ -62,7 +69,14 @@ def ingest(path: str, cols: Optional[Sequence[str]] = None,
     """Read a delimited file with header, select columns, normalize.
 
     The delimiter is auto-detected between tab and comma unless given.
-    Directions default to higher-preferred.
+    Directions default to higher-preferred.  One ``np.loadtxt`` call
+    parses the selected columns of the body in C.  It refuses every row
+    that the per-row ``csv`` loop drops (a whitespace-only line, a short
+    row, an empty, quoted or non-numeric field) and CR-only line ends, and
+    then the loop reads the body instead and counts the rows it drops.
+    Both round every number correctly, so the values are the same either
+    way.  A body with a character of ``_LOOP_ONLY`` goes to the loop
+    directly.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline()
@@ -72,8 +86,7 @@ def ingest(path: str, cols: Optional[Sequence[str]] = None,
             delimiter = "\t" if "\t" in first else ","
         header = [name.strip() for name in
                   next(csv.reader([first], delimiter=delimiter))]
-        reader = csv.reader(fh, delimiter=delimiter)
-        body = [row for row in reader if row]
+        body = fh.read()
 
     if cols:
         missing = [c for c in cols if c not in header]
@@ -88,20 +101,33 @@ def ingest(path: str, cols: Optional[Sequence[str]] = None,
     if dirs is None:
         dirs = ["higher"] * len(names)
 
-    rows = []
-    dropped = 0
-    for row in body:
+    raw = None
+    # a body of line ends alone holds no row (and loadtxt would warn)
+    if body.strip("\r\n") and not any(c in body for c in _LOOP_ONLY):
         try:
-            rows.append([float(row[i]) for i in indices])
-        except (ValueError, IndexError):
-            dropped += 1
-    if dropped:
-        log.warning("dropped %d rows with missing or non-numeric values",
-                    dropped)
-    if not rows:
-        raise NoUsableRows(f"no usable rows in {path}")
+            # lines split at LF alone: a CR elsewhere than before one fails
+            raw = np.loadtxt(body.split("\n"), delimiter=delimiter,
+                             comments=None, usecols=indices, ndmin=2)
+        except (TypeError, ValueError):  # TypeError: a line-end delimiter
+            pass
+    dropped = 0
+    if raw is None:
+        rows = []
+        for row in csv.reader(io.StringIO(body, newline=""),
+                              delimiter=delimiter):
+            if not row:
+                continue
+            try:
+                rows.append([float(row[i]) for i in indices])
+            except (ValueError, IndexError):
+                dropped += 1
+        if dropped:
+            log.warning("dropped %d rows with missing or non-numeric values",
+                        dropped)
+        if not rows:
+            raise NoUsableRows(f"no usable rows in {path}")
+        raw = np.asarray(rows, dtype=np.float64)
 
-    raw = np.asarray(rows, dtype=np.float64)
     dataset = normalize(raw, dirs, names)
     return IngestResult(dataset=dataset, raw_values=raw, columns=names,
                         dropped_rows=dropped)
@@ -137,7 +163,10 @@ def _write(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``rrr`` parser.  When ``command`` names a subcommand only its
+    subparser is built (building all five costs about a millisecond per
+    call); otherwise every one is, for the top-level help and errors."""
     data, run, threshold, sampler, samples, mode = (
         argparse.ArgumentParser(add_help=False) for _ in range(6))
     data.add_argument("input", help="delimited text file with a header row")
@@ -161,45 +190,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rrr",
         description="rank-regret representatives of multi-attribute data")
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_solve = sub.add_parser("solve", help="compute a representative",
-                             parents=[data, run, threshold, sampler, samples, mode])
-    p_solve.add_argument("--algo", required=True,
-                         choices=["2drrr", "mdrrr", "mdrc"])
-    p_solve.add_argument("--source", choices=ev.KSET_SOURCES,
-                         help="k-set source for mdrrr (default: the exact sweep if "
-                              "d=2, else the random collector)")
-    p_solve.add_argument("--ksets-file",
-                         help="mdrrr only: read the k-set collection from a "
-                              "file in the ksets line format")
-
-    p_ksets = sub.add_parser("ksets", parents=[data, run, threshold, sampler],
-                             help="enumerate k-sets")
-    p_ksets.add_argument("--source", required=True, choices=ev.KSET_SOURCES)
-
-    p_eval = sub.add_parser("eval", parents=[data, run, samples, mode],
-                            help="rank-regret of a given subset")
-    group = p_eval.add_mutually_exclusive_group(required=True)
-    group.add_argument("--members", help="comma-separated tuple ids")
-    group.add_argument("--members-file",
-                       help="JSON produced by solve (member_ids field)")
-
-    p_dual = sub.add_parser("dual", parents=[data, run, sampler],
-                            help="smallest k fitting a size budget")
-    p_dual.add_argument("--size-budget", type=int, required=True)
-    p_dual.add_argument("--algo", default="mdrc",
-                        choices=["2drrr", "mdrrr", "mdrc"])
-
-    p_bench = sub.add_parser("bench", parents=[data, sampler, samples],
-                             help="run a benchmark grid")
-    p_bench.add_argument("--algos", default="2drrr,mdrrr,mdrc",
-                         help="comma-separated algorithm names")
-    p_bench.add_argument("--ks", help="comma-separated absolute k values")
-    p_bench.add_argument("--k-pcts", help="comma-separated percentage k values")
-    p_bench.add_argument("--seeds", default="0",
-                         help="comma-separated seeds (one run per seed)")
-    p_bench.add_argument("--jsonl", help="write JSON-lines report here")
-    p_bench.add_argument("--csv", help="write CSV summary here")
+    if command in COMMANDS:
+        wanted = (command,)
+        # every command stays in the usage line of an error the top-level
+        # parser reports, such as an unrecognized argument
+        metavar = "{" + ",".join(COMMANDS) + "}"
+    else:
+        wanted, metavar = tuple(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    if "solve" in wanted:
+        p_solve = sub.add_parser("solve", help="compute a representative",
+                                 parents=[data, run, threshold, sampler,
+                                          samples, mode])
+        p_solve.add_argument("--algo", required=True, choices=ev.ALGORITHMS)
+        p_solve.add_argument("--source", choices=ev.KSET_SOURCES,
+                             help="k-set source for mdrrr (default: the exact "
+                                  "sweep if d=2, else the random collector)")
+        p_solve.add_argument("--ksets-file",
+                             help="mdrrr only: read the k-set collection from "
+                                  "a file in the ksets line format")
+    if "ksets" in wanted:
+        p_ksets = sub.add_parser("ksets", parents=[data, run, threshold, sampler],
+                                 help="enumerate k-sets")
+        p_ksets.add_argument("--source", required=True, choices=ev.KSET_SOURCES)
+    if "eval" in wanted:
+        p_eval = sub.add_parser("eval", parents=[data, run, samples, mode],
+                                help="rank-regret of a given subset")
+        group = p_eval.add_mutually_exclusive_group(required=True)
+        group.add_argument("--members", help="comma-separated tuple ids")
+        group.add_argument("--members-file",
+                           help="JSON produced by solve (member_ids field)")
+    if "dual" in wanted:
+        p_dual = sub.add_parser("dual", parents=[data, run, sampler],
+                                help="smallest k fitting a size budget")
+        p_dual.add_argument("--size-budget", type=int, required=True)
+        p_dual.add_argument("--algo", default="mdrc", choices=ev.ALGORITHMS)
+    if "bench" in wanted:
+        p_bench = sub.add_parser("bench", parents=[data, sampler, samples],
+                                 help="run a benchmark grid")
+        p_bench.add_argument("--algos", default=",".join(ev.ALGORITHMS),
+                             help="comma-separated algorithm names")
+        p_bench.add_argument("--ks", help="comma-separated absolute k values")
+        p_bench.add_argument("--k-pcts", help="comma-separated percentage k values")
+        p_bench.add_argument("--seeds", default="0",
+                             help="comma-separated seeds (one run per seed)")
+        p_bench.add_argument("--jsonl", help="write JSON-lines report here")
+        p_bench.add_argument("--csv", help="write CSV summary here")
     return parser
 
 
@@ -305,7 +341,8 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     with _diagnostics_to_stderr():
         try:
             ing = ingest(args.input, _split_list(args.cols),

@@ -45,6 +45,8 @@ from .sweep2d import (_require_2d, enumerate_ksets_2d, exact_rank_regret_2d,
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SAMPLER_C = 100
 
+#: the solvers of ``run_algorithm``
+ALGORITHMS = ("2drrr", "mdrrr", "mdrc")
 #: the k-set sources of ``collect_ksets``
 KSET_SOURCES = ("sweep2d", "graph", "random")
 
@@ -224,7 +226,7 @@ def run_algorithm(name: str, dataset: Dataset, k: int, *,
         return Representative(
             members=members, algorithm="mdrrr",
             params={**params, **collection_params(collection)}, seed=seed)
-    raise ValueError(f"unknown algorithm {name!r}")
+    raise ValueError(f"unknown algorithm {name!r}; one of {ALGORITHMS}")
 
 
 def collection_params(collection: KSetCollection) -> dict:
@@ -305,9 +307,13 @@ def run_benchmark(dataset: Dataset, algorithms: Sequence[str],
                   c: int = DEFAULT_SAMPLER_C) -> List[EvaluationReport]:
     """One report per (algorithm, k, seed); wall time covers the solve only.
 
-    Failures become reports with the error recorded instead of raising, so
-    a sweep over configurations always completes.
+    An algorithm name outside ``ALGORITHMS`` raises ConfigError before any
+    run.  Failures of a run become reports with the error recorded instead
+    of raising, so a sweep over configurations always completes.
     """
+    unknown = [name for name in algorithms if name not in ALGORITHMS]
+    if unknown:
+        raise ConfigError(f"unknown algorithms {unknown}; one of {ALGORITHMS}")
     reports: List[EvaluationReport] = []
     for name in algorithms:
         for k in k_values:

@@ -3,14 +3,21 @@
 Everything here is deliberately naive: dense angle grids, event sweeps
 over every tuple, exhaustive subset enumeration, rational arithmetic and
 definition-level rank counting.  None of it
-shares code with the implementations under test.
+shares code with the implementations under test, except that the
+per-row ingest ends in the package's ``normalize``.
 """
 
+import csv
 import heapq
 import itertools
+import logging
 from fractions import Fraction
 
 import numpy as np
+
+from rankregret.cli import IngestResult
+from rankregret.core import normalize
+from rankregret.errors import ConfigError, NoUsableRows
 
 HALF_PI = np.pi / 2
 
@@ -759,3 +766,53 @@ def _loop_trajectory(du, dv, ids, t):
         before = np.concatenate([[rank0], ranksums[:-1]])
         at = before + np.diff(np.concatenate([[0], nows[last]]))
     return angles, np.concatenate([[rank0], ranksums]), at
+
+
+log = logging.getLogger(__name__)
+
+
+def ingest_by_rows(path, cols=None, dirs=None, delimiter=None):
+    """``cli.ingest`` as one ``csv`` row and one ``float`` per field at a
+    time: the reference its C parse must match in values, dropped rows,
+    log lines and errors."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+        if not first:
+            raise NoUsableRows(f"{path} is empty")
+        if delimiter is None:
+            delimiter = "\t" if "\t" in first else ","
+        header = [name.strip() for name in
+                  next(csv.reader([first], delimiter=delimiter))]
+        reader = csv.reader(fh, delimiter=delimiter)
+        body = [row for row in reader if row]
+
+    if cols:
+        missing = [c for c in cols if c not in header]
+        if missing:
+            raise ConfigError(f"unknown columns {missing}; file has {header}")
+        indices = [header.index(c) for c in cols]
+        names = list(cols)
+    else:
+        indices = list(range(len(header)))
+        names = header
+
+    if dirs is None:
+        dirs = ["higher"] * len(names)
+
+    rows = []
+    dropped = 0
+    for row in body:
+        try:
+            rows.append([float(row[i]) for i in indices])
+        except (ValueError, IndexError):
+            dropped += 1
+    if dropped:
+        log.warning("dropped %d rows with missing or non-numeric values",
+                    dropped)
+    if not rows:
+        raise NoUsableRows(f"no usable rows in {path}")
+
+    raw = np.asarray(rows, dtype=np.float64)
+    dataset = normalize(raw, dirs, names)
+    return IngestResult(dataset=dataset, raw_values=raw, columns=names,
+                        dropped_rows=dropped)

@@ -1,13 +1,16 @@
 import importlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from rankregret.cli import ingest, main
-from rankregret.errors import ConfigError, ConstantAttribute, NoUsableRows
+from rankregret.cli import build_parser, ingest, main
+from rankregret.errors import (ConfigError, ConstantAttribute, NoUsableRows,
+                               RankRegretError)
 
 from conftest import FIG1_VALUES
+from oracles import ingest_by_rows
 
 FIG1_CSV = "x1,x2\n" + "\n".join(f"{a},{b}" for a, b in FIG1_VALUES) + "\n"
 
@@ -19,7 +22,80 @@ def fig1_csv(tmp_path):
     return str(path)
 
 
+def _random_decimals(seed, rows=60, cols=3):
+    """Decimal strings of 1-20 significant digits, signed, with the point
+    anywhere and an optional exponent."""
+    rng = np.random.default_rng(seed)
+
+    def number():
+        text = "".join(rng.choice(list("0123456789"), rng.integers(1, 21)))
+        if rng.random() < 0.8:
+            point = rng.integers(0, len(text) + 1)
+            text = text[:point] + "." + text[point:]
+        if rng.random() < 0.5:
+            sign = rng.choice(["", "+", "-"])
+            text += f"{rng.choice(['e', 'E'])}{sign}{rng.integers(0, 290)}"
+        return rng.choice(["", "-", "+"]) + text
+
+    header = ",".join(f"c{j}" for j in range(cols))
+    return header + "\n" + "".join(
+        ",".join(number() for _ in range(cols)) + "\n" for _ in range(rows))
+
+
+# (file text, ingest options) per family of input; every family is read by
+# the C parse or by the per-row loop, and must read as the loop alone reads it
+INGEST_FAMILIES = {
+    "whitespace-line": ("a,b\n1,2\n   \n3,4\n", {}),
+    "empty-field": ("a,b\n1,2\n3,\n5,6\n", {}),
+    "short-row": ("a,b\n1,2\n3\n5,6\n", {}),
+    "extra-trailing-field": ("a,b\n1,2,9\n3,4\n", {}),
+    "trailing-delimiter": ("a,b\n1,2,\n3,4,\n", {}),
+    "surrounding-spaces": ("a,b\n 1 , 2\n3 ,4 \n5,6\n", {}),
+    "blank-lines": ("a,b\n1,2\n\n3,4\n\r\n5,6\n", {}),
+    "quoted-number": ('a,b\n"1",2\n3,4\n5,6\n', {}),
+    "quoted-delimiter-in-unselected-column": (
+        'a,b,c,d\n1,",",3,4\n5,x,7,8\n', {"cols": ["a", "d"]}),
+    "crlf": ("a,b\r\n1,2\r\n3,4\r\n5,6\r\n", {}),
+    "cr-only": ("a,b\r1,2\r3,4\r5,6\r", {}),
+    "hash-line": ("a,b\n#1,2\n3,4\n5,6\n", {}),
+    "underscore": ("a,b\n1_0,2\n3,4\n5,6\n", {}),
+    "fullwidth-digit": ("a,b\n\uff11,2\n3,4\n5,6\n", {}),
+    "information-separator": ("a,b\n1\x1c,2\n3,4\n5,6\n", {}),
+    "header-only": ("a,b\n", {}),
+    "header-and-line-ends": ("a,b\n\n\r\n\r", {}),
+    "cols-in-reverse-order": ("a,b,c\n1,20,300\n2,10,100\n3,30,200\n",
+                              {"cols": ["c", "b", "a"]}),
+    "tabs": ("a\tb\n1\t2\n3\t4\n5\t6\n", {}),
+    "tabs-empty-field": ("a\tb\n1\t\t2\n3\t4\n5\t6\n", {}),
+    # loadtxt refuses a line end as delimiter (TypeError); the loop reads it
+    "line-end-delimiter": ("a\rb\n1\r2\n3\r4\n5\r7\n",
+                           {"delimiter": "\r"}),
+    **{f"random-decimals-{seed}": (_random_decimals(seed), {})
+       for seed in range(4)},
+}
+
+
 class TestIngest:
+    @pytest.mark.parametrize("text, options", INGEST_FAMILIES.values(),
+                             ids=INGEST_FAMILIES)
+    def test_reads_as_the_row_loop(self, text, options, tmp_path, caplog):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+
+        def outcome(read):
+            caplog.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no loadtxt warning escapes
+                try:
+                    got = read(str(path), **options)
+                except RankRegretError as exc:
+                    return type(exc), str(exc), caplog.messages
+            return (got.raw_values.tobytes(), got.raw_values.shape,
+                    got.dropped_rows, got.columns, got.dataset.fingerprint(),
+                    caplog.messages)
+
+        assert outcome(ingest) == outcome(ingest_by_rows)
+
     def test_basic(self, fig1_csv):
         result = ingest(fig1_csv)
         assert result.dataset.n == 7 and result.dataset.d == 2
@@ -367,6 +443,22 @@ class TestDualAndBench:
         assert json.loads(capsys.readouterr().out)["seed"] == 9
 
 
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "f.csv", "--algo", "mdrrr", "--k", "2", "--source", "random"],
+        ["ksets", "f.csv", "--source", "graph", "--k-pct", "5"],
+        ["eval", "f.csv", "--members", "0,1", "--eval", "exact"],
+        ["dual", "f.csv", "--size-budget", "2", "--seed", "3"],
+        ["bench", "f.csv", "--ks", "1,2", "--seed", "4"],
+    ])
+    def test_one_command_parser_reads_like_the_full_one(self, argv):
+        # main builds only the subparser argv[0] names; its namespace and
+        # the usage line of top-level errors are those of the full parser
+        one, full = build_parser(argv[0]), build_parser()
+        assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+        assert one.format_usage() == full.format_usage()
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         code = main(["solve", "/nonexistent.csv", "--algo", "mdrc", "--k", "2",
@@ -421,6 +513,8 @@ class TestExitCodes:
           "--samples", "0"], 3, "ConfigError"),
         (["solve", "{fig1}", "--algo", "mdrc", "--k", "2",
           "--dirs", "higher"], 3, "DimensionMismatch"),
+        (["bench", "{fig1}", "--algos", "2drr", "--ks", "1"], 3,
+         "ConfigError"),
     ])
     def test_exit_code_by_cause(self, argv, code, error, fig1_csv, tmp_path,
                                 capsys):
