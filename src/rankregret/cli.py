@@ -31,6 +31,7 @@ from .errors import (
     EmptySubset,
     KOutOfRange,
     LPNumericalFailure,
+    MalformedDataFile,
     MalformedKSetFile,
     MalformedMembersFile,
     NoUsableRows,
@@ -43,7 +44,7 @@ from .kset import collection_to_lines
 log = logging.getLogger(__name__)
 
 INPUT_ERRORS = (FileNotFoundError, NoUsableRows, ConstantAttribute, NonFiniteValue,
-                MalformedKSetFile, MalformedMembersFile)
+                MalformedDataFile, MalformedKSetFile, MalformedMembersFile)
 CONFIG_ERRORS = (ConfigError, KOutOfRange, DimensionNot2D, DimensionMismatch,
                  EmptySubset)
 NUMERIC_ERRORS = (LPNumericalFailure, UncoverableSpace, EmptyCollection)
@@ -76,7 +77,8 @@ def ingest(path: str, cols: Optional[Sequence[str]] = None,
     then the loop reads the body instead and counts the rows it drops.
     Both round every number correctly, so the values are the same either
     way.  A body with a character of ``_LOOP_ONLY`` goes to the loop
-    directly.
+    directly.  A body the ``csv`` loop cannot parse raises
+    MalformedDataFile naming the line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline()
@@ -113,14 +115,18 @@ def ingest(path: str, cols: Optional[Sequence[str]] = None,
     dropped = 0
     if raw is None:
         rows = []
-        for row in csv.reader(io.StringIO(body, newline=""),
-                              delimiter=delimiter):
-            if not row:
-                continue
-            try:
-                rows.append([float(row[i]) for i in indices])
-            except (ValueError, IndexError):
-                dropped += 1
+        reader = csv.reader(io.StringIO(body, newline=""), delimiter=delimiter)
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    rows.append([float(row[i]) for i in indices])
+                except (ValueError, IndexError):
+                    dropped += 1
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise MalformedDataFile(
+                f"{path} line {reader.line_num + 1}: {exc}") from None
         if dropped:
             log.warning("dropped %d rows with missing or non-numeric values",
                         dropped)

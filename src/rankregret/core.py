@@ -474,12 +474,13 @@ class RankRegretKernel:
     are scored: the members and the rows that may come within NUMERIC_TOL
     of the best member somewhere.  Every other row scores below the best
     member under every function, so the best member's rank is unchanged.
-    Callers hand blocks of ``block`` unit weight vectors (about
-    SCORE_BLOCK_BYTES of scores) to :meth:`add_weights`, or score the
-    blocks with their own arithmetic and fold each in with :meth:`add`.  Per block, one pass
-    counts the rows scoring at least the best member's score, which bounds
-    its rank from above; ranks are computed only for the functions whose
-    bound exceeds the running maximum ``worst``.
+    Callers bound many functions at once in float32 with
+    :meth:`rank_bounds`, score in float64 only those whose bound exceeds
+    the running maximum ``worst``, and fold their scores in with
+    :meth:`add`.  ``scored`` counts the functions folded in.  Per block,
+    one pass counts the rows scoring at least the best member's score,
+    which bounds its rank from above; ranks are computed only for the
+    functions whose bound exceeds ``worst``.
 
     ``slack`` bounds how far the block scores may round differently from
     the caller's reference arithmetic.  A rank is read off the block only
@@ -500,58 +501,73 @@ class RankRegretKernel:
         self.rows = member_survivors(values, self.members)
         self.kept = values[self.rows]
         self.member_cols = np.searchsorted(self.rows, self.members)
-        self.block = block_rows(self.rows.size)
+        #: functions per block and rows per tile of :meth:`rank_bounds`,
+        #: tiles of about SCORE_BLOCK_BYTES of float32 scores; at least 256
+        #: functions, as the count over rows costs 3-11 ns a score with 2-8
+        #: functions a block against about 0.5 ns with 256
+        self.block = max(256, SCORE_BLOCK_BYTES // (4 * self.rows.size))
+        self.tile = max(1, SCORE_BLOCK_BYTES // (4 * self.block))
         self.slack = slack
         self.worst = 0
+        self.scored = 0
         d = values.shape[1]
         self.margin = np.float32(slack + score_slack(d) / 2
                                  + 4 * (d + 2) * math.sqrt(d) * 2.0 ** -24)
 
     @functools.cached_property
-    def screen_t(self) -> np.ndarray:
-        """The kept rows in float32, members first, one column per row;
-        built on the first :meth:`add_weights`, as the 2-D evaluators
-        never screen."""
+    def kept32(self) -> np.ndarray:
+        """The kept rows in float32, members first; built on the first
+        :meth:`rank_bounds`, as the 2-D evaluators never bound."""
         others = np.ones(self.rows.size, dtype=bool)
         others[self.member_cols] = False
-        return np.ascontiguousarray(
-            np.concatenate((self.kept[self.member_cols], self.kept[others])).T,
-            dtype=np.float32)
+        return np.concatenate((self.kept[self.member_cols],
+                               self.kept[others])).astype(np.float32)
 
-    def add_weights(self, weights: np.ndarray, reference=None) -> None:
-        """Fold in a block of functions, one unit weight vector per row,
-        screened in float32 first; ``reference`` is as for :meth:`add`.
+    def rank_bounds(self, weights: np.ndarray, errors: np.ndarray) -> np.ndarray:
+        """Per function, an upper bound on the best member's rank that
+        :meth:`add` would take, from float32 weights alone.
 
-        The block is scored against ``screen_t``, the kept rows in
-        float32, members first.  With values in [0, 1] and unit weights a
-        score is at most sqrt(d), so rounding the weights and values to
-        float32 and summing d products moves it by at most
-        gamma_{d+2} sqrt(d), about (d+2) sqrt(d) 2^-24 (Higham, Accuracy
-        and Stability of Numerical Algorithms, section 3.1), while the
-        float64 product errs by at most score_slack(d)/4.  A row that
-        :meth:`add` counts scores within ``slack`` of the best member in
-        float64, so in float32 it scores within ``margin`` = slack +
-        score_slack(d)/2 + 4(d+2) sqrt(d) 2^-24 of the float32 best
-        member: twice each side's error, and twice again the float32 term,
-        which also covers forming ``best - margin`` in float32.  So a
-        function's float32 near count bounds the count :meth:`add` would
-        take, and the functions whose near count is at most ``worst``
-        leave it unchanged.  Only the others are scored in float64 over
-        ``kept`` and handed to :meth:`add`, so ``worst`` comes out as if
-        the whole block had been.  Every function counts its own best
-        member, so when the near counts exceed the block's length by less
-        than ``worst`` none can be above it and the block ends there.
+        Row i of the float32 ``weights`` lies within ``errors[i]`` in l1
+        of the float64 unit weight vector w that the caller would score,
+        so with values in [0, 1] every score under it is within
+        ``errors[i]`` of the score under w.  The kept rows, members first,
+        are scored in float32 in (rows x functions) tiles of ``tile`` rows
+        and ``block`` functions; the tiles holding members give each
+        function's best member first.  Rounding the values to float32 and
+        summing d products moves a score of at most sqrt(d) by at most
+        about (d+2) sqrt(d) 2^-24 (Higham, Accuracy and Stability of
+        Numerical Algorithms, section 3.1), while the float64 product errs
+        by at most score_slack(d)/4.  A row that :meth:`add` counts scores
+        within ``slack`` of the best member in float64, so in float32 it
+        scores within ``margin`` = slack + score_slack(d)/2 + 4(d+2)
+        sqrt(d) 2^-24 of the float32 best member, widened by
+        2 ``errors[i]``: twice each side's error (the best members of the
+        two arithmetics may differ, each within the error of the other's
+        best), and twice again the float32 term, which also covers
+        forming the threshold in float32.  So the count of rows within
+        that widened margin bounds the count :meth:`add` takes, which
+        bounds the rank in the reference arithmetic too; a function whose
+        bound is at most ``worst`` cannot raise it.
         """
-        scores = weights.astype(np.float32) @ self.screen_t
-        best = scores[:, :self.members.size].max(axis=1, keepdims=True)
-        near = np.flatnonzero(scores >= best - self.margin)
-        if near.size - len(weights) < self.worst:
-            return
-        counts = np.bincount(near // scores.shape[1], minlength=len(weights))
-        hot = np.flatnonzero(counts > self.worst)
-        if hot.size:
-            self.add(weights[hot] @ self.kept.T,
-                     None if reference is None else lambda: reference()[hot])
+        rows, tile, members = self.kept32, self.tile, self.members.size
+        widths = self.margin + 2 * errors.astype(np.float32)
+        bounds = np.empty(len(weights), dtype=np.min_scalar_type(len(rows)))
+        for lo in range(0, len(weights), self.block):
+            cols = slice(lo, lo + self.block)
+            w = weights[cols].T
+            first = rows[:tile] @ w
+            best = first[:members].max(axis=0)
+            for t in range(tile, members, tile):  # members past the first tile
+                best = np.maximum(best, (rows[t:min(t + tile, members)] @ w)
+                                  .max(axis=0))
+            floor = best - widths[cols]
+            bounds[cols] = np.add.reduce((first >= floor).view(np.uint8),
+                                         axis=0, dtype=bounds.dtype)
+            for t in range(tile, len(rows), tile):
+                bounds[cols] += np.add.reduce(
+                    (rows[t:t + tile] @ w >= floor).view(np.uint8),
+                    axis=0, dtype=bounds.dtype)
+        return bounds
 
     def add(self, scores: np.ndarray, reference=None) -> None:
         """Fold in the scores of ``kept`` under a block of functions, one
@@ -559,6 +575,7 @@ class RankRegretKernel:
         over every row in the reference arithmetic; it is called only
         where a tie within ``slack`` needs it, and without it the block's
         own scores resolve ties (exact when ``slack`` is 0)."""
+        self.scored += len(scores)
         best = scores[:, self.member_cols].max(axis=1, keepdims=True)
         bound = np.count_nonzero(scores >= best - self.slack, axis=1)
         hot = np.flatnonzero(bound > self.worst)

@@ -53,6 +53,10 @@ class NoUsableRows(RankRegretError):
     """Ingestion dropped every row of the input file."""
 
 
+class MalformedDataFile(RankRegretError, ValueError):
+    """A data file's body does not parse as delimited text."""
+
+
 class MalformedKSetFile(RankRegretError, ValueError):
     """A k-set file does not parse, or names a tuple the dataset lacks."""
 

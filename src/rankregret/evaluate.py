@@ -8,18 +8,21 @@ In 2-D the rank-regret of a subset is exact in every mode and at every
 n: ``sweep2d.exact_rank_regret_2d``, the largest depth of the intervals
 of angles on which rows rank ahead of the best member.  For d > 2 it is
 estimated by drawing ranking functions uniformly from the first-orthant
-sphere and taking the worst best-rank of any member, scored by matrix
-products; that can exceed the true maximum by one rank where a member has
-an exact duplicate row of larger id (see ``estimate_rank_regret``).  Both
-see only the members and the rows that may come within NUMERIC_TOL of the
-best member under some function (``core.member_survivors``), which
-changes neither value.
+sphere and taking the worst best-rank of any member: every function's
+rank is bounded from above in one float32 pass, and only the functions
+whose bound can raise the maximum are ranked in float64, which gives the
+value of ranking them all by matrix products.  That can exceed the true
+maximum by one rank where a member has an exact duplicate row of larger
+id (see ``estimate_rank_regret``).  Both see only the members and the
+rows that may come within NUMERIC_TOL of the best member under some
+function (``core.member_survivors``), which changes neither value.
 """
 
 import csv
 import functools
 import io
 import json
+import logging
 import math
 import time
 from dataclasses import asdict, dataclass, replace
@@ -27,22 +30,31 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (Dataset, RankRegretKernel, Representative, check_k,
-                   score_slack)
+from .core import (Dataset, RankRegretKernel, Representative, block_rows,
+                   check_k, score_slack)
 from .errors import ConfigError, KOutOfRange, MalformedKSetFile
 from .hitting import mdrrr
 from .kset import (
     KSetCollection,
     collect_ksets_random,
     enumerate_ksets_graph,
+    float32_directions,
     load_collection,
     sample_functions,
+    sample_uniforms,
+    uniform_directions,
 )
 from .mdrc import mdrc
 from .sweep2d import (_require_2d, enumerate_ksets_2d, exact_rank_regret_2d,
                       rrr_2d)
 
+log = logging.getLogger(__name__)
+
 DEFAULT_SAMPLES = 10_000
+#: sampled functions bounded at once, in whole chunks (at least one)
+WINDOW = 1 << 16
+#: functions in a chunk's first float64 batch; later batches double
+FIRST_BATCH = 32
 DEFAULT_SAMPLER_C = 100
 
 #: the solvers of ``run_algorithm``
@@ -82,8 +94,11 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
 
     The maximum over a sample never exceeds the true maximum, so this is a
     lower bound that sharpens with the sample count (up to one rank where
-    a member has an exact duplicate, last paragraph).  The functions come
-    from ``sample_functions`` in chunks of up to 1024.
+    a member has an exact duplicate, last paragraph).  The functions are
+    those of ``sample_functions`` in chunks of up to 1024, each chunk
+    scored over all n rows by one matrix product, which fixes the rounding
+    of every score; the value is that of ranking every function in that
+    arithmetic (``oracles.sampled_rank_regret``).
     ``core.RankRegretKernel`` keeps the members and the rows that may come
     within NUMERIC_TOL of the best member under some function
     (``core.member_survivors``: a threshold pass over a simplicial grid of
@@ -92,16 +107,26 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     weight vector, in exact arithmetic and so in every float product, so
     the best member's rank is unchanged.
 
-    Each chunk's matrix product with all n rows fixes the rounding of
-    every score.  Each block of functions goes to the kernel's
-    ``add_weights``, which scores the remaining rows in float32 first and
-    scores in float64 only the functions whose float32 count of rows near
-    the best member, a bound on their rank whatever the rounding, exceeds
-    the running maximum.  Those are bounded in one
-    comparison pass over the float64 product with the remaining rows.
-    That product rounds differently in the last bits, so where another
-    row scores within a few ulps of the best member the full product
-    decides the ties.  The estimate is the same as scoring all n rows.
+    The functions are taken in windows of up to WINDOW whole chunks, each
+    in three steps.  *Draw*: ``sample_uniforms`` draws each chunk's
+    uniforms from ``rng``, as ``sample_functions`` would.  *Bound*:
+    ``float32_directions`` maps them to float32 directions, each within a
+    stated l1 error of its float64 direction, and the kernel's
+    ``rank_bounds`` bounds every function's rank from above in one float32
+    pass.  *Exact* (``_score_above``): the chunks are visited in
+    decreasing largest bound and each chunk's functions in decreasing
+    bound, in batches that double from FIRST_BATCH, until the next bound
+    is at most the kernel's running maximum ``worst``; each batch gets its
+    float64 directions (``uniform_directions``, bit for bit the rows
+    ``sample_functions`` returns), is scored over the kept rows and goes
+    to the kernel's ``add``.  Where another row scores within a few ulps
+    of the best member, the reference decides: the function's chunk scored
+    over all n rows by one product, taken only for chunks that need it.
+    The value is that of scoring every function: a skipped function's rank
+    is at most its bound, which is at most ``worst`` when it is skipped,
+    and every other function is ranked in the reference arithmetic.  The
+    count of functions scored in float64 is logged at DEBUG.
+
     The BLAS product can score identical rows differently by their
     position, so it can rank a duplicate with a larger id ahead of its
     member, one rank above the exact rank under that function.
@@ -115,14 +140,51 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
     chunk = max(1, min(1024, (1 << 22) // dataset.n))
-    for lo in range(0, samples, chunk):
-        weights = sample_functions(rng, d, min(chunk, samples - lo))
-        full = functools.cache(lambda w=weights: w @ values.T)
-        for start in range(0, len(weights), kernel.block):
-            block = slice(start, start + kernel.block)
-            kernel.add_weights(weights[block],
-                               lambda f=full, b=block: f()[b])
+    window = chunk * max(1, WINDOW // chunk)
+    for lo in range(0, samples, window):
+        uniforms = np.concatenate([
+            sample_uniforms(rng, d, min(chunk, samples - start))
+            for start in range(lo, min(lo + window, samples), chunk)])
+        bounds = kernel.rank_bounds(*float32_directions(uniforms, d))
+        _score_above(kernel, values, uniforms, chunk, bounds)
+    log.debug("%d of %d sampled functions scored in float64",
+              kernel.scored, samples)
     return kernel.worst
+
+
+def _score_above(kernel: RankRegretKernel, values: np.ndarray,
+                 uniforms: np.ndarray, chunk: int, bounds: np.ndarray) -> None:
+    """Fold into ``kernel``, in float64, every function of a window whose
+    bound exceeds the running maximum.
+
+    The window's chunks are visited in decreasing largest bound, and each
+    chunk's functions in decreasing bound, in batches that double from
+    FIRST_BATCH, none above about SCORE_BLOCK_BYTES of float64 scores.  A
+    batch stays within its chunk, so the chunk's reference product (its
+    functions scored over all n rows) is taken at most once, on the first
+    tie, and only one is held at a time.
+    """
+    d = values.shape[1]
+    most = block_rows(kernel.rows.size)
+    tops = np.maximum.reduceat(bounds, np.arange(0, len(bounds), chunk))
+    for c in np.argsort(tops, kind="stable")[::-1].tolist():
+        if tops[c] <= kernel.worst:
+            return
+        lo = c * chunk
+        part = bounds[lo:lo + chunk]
+        hot = np.flatnonzero(part > kernel.worst)
+        hot = hot[np.argsort(part[hot], kind="stable")[::-1]]
+        full = functools.cache(lambda lo=lo: uniform_directions(
+            uniforms[lo:lo + chunk], d) @ values.T)
+        start, size = 0, min(FIRST_BATCH, most)
+        while start < hot.size and part[hot[start]] > kernel.worst:
+            batch = hot[start:start + size]
+            batch = batch[part[batch] > kernel.worst]
+            weights = uniform_directions(uniforms[lo + batch], d)
+            kernel.add(weights @ kernel.kept.T,
+                       lambda f=full, b=batch: f()[b])
+            start += size
+            size = min(2 * size, most)
 
 
 def resolve_k(n: int, k: Optional[int] = None, k_pct: Optional[float] = None) -> int:

@@ -10,6 +10,7 @@ draws that produce nothing new.
 """
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
@@ -301,31 +302,95 @@ def _seed_functions(d: int):
 def sample_functions(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
     """``count`` weight vectors drawn uniformly from the first-orthant sphere.
 
-    Absolute values of i.i.d. standard normals, normalized to unit length.
-    Normals come from an explicit Box-Muller transform over the generator's
-    uniform stream, so a fixed seed reproduces the same vectors everywhere;
-    drawing m then m' more matches one draw of m + m'.  Each pair of
-    uniforms gives a cosine and a sine normal; for odd d the last pair's
-    sine is not needed and not computed, but its uniform is still drawn.
+    Absolute values of i.i.d. standard normals, normalized to unit length:
+    ``uniform_directions`` of ``sample_uniforms``.  Normals come from an
+    explicit Box-Muller transform over the generator's uniform stream, so
+    a fixed seed reproduces the same vectors everywhere; drawing m then m'
+    more matches one draw of m + m'.  Each pair of uniforms gives a cosine
+    and a sine normal; for odd d the last pair's sine is not needed and
+    not computed, but its uniform is still drawn.
+    """
+    return uniform_directions(sample_uniforms(rng, d, count), d)
+
+
+def sample_uniforms(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
+    """The (count, 2 ceil(d/2)) uniforms of ``count`` sampled functions,
+    radius and phase uniform of each pair side by side.
+
+    A row whose normals would all be 0 is drawn again (a measure-zero
+    guard), decided on the uniforms: the normals of a pair are r cos(t)
+    and r sin(t) with r = sqrt(-2 log(1 - a)) for its radius uniform a,
+    and a cosine of a double angle is never 0, so |z| = 0 exactly when
+    every radius uniform of the row is 0.
     """
     if d < 2:
         raise ConfigError("sampling requires d >= 2")
     if count < 1:
         raise ValueError("count must be positive")
-    pairs = (d + 1) // 2
-    u = rng.random((count, 2 * pairs))
-    radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2]))
-    phase = 2.0 * np.pi * u[:, 1::2]
-    z = np.empty((count, d))
+    uniforms = rng.random((count, 2 * ((d + 1) // 2)))
+    if not uniforms.all():  # some uniform is 0, most likely no whole row
+        bad = np.flatnonzero(~uniforms[:, 0::2].any(axis=1))
+        if bad.size:
+            uniforms[bad] = sample_uniforms(rng, d, bad.size)
+    return uniforms
+
+
+def uniform_directions(uniforms: np.ndarray, d: int) -> np.ndarray:
+    """The unit weight vectors of ``sample_uniforms`` rows, in float64.
+
+    Row by row: the directions of any subset of rows are bit for bit
+    those of the same rows mapped together.
+    """
+    radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[:, 0::2]))
+    phase = 2.0 * np.pi * uniforms[:, 1::2]
+    z = np.empty((len(uniforms), d))
     z[:, 0::2] = radius * np.cos(phase)
     z[:, 1::2] = radius[:, :d // 2] * np.sin(phase[:, :d // 2])
     w = np.abs(z)
-    norms = np.linalg.norm(w, axis=1)
-    while np.any(norms == 0.0):  # measure-zero guard
-        bad = np.flatnonzero(norms == 0.0)
-        w[bad] = sample_functions(rng, d, bad.size)
-        norms[bad] = 1.0
-    return w / norms[:, None]
+    return w / np.linalg.norm(w, axis=1)[:, None]
+
+
+def float32_directions(uniforms: np.ndarray, d: int):
+    """The directions of ``sample_uniforms`` rows in float32, and per row a
+    bound on their l1 distance to the float64 ``uniform_directions``.
+
+    The radius takes the float64 logarithm, as there, and a float32
+    square root; the phase 2 pi u is rounded to float32 and its cosine and
+    sine are taken in float32.  Let eps = 2^-24 and R a pair's radius.
+    Against the float64 map, the float32 phase is off by at most 2 pi eps,
+    which moves a cosine or sine by as much; the float32 radius by at most
+    1.5 eps R (the rounded square root of the rounded float64 square);
+    the float32 product rounds by eps R; and the float32 cosine and sine
+    round by L eps, where numpy's err by at most 1.2 eps on [0, 2 pi]
+    (against float64 at 2e7 angles).  So every normal differs by at most
+    (8.8 + L) eps R plus float64 terms near 2^-50 R, taken as 16 eps R,
+    which leaves L up to 7 eps, and the rows' |z| differ by at most
+    16 eps S in l1, with S the sum of each normal's radius.  For x, y >= 0,
+    |x/|x| - y/|y||_1 <= |x - y|_1 / |x| + |y/|y||_1 |x - y|_2 / |x|
+    <= (1 + sqrt(d)) |x - y|_1 / |x|, and the float32 norm and division
+    move a unit vector by at most (d/2 + 3) eps sqrt(d) in l1 (the
+    float64 ones by less than 2^-48).  The bound is
+        eps ((d/2 + 3) sqrt(d) + 16 (1 + sqrt(d)) S / N),
+    with N the float32 norm of |z|; its rounding, and that of the bound
+    itself, are relative errors of a few eps that the same room covers.
+    The bound is largest where |z| is small against the radii: a short
+    vector, or for odd d a last cosine near 0 under a long radius.
+    """
+    columns = np.ascontiguousarray(uniforms.T)  # one row per uniform
+    radius = np.sqrt((-2.0 * np.log(1.0 - columns[0::2])).astype(np.float32))
+    phase = (2.0 * np.pi * columns[1::2]).astype(np.float32)
+    w = np.empty((d, len(uniforms)), dtype=np.float32)
+    w[0::2] = radius * np.cos(phase)
+    w[1::2] = radius[:d // 2] * np.sin(phase[:d // 2])
+    np.abs(w, out=w)
+    norms = np.sqrt(np.add.reduce(w * w, axis=0))
+    w /= norms
+    spread = np.add.reduce(radius) + np.add.reduce(radius[:d // 2])
+    root = math.sqrt(d)
+    eps = np.float32(2.0 ** -24)
+    errors = eps * (np.float32((d / 2 + 3) * root)
+                    + np.float32(16 * (1 + root)) * spread / norms)
+    return w.T, errors
 
 
 def sample_function(rng: np.random.Generator, d: int) -> LinearFunction:

@@ -217,9 +217,7 @@ def sampled_rank_regret(values, members, samples, rng):
     against every tuple by one matrix product and ranked in two
     comparison passes."""
     values = np.asarray(values, dtype=np.float64)
-    members = np.array(sorted({int(t) for t in members}))
     n, d = values.shape
-    ids = np.arange(n)
     chunk = max(1, min(1024, (1 << 22) // n))
     worst = 0
     remaining = samples
@@ -227,16 +225,25 @@ def sampled_rank_regret(values, members, samples, rng):
         m = min(chunk, remaining)
         remaining -= m
         weights = _sampled_weights(rng, d, m)
-        scores = weights @ values.T
-        member_scores = scores[:, members]
-        best_col = np.argmax(member_scores, axis=1)
-        best_id = members[best_col]
-        best_score = member_scores[np.arange(m), best_col]
-        outranked = (scores > best_score[:, None]).sum(axis=1)
-        tied_ahead = ((scores == best_score[:, None])
-                      & (ids[None, :] < best_id[:, None])).sum(axis=1)
-        worst = max(worst, int((1 + outranked + tied_ahead).max()))
+        worst = max(worst, int(one_product_ranks(values, members, weights).max()))
     return worst
+
+
+def one_product_ranks(values, members, weights):
+    """The best member's rank under each row of ``weights``, all scored by
+    one matrix product against every tuple and ranked in two comparison
+    passes, ties to the smaller id."""
+    members = np.array(sorted({int(t) for t in members}))
+    ids = np.arange(len(values))
+    scores = weights @ np.asarray(values, dtype=np.float64).T
+    member_scores = scores[:, members]
+    best_col = np.argmax(member_scores, axis=1)
+    best_id = members[best_col]
+    best_score = member_scores[np.arange(len(weights)), best_col]
+    outranked = (scores > best_score[:, None]).sum(axis=1)
+    tied_ahead = ((scores == best_score[:, None])
+                  & (ids[None, :] < best_id[:, None])).sum(axis=1)
+    return 1 + outranked + tied_ahead
 
 
 def _as_integers(x):

@@ -515,13 +515,19 @@ class TestExitCodes:
           "--dirs", "higher"], 3, "DimensionMismatch"),
         (["bench", "{fig1}", "--algos", "2drr", "--ks", "1"], 3,
          "ConfigError"),
+        (["solve", "{huge_field}", "--cols", "a,c", "--algo", "2drrr",
+          "--k", "1"], 2, "MalformedDataFile"),
     ])
     def test_exit_code_by_cause(self, argv, code, error, fig1_csv, tmp_path,
                                 capsys):
         files = {"fig1": fig1_csv}
+        # an empty field sends the body to the csv loop, whose field limit
+        # (131 072 characters) the third line's column b exceeds
+        huge_field = "a,b,c\n0.1,0.2,\n0.3," + "9" * 200_000 + ",0.4\n0.5,0.6,0.7\n"
         for name, text in (("one", "a\n1\n2\n3\n"),
                            ("no_ids", '{"members": [0]}'),
-                           ("text_ids", '{"member_ids": [0, "x"]}')):
+                           ("text_ids", '{"member_ids": [0, "x"]}'),
+                           ("huge_field", huge_field)):
             files[name] = str(tmp_path / name)
             (tmp_path / name).write_text(text)
         argv = [arg.format(**files) for arg in argv]
@@ -530,6 +536,8 @@ class TestExitCodes:
         assert main(argv) == code
         payload = json.loads(capsys.readouterr().out)
         assert (payload["exit_code"], payload["error"]) == (code, error)
+        if error == "MalformedDataFile":
+            assert "line 3" in payload["message"]
 
     def test_other_value_errors_are_failures(self, fig1_csv, capsys,
                                              monkeypatch):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from rankregret import (
     run_benchmark,
     sample_functions,
 )
-from rankregret import evaluate
+from rankregret import core, evaluate
 from rankregret.core import (
     HALF_PI,
     NUMERIC_TOL,
@@ -32,9 +33,12 @@ from rankregret.evaluate import (
     reports_to_jsonl,
 )
 from rankregret import sweep2d
+from rankregret.kset import (float32_directions, sample_uniforms,
+                             uniform_directions)
 
 from conftest import anticorrelated, grid_with_duplicates, random_dataset, tids
 from oracles import (
+    one_product_ranks,
     rank_by_definition,
     rational_rank_regret_2d,
     rational_sampled_rank_regret,
@@ -144,6 +148,36 @@ class TestEstimateMatchesTwoPass:
                 subset = rng.choice(n, size=int(rng.integers(1, min(n, 12) + 1)),
                                     replace=False)
                 self.check(values, subset, 700, int(rng.integers(2**31)))
+
+    def test_bounds_far_from_ranks(self):
+        # member 0 is ahead of rows 1-149 everywhere, and rows 150-153 lie
+        # within 1e-7 of it, inside the bound pass's margin under every
+        # function, so every bound is 5.  Rows 150-153 are member +
+        # 1e-7 (+-u + w/1000) for two directions u orthogonal to w, the
+        # first sampled function: under most functions one row of each
+        # pair is ahead (rank 3), and all four only near w (rank 5).  Every
+        # chunk's largest bound is 5 and the first chunk is visited last,
+        # so every chunk goes to float64
+        rng = np.random.default_rng(85)
+        values = rng.random((154, 3)) * 0.9
+        values[0] = 0.95
+        for seed in range(3):
+            w = sample_functions(np.random.default_rng(seed), 3, 1)[0]
+            across = np.linalg.svd(w[None, :])[2][1:]  # orthonormal, normal to w
+            values[150:] = values[0] + 1e-7 * (
+                np.vstack([across, -across]) + w / 1000)
+            assert self.check(values, [0], 3000, seed) == 5
+
+    @pytest.mark.parametrize("window", [1000, 2500])
+    def test_window_edges(self, monkeypatch, window):
+        # windows of one and two chunks of 1024 (n < 4096); the running
+        # maximum carries from one window to the next
+        monkeypatch.setattr(evaluate, "WINDOW", window)
+        rng = np.random.default_rng(86)
+        values = grid_with_duplicates(rng, 120, 4)
+        subset = rng.choice(120, size=3, replace=False)
+        for samples in (1023, 2048, 2049, 5000):
+            self.check(values, subset, samples, int(rng.integers(2**31)))
 
     def test_block_edges(self):
         rng = np.random.default_rng(61)
@@ -285,6 +319,16 @@ class TestEstimate2DSteps:
         assert exact_keys
 
 
+def bound_then_add(kernel, weights):
+    """Fold float64 unit ``weights`` into ``kernel`` as the estimate does:
+    bound every function from its float32 copy (within its l1 rounding),
+    then score in float64 those whose bound exceeds the maximum."""
+    approx = weights.astype(np.float32)
+    errors = np.abs(approx - weights).sum(axis=1)
+    hot = kernel.rank_bounds(approx, errors) > kernel.worst
+    kernel.add(weights[hot] @ kernel.kept.T)
+
+
 class TestRankRegretKernel:
     def test_survivors_match_definition(self):
         # the survivors are some of the rows no member beats by more than
@@ -349,12 +393,91 @@ class TestRankRegretKernel:
                 row[1] -= 0.55 * u
                 kernel = RankRegretKernel(np.vstack([member, row]), [0],
                                           slack=score_slack(d))
-                kernel.add_weights(np.eye(d)[1:2])  # row 1 behind
+                bound_then_add(kernel, np.eye(d)[1:2])  # row 1 behind
                 assert kernel.worst == 1
                 w = np.abs(rng.standard_normal(d))
                 w[0] = max(w[0], 1.25 * w[1])
-                kernel.add_weights(w[None, :] / np.linalg.norm(w))
+                bound_then_add(kernel, w[None, :] / np.linalg.norm(w))
                 assert kernel.worst == 2
+
+
+class TestRankBounds:
+    """``RankRegretKernel.rank_bounds`` over ``float32_directions`` against
+    the rank each sampled function gives the best member in
+    ``oracles.sampled_rank_regret``'s one-product arithmetic."""
+
+    KINDS = (lambda rng, n, d: rng.random((n, d)),
+             grid_with_duplicates,
+             lambda rng, n, d: np.round(anticorrelated(rng, n, d), 2))
+
+    @pytest.mark.parametrize("block_bytes", [core.SCORE_BLOCK_BYTES, 4096])
+    def test_bound_holds_on_every_sample(self, monkeypatch, block_bytes):
+        # 4096 bytes make tiles of 4 rows: members past the first tile
+        monkeypatch.setattr(core, "SCORE_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(82)
+        below = 0
+        for trial in range(72):
+            d = 3 + trial % 6
+            n = int(rng.integers(2, 300))
+            values = self.KINDS[trial // 6 % 3](rng, n, d)
+            members = rng.choice(n, size=int(rng.integers(1, min(n, 10) + 1)),
+                                 replace=False)
+            if trial // 18 % 2:  # copies of members at smaller and larger ids
+                values[0], values[-1] = values[members.max()], values[members.min()]
+            kernel = RankRegretKernel(values, members, slack=score_slack(d))
+            uniforms = sample_uniforms(rng, d, 1024)
+            near_zero = uniforms[::8, 0::2]  # |z| small against the radii
+            uniforms[::8, 0::2] = np.maximum(
+                near_zero * 10.0 ** -rng.integers(4, 16, near_zero.shape),
+                2.0 ** -53)
+            bounds = kernel.rank_bounds(*float32_directions(uniforms, d))
+            ranks = one_product_ranks(values, members,
+                                      uniform_directions(uniforms, d))
+            assert np.all(ranks <= bounds)
+            below += np.count_nonzero(ranks < bounds)
+            if trial % 8 == 0:
+                TestEstimateMatchesTwoPass.check(values, members, 300, trial)
+        assert below  # some bounds count rows behind the best member
+
+    def test_rows_the_float32_direction_misorders_are_counted(self):
+        # of 10^5 draws with radius uniforms scaled towards 0, take the one
+        # whose float32 direction errs most (by D = approx - w; for odd d,
+        # where a last cosine near 0 can leave |z| short against its
+        # radius, |D| reaches 1e-4 to 1e-3).  Row 1 = member + delta, with
+        # delta 1e-9 w along w and the rest against D's part orthogonal to
+        # w, is ahead of the member under w and behind by 2e-5, more than
+        # the kernel's margin, under the float32 direction
+        rng = np.random.default_rng(84)
+        for d in (3, 5, 7):
+            uniforms = sample_uniforms(rng, d, 100_000)
+            uniforms[:, 0::2] = np.maximum(
+                uniforms[:, 0::2] * 10.0 ** -rng.integers(
+                    0, 16, uniforms[:, 0::2].shape), 2.0 ** -53)
+            approx, errors = float32_directions(uniforms, d)
+            exact = uniform_directions(uniforms, d)
+            i = np.argmax(np.abs(approx - exact).sum(axis=1))
+            w = exact[i]
+            across = approx[i] - w
+            across -= (across @ w) * w
+            member = np.full(d, 0.5)
+            delta = 1e-9 * w - 2e-5 * across / (across @ across)
+            values = np.vstack([member, member + delta])
+            kernel = RankRegretKernel(values, [0], slack=score_slack(d))
+            assert one_product_ranks(values, [0], exact[i:i + 1]).tolist() == [2]
+            scores = kernel.kept32 @ approx[i]
+            assert scores[1] < scores[0] - kernel.margin
+            assert kernel.rank_bounds(approx[i:i + 1], errors[i:i + 1]) == 2
+
+    def test_logs_the_functions_scored_in_float64(self, caplog):
+        values = np.random.default_rng(83).random((300, 3))
+        with caplog.at_level(logging.DEBUG, logger="rankregret.evaluate"):
+            estimate_rank_regret(Dataset(values), [1, 2], 5000,
+                                 np.random.default_rng(0))
+        (message,) = [r.getMessage() for r in caplog.records
+                      if "scored in float64" in r.getMessage()]
+        scored, rest = message.split(" ", 1)
+        assert rest == "of 5000 sampled functions scored in float64"
+        assert 0 < int(scored) < 5000
 
 
 class TestSurvivorOutputs:

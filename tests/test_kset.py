@@ -18,8 +18,11 @@ from rankregret.errors import LPNumericalFailure, MalformedKSetFile
 from rankregret.kset import (
     collection_from_lines,
     collection_to_lines,
+    float32_directions,
     load_collection,
+    sample_uniforms,
     save_collection,
+    uniform_directions,
 )
 
 from conftest import (
@@ -250,6 +253,54 @@ class TestSampler:
     def test_d_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             sample_functions(np.random.default_rng(0), 1, 3)
+
+    def test_rows_without_a_radius_are_drawn_again(self):
+        # row 1 of the first draw has both radius uniforms 0, so |z| = 0;
+        # row 0 has one, and its other pair still gives a normal
+        first = np.array([[0.0, 0.3, 0.5, 0.7], [0.0, 0.2, 0.0, 0.9]])
+        again = np.array([[0.4, 0.1, 0.6, 0.8]])
+        draws = iter([first.copy(), again.copy()])
+
+        class Fixed:
+            def random(self, shape):
+                out = next(draws)
+                assert out.shape == shape
+                return out
+
+        uniforms = sample_uniforms(Fixed(), 4, 2)
+        assert np.array_equal(uniforms, [first[0], again[0]])
+        w = uniform_directions(uniforms, 4)
+        assert w[0, 0] == w[0, 1] == 0.0
+        assert np.allclose(np.linalg.norm(w, axis=1), 1.0)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_directions_of_any_rows_are_those_of_the_draw(self, d):
+        rng = np.random.default_rng(40 + d)
+        uniforms = sample_uniforms(np.random.default_rng(d), d, 3000)
+        whole = sample_functions(np.random.default_rng(d), d, 3000)
+        assert uniform_directions(uniforms, d).tobytes() == whole.tobytes()
+        for m in (1, 2, 7, 32, 500):
+            rows = rng.choice(3000, size=m, replace=False)
+            assert (uniform_directions(uniforms[rows], d).tobytes()
+                    == whole[rows].tobytes())
+
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_float32_directions_within_their_stated_error(self, d):
+        # 10^6 draws; in one block of four the radius uniforms are scaled
+        # towards 0, so |z| is small against some radii (for odd d also a
+        # long last radius under a cosine near 0 happens by chance), where
+        # the float32 directions err most
+        rng = np.random.default_rng(20 + d)
+        for block in range(8):
+            uniforms = sample_uniforms(rng, d, 125_000)
+            if block % 4 == 3:
+                radii = uniforms[:, 0::2]
+                radii *= 10.0 ** -rng.integers(0, 16, radii.shape)
+                uniforms[:, 0::2] = np.maximum(radii, 2.0 ** -53)
+            approx, errors = float32_directions(uniforms, d)
+            assert approx.dtype == np.float32 and approx.shape == (125_000, d)
+            gap = np.abs(approx - uniform_directions(uniforms, d)).sum(axis=1)
+            assert np.all(gap <= errors)
 
 
 class TestRandomCollector:
