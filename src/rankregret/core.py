@@ -264,7 +264,7 @@ def score_slack(d: int) -> float:
     vector and values in [0, 1], summed in different orders, can differ:
     each errs by at most about d machine epsilons times the weights' sum,
     which is at most sqrt(d)."""
-    return 4 * d * math.sqrt(d) * np.finfo(float).eps
+    return 4 * d * math.sqrt(d) * math.ulp(1.0)
 
 
 def top_k_many(dataset: Dataset, weights, k: int) -> list:
@@ -275,25 +275,9 @@ def top_k_many(dataset: Dataset, weights, k: int) -> list:
 
 def top_k_ids(dataset: Dataset, weights, k: int) -> np.ndarray:
     """The :func:`top_k` set of every row of the (m, d) ``weights``, as
-    an (m, k) array of ids, ascending along each row.
-
-    Blocks of about SCORE_BLOCK_BYTES of scores are taken by one matrix
-    product.  Each row's k+1 best are selected from group maxima: with
-    G = 8 columns per group where n >= 8(k+2) (else G = 1) and g = ceil(n/G)
-    groups, group j holds columns j, j+g, j+2g, ...  (padded past n with
-    scores below every row's).  One argpartition finds the k+1 groups with
-    the largest maxima, and one more keeps the k+1 best of their (k+1)G
-    columns.  A score above the (k+1)-th largest group maximum lies in a
-    chosen group, and a score in another group is at most every chosen
-    group's maximum, so these are the k+1 best values of the whole row.
-    Both gathers are one ``np.take`` of flat indices (row * width + column)
-    into the block, the same picks as 2-D fancy indexing at less cost.
-
-    That product may round differently from :func:`top_k`'s, so a row's
-    k best are taken only where its k-th and (k+1)-th scores are more than
-    :func:`score_slack` times the weight norm apart, which no rounding
-    can reorder; every other row (ties and near-ties) is sent to
-    :func:`top_k` itself.  With k = n every row holds every id.
+    an (m, k) array of ids, ascending along each row: the k+1 best
+    columns of :func:`best_columns`, settled by :func:`settle_top_k`.
+    With k = n every row holds every id, without scoring.
     """
     n, d = dataset.n, dataset.d
     check_k(k, n)
@@ -303,30 +287,71 @@ def top_k_ids(dataset: Dataset, weights, k: int) -> np.ndarray:
     _check_weights(w)
     if k == n:
         return np.tile(np.arange(n, dtype=np.intp), (len(w), 1))
-    out = np.empty((len(w), k), dtype=np.intp)
-    unclear = np.empty(len(w), dtype=bool)
-    slack = score_slack(d) * np.linalg.norm(w, axis=1)
-    size = 8 if n >= 8 * (k + 2) else 1  # so that g >= k + 2
+    return settle_top_k(dataset, w, *best_columns(dataset, w, k + 1))
+
+
+def best_columns(dataset: Dataset, w: np.ndarray, count: int):
+    """(cols, scores): the ``count`` best rows of ``dataset`` under each
+    row of the (m, d) weights ``w``, 1 <= count <= n, and their scores.
+    Column 0 holds the count-th best, the other columns the count - 1
+    better ones in no order.
+
+    Blocks of about SCORE_BLOCK_BYTES of scores are taken by one matrix
+    product.  Each row's best are selected from group maxima: with G = 8
+    columns per group where n >= 8(count+1) (else G = 1) and g = ceil(n/G)
+    groups, group j holds columns j, j+g, j+2g, ...  (padded past n with
+    scores below every row's).  One argpartition finds the count groups
+    with the largest maxima, and one more keeps the count best of their
+    count*G columns.  A score above the count-th largest group maximum
+    lies in a chosen group, and a score in another group is at most every
+    chosen group's maximum, so these are the count best values of the
+    whole row.  Both gathers are one ``np.take`` of flat indices (row *
+    width + column) into the block, the same picks as 2-D fancy indexing
+    at less cost.
+    """
+    n, d = dataset.n, dataset.d
+    size = 8 if n >= 8 * (count + 1) else 1  # so that g >= count + 1
     groups = -(-n // size)
     # a padding column scores -sum(w), below every row's score
     values_t = np.full((d, size * groups), -1.0)
     values_t[:, :n] = dataset.values.T
     offsets = groups * np.arange(size)[:, None]
-    width = (k + 1) * size
+    width = count * size
+    cols = np.empty((len(w), count), dtype=np.intp)
+    picked = np.empty((len(w), count))
     block = block_rows(values_t.shape[1])
     for lo in range(0, len(w), block):
         scores = w[lo:lo + block] @ values_t
         m = len(scores)
         maxima = scores.reshape(m, size, groups).max(axis=1)
-        chosen = np.argpartition(maxima, groups - k - 1, axis=1)[:, groups - k - 1:]
-        cols = (chosen[:, None, :] + offsets).reshape(m, width)
-        candidates = np.take(scores, cols + values_t.shape[1] * np.arange(m)[:, None])
-        best = np.argpartition(candidates, width - k - 1, axis=1)[:, width - k - 1:]
+        chosen = np.argpartition(maxima, groups - count, axis=1)[:, groups - count:]
+        candidate_cols = (chosen[:, None, :] + offsets).reshape(m, width)
+        candidates = np.take(scores, candidate_cols
+                             + values_t.shape[1] * np.arange(m)[:, None])
+        best = np.argpartition(candidates, width - count, axis=1)[:, width - count:]
         best += width * np.arange(m)[:, None]
-        picked = np.take(candidates, best)
-        unclear[lo:lo + block] = (picked[:, 1:].min(axis=1) - picked[:, 0]
-                                  <= slack[lo:lo + block])
-        out[lo:lo + block] = np.take(cols, best[:, 1:])
+        picked[lo:lo + block] = np.take(candidates, best)
+        cols[lo:lo + block] = np.take(candidate_cols, best)
+    return cols, picked
+
+
+def settle_top_k(dataset: Dataset, w: np.ndarray, cols: np.ndarray,
+                 scores: np.ndarray) -> np.ndarray:
+    """The :func:`top_k` set of each row of the (m, d) weights ``w``, as an
+    (m, k) array of ids ascending along each row, from the row's k+1 best
+    ids ``cols`` and their ``scores`` under some float product of ``w``,
+    the (k+1)-th best in column 0 and the k better ones after it.
+
+    That product may round differently from :func:`top_k`'s, so a row's
+    k best are taken only where its k-th and (k+1)-th scores are more than
+    :func:`score_slack` times the weight norm apart, which no rounding
+    can reorder; every other row (ties and near-ties) is sent to
+    :func:`top_k` itself.
+    """
+    k = cols.shape[1] - 1
+    slack = score_slack(dataset.d) * np.linalg.norm(w, axis=1)
+    unclear = scores[:, 1:].min(axis=1) - scores[:, 0] <= slack
+    out = cols[:, 1:].astype(np.intp)
     for r in np.flatnonzero(unclear).tolist():
         out[r] = sorted(top_k(dataset, LinearFunction(w[r]), k))
     out.sort(axis=1)

@@ -602,7 +602,8 @@ class TestGoldenSeeds:
         ("fig1", 2, ["2drrr"], [0, 2], 2, FIG1_2DRRR),
         ("fig1", 2, ["mdrc"], [2, 6], 2,
          {"k": 2, "depth_cap": 48, "max_boxes": 262144, "leaves": 2,
-          "corners": 3, "capped_leaves": 0, "stopped": "complete"}),
+          "corners": 3, "full_corners": 3, "capped_leaves": 0,
+          "stopped": "complete"}),
         ("fig1", 2, ["mdrrr"], [4, 6], 2,
          _mdrrr_params(2, "sweep2d", 3, True)),
         ("fig1", 2, ["mdrrr", "--source", "sweep2d"], [4, 6], 2,
@@ -613,7 +614,8 @@ class TestGoldenSeeds:
          _mdrrr_params(2, "random", 3, False, draws=23)),
         ("d3", 3, ["mdrc"], [0, 5, 9, 22], 1,
          {"k": 3, "depth_cap": 96, "max_boxes": 262144, "leaves": 8,
-          "corners": 17, "capped_leaves": 0, "stopped": "complete"}),
+          "corners": 17, "full_corners": 4, "capped_leaves": 0,
+          "stopped": "complete"}),
         ("d3", 3, ["mdrrr"], [5, 9, 22], 1,
          _mdrrr_params(3, "random", 9, False, draws=66)),
         ("d3", 3, ["mdrrr", "--source", "graph"], [5, 9, 22], 1,
@@ -689,7 +691,8 @@ class TestGoldenSeeds:
          _mdrrr_params(9, "random", 24, False, draws=148)),
         ("d3", "mdrc", 6, [0, 22],
          {"k": 6, "depth_cap": 96, "max_boxes": 262144, "leaves": 5,
-          "corners": 12, "capped_leaves": 0, "stopped": "complete"}),
+          "corners": 12, "full_corners": 4, "capped_leaves": 0,
+          "stopped": "complete"}),
     ])
     def test_dual(self, inputs, capsys, name, algo, k, members, params):
         payload = json.loads(self.run(

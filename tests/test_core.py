@@ -253,6 +253,28 @@ class TestTopKMany:
         assert 0 < len(calls) < len(w)
         assert top_k_ids(ds, w, 5).tolist() == [sorted(s) for s in expected]
 
+    def test_best_columns_are_the_best_scores(self):
+        # column 0 holds the count-th best score, the others the better
+        # ones, with and without groups of 8 columns
+        rng = np.random.default_rng(21)
+        for n in (30, 200):
+            ds = Dataset(grid_with_duplicates(rng, n, 3))
+            w = self.weights(rng, 3)
+            every = w @ ds.values.T
+            for count in (1, 2, 17, n):
+                cols, scores = core.best_columns(ds, w, count)
+                assert cols.shape == scores.shape == (len(w), count)
+                # the same product may round apart in another layout
+                close = dict(rtol=0, atol=1e-12)
+                best = -np.sort(-every, axis=1)[:, :count]
+                np.testing.assert_allclose(np.sort(scores, axis=1)[:, ::-1],
+                                           best, **close)
+                np.testing.assert_allclose(scores[:, 0], best[:, -1], **close)
+                assert (scores[:, :1] <= scores).all()
+                np.testing.assert_allclose(
+                    np.take_along_axis(every, cols, axis=1), scores, **close)
+                assert all(len(set(row)) == count for row in cols.tolist())
+
     def test_blocks_and_empty_input(self, monkeypatch):
         monkeypatch.setattr(core, "SCORE_BLOCK_BYTES", 8 * 40 * 3)
         rng = np.random.default_rng(19)

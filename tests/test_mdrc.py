@@ -16,6 +16,7 @@ from rankregret import (
     ranks,
     top_k,
 )
+from rankregret.core import NUMERIC_TOL, angle_weights
 from rankregret.errors import KOutOfRange
 
 from conftest import anticorrelated, grid_with_duplicates, random_dataset
@@ -24,6 +25,7 @@ from oracles import recursive_partition
 HALF_PI = np.pi / 2
 # the package re-exports the function mdrc under the module's name
 mdrc_module = importlib.import_module("rankregret.mdrc")
+core_module = importlib.import_module("rankregret.core")
 
 
 def tied_at(angles, n, rng):
@@ -139,7 +141,8 @@ class TestBoxBudget:
                 (random_dataset(rng, 80, 3), 4, 48),
                 (Dataset(anticorrelated(rng, 120, 4)), 3, 48),
                 (Dataset(grid_with_duplicates(rng, 60, 3)), 3, 5),
-                (Dataset(rng.random((50, 3))), 1, 8)):
+                (Dataset(rng.random((50, 3))), 1, 8),
+                (Dataset(anticorrelated(rng, 400, 3)), 4, 48)):
             monkeypatch.undo()
             monkeypatch.setattr(mdrc_module, "DEPTH_CAP_PER_DIM", cap_per_dim)
             yield ds, k
@@ -284,7 +287,7 @@ class TestSameAsDepthFirst:
         assert rep.params["corners"] == expected_corners
         assert rep.params["capped_leaves"] == capped
         assert rep.bound_guaranteed == (capped == 0)
-        return leaves
+        return leaves, rep
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_uniform_and_anticorrelated(self, d):
@@ -304,10 +307,12 @@ class TestSameAsDepthFirst:
                            int(rng.integers(2, 6)), cap_per_dim=6)
 
     def test_depth_capped_run(self):
-        leaves = self.check(np.array([[1.0, 0.0], [0.0, 1.0]]), 1, cap_per_dim=10)
+        leaves, _ = self.check(np.array([[1.0, 0.0], [0.0, 1.0]]), 1,
+                               cap_per_dim=10)
         assert not all(leaf.guaranteed for leaf in leaves)
-        leaves = self.check(grid_with_duplicates(np.random.default_rng(71), 60, 4),
-                            4, cap_per_dim=2)
+        leaves, _ = self.check(
+            grid_with_duplicates(np.random.default_rng(71), 60, 4), 4,
+            cap_per_dim=2)
         assert not all(leaf.guaranteed for leaf in leaves)
 
     @pytest.mark.parametrize("d, k", [(3, 1), (4, 2)])
@@ -315,8 +320,8 @@ class TestSameAsDepthFirst:
         # with k <= d-2, uniform data without ties still has curves where
         # the top-k sets around share no member; the boxes on them are
         # split until the cap closes them
-        leaves = self.check(np.random.default_rng(0).random((50, d)), k,
-                            cap_per_dim=12 // (d - 1))
+        leaves, _ = self.check(np.random.default_rng(0).random((50, d)), k,
+                               cap_per_dim=12 // (d - 1))
         assert not all(leaf.guaranteed for leaf in leaves)
 
     @pytest.mark.parametrize("values", [
@@ -327,9 +332,62 @@ class TestSameAsDepthFirst:
     def test_midpoints_inside_their_boxes_at_the_default_cap(self, values):
         # the boxes on the top-1 boundary split to the cap, and every
         # float midpoint stays strictly between its box's ends
-        leaves = self.check(values, 1)
+        leaves, _ = self.check(values, 1)
         assert max(leaf.box.level for leaf in leaves) == 48
         assert all(lo < hi for leaf in leaves for lo, hi in leaf.box.ranges)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_shortlists(self, d):
+        # n well above the shortlist length: most face corners are scored
+        # over the union of their parents' shortlists alone
+        rng = np.random.default_rng(75 + d)
+        for make in (lambda g, n, dim: g.random((n, dim)), anticorrelated,
+                     lambda g, n, dim: np.round(anticorrelated(g, n, dim), 2)):
+            n = int(rng.integers(200, 1001))
+            _, rep = self.check(make(rng, n, d), int(rng.integers(d + 1, 10)))
+            assert rep.params["full_corners"] < rep.params["corners"]
+
+    def test_shortlists_of_k_plus_one_rows(self):
+        # k + 1 above SHORTLIST: the shortlists hold k + 1 rows
+        rng = np.random.default_rng(78)
+        values = np.round(anticorrelated(rng, 700, 5), 2)
+        k = mdrc_module.SHORTLIST + 8
+        _, rep = self.check(values, k)
+        assert rep.params["full_corners"] < rep.params["corners"]
+
+    def test_shortlists_on_tied_data(self, monkeypatch):
+        # exact ties make corners whose k-th and (k+1)-th scores are
+        # equal, whose sets only top_k itself can settle
+        calls = []
+
+        def counted(dataset, function, k):
+            calls.append(k)
+            return top_k(dataset, function, k)
+
+        monkeypatch.setattr(core_module, "top_k", counted)
+        rng = np.random.default_rng(79)
+        for d in (3, 4):
+            _, rep = self.check(grid_with_duplicates(rng, 400, d), 4,
+                                cap_per_dim=6)
+            assert rep.params["full_corners"] < rep.params["corners"]
+        assert calls
+
+    def test_shortlists_in_a_depth_capped_run(self):
+        leaves, rep = self.check(
+            grid_with_duplicates(np.random.default_rng(80), 300, 3), 3,
+            cap_per_dim=3)
+        assert rep.params["stopped"] == "depth_cap"
+        assert not all(leaf.guaranteed for leaf in leaves)
+        assert rep.params["full_corners"] < rep.params["corners"]
+
+    def test_no_shortlists_at_small_n(self, fig1):
+        # n at most the shortlist length, max(SHORTLIST, k + 1): every
+        # corner is scored over all rows
+        rng = np.random.default_rng(81)
+        for values, k in ((fig1.values, 2), (rng.random((16, 3)), 3),
+                          (rng.random((40, 3)), 39)):
+            _, rep = self.check(values, k)
+            assert rep.params["full_corners"] == rep.params["corners"]
 
     def test_corners_counted(self, fig1):
         rep = mdrc(fig1, 2)
@@ -337,3 +395,59 @@ class TestSameAsDepthFirst:
         distinct = {c for leaf in leaves for c in corners(leaf.box)}
         # every corner of a leaf was scored; 2-D leaves share their ends
         assert rep.params["corners"] == len(distinct) == len(leaves) + 1
+
+
+class TestArcBound:
+    """mdrc._arc_bound against the computed scores it bounds: a face
+    corner's score is at most the bound of its two parents' scores, for
+    every row, every float product and every box."""
+
+    @staticmethod
+    def boxes(rng, dims, count):
+        """(lo, hi, i) of random boxes at depths 0-40, halved on angle
+        depth % dims as mdrc does, i the angle of the next split; one box
+        in four keeps the low half, and one in four the high half, every
+        time, so that it touches the faces at angle 0 or pi/2."""
+        for b in range(count):
+            depth = int(rng.integers(0, 41))
+            lo, hi = np.zeros(dims), np.full(dims, HALF_PI)
+            for level in range(depth):
+                j = level % dims
+                mid = (lo[j] + hi[j]) / 2.0
+                if b % 4 == 0 or (b % 4 > 1 and rng.random() < 0.5):
+                    hi[j] = mid
+                else:
+                    lo[j] = mid
+            yield lo, hi, depth % dims
+
+    @staticmethod
+    def products(values, weights):
+        """Scores of every row at each weight vector, (n, 3), by three
+        float products that sum in different orders."""
+        yield values @ weights.T
+        yield np.stack([values @ w for w in weights], axis=1)
+        yield np.stack([(values * w).sum(axis=1) for w in weights], axis=1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_face_corner_scores_are_bounded(self, d):
+        rng = np.random.default_rng(90 + d)
+        values = rng.random((300, d))
+        values[rng.random(values.shape) < 0.2] = -NUMERIC_TOL
+        values[rng.random(values.shape) < 0.2] = 1 + NUMERIC_TOL
+        values[:2] = [[-NUMERIC_TOL] * d, [1 + NUMERIC_TOL] * d]
+        values[2:2 + d] = np.where(np.eye(d, dtype=bool), 1 + NUMERIC_TOL,
+                                   -NUMERIC_TOL)
+        dataset = Dataset(values)  # the range the proof takes
+        for lo, hi, i in self.boxes(rng, d - 1, 150):
+            corner = np.where(rng.random(d - 1) < 0.5, lo, hi)
+            a, b, f = corner.copy(), corner.copy(), corner.copy()
+            a[i], b[i], f[i] = lo[i], hi[i], (lo[i] + hi[i]) / 2.0
+            weights = angle_weights(np.array([a, b, f]))
+            arc = weights[2, i:].sum()
+            products = list(self.products(dataset.values, weights))
+            for pa, pb, pf in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+                s_a, s_b, s_f = (products[pa][:, 0], products[pb][:, 1],
+                                 products[pf][:, 2])
+                bound = mdrc_module._arc_bound(s_a + s_b, (hi[i] - lo[i]) / 2.0,
+                                               arc, d)
+                assert np.all(s_f <= bound)
