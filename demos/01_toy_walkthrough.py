@@ -15,7 +15,7 @@ from rankregret import (
     LinearFunction,
     exact_rank_regret_2d,
     find_ranges,
-    rank_list,
+    ranks,
     rrr_2d,
     top_k,
 )
@@ -32,9 +32,10 @@ values = np.array([
 data = Dataset(values)
 
 # Two users, two rankings.  Equal weights versus "only the first attribute
-# matters" produce fairly different orders.
+# matters" produce fairly different orders.  Ties go to the smaller id,
+# so the ranks are 1..n and sorting by them gives the order.
 for w in ([1, 1], [1, 0]):
-    order = rank_list(data, LinearFunction(w)).order
+    order = np.argsort(ranks(data, LinearFunction(w)), kind="stable")
     print(f"w={w}: ranking = {order.tolist()}")
 print(f"top-2 under equal weights: {sorted(top_k(data, LinearFunction([1, 1]), 2))}")
 

@@ -10,8 +10,8 @@ nearby functions share top-k members, which makes this the scalable
 solver of the family.
 """
 
-import json
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -40,10 +40,12 @@ print(f"estimated rank-regret over 10,000 sampled functions: {estimate} "
 # The leaf decomposition is available for inspection, with one assigned
 # tuple per box.
 small = Dataset(rng.random((300, 3)))
-leaves, tree = partition_function_space(small, 10)
+leaves = partition_function_space(small, 10)
 print(f"\nsmaller instance: {len(leaves)} leaf boxes, "
       f"max depth {max(leaf.box.level for leaf in leaves)}")
 for leaf in leaves[:4]:
     spans = ", ".join(f"[{lo:.3f},{hi:.3f}]" for lo, hi in leaf.box.ranges)
     print(f"  depth {leaf.box.level}: {spans} -> tuple {leaf.assigned}")
-print("tree (truncated):", json.dumps(tree)[:100], "...")
+depths = Counter(leaf.box.level for leaf in leaves)
+print("leaves by depth:", dict(sorted(depths.items())))
+print(f"{len({leaf.assigned for leaf in leaves})} distinct tuples assigned")

@@ -10,18 +10,12 @@ partitioning solver, and the evaluation harness around them.
 from .core import (
     Dataset,
     LinearFunction,
-    RankedList,
     Representative,
     angles_to_weights,
-    exchange_angle,
     normalize,
-    rank_list,
     ranks,
-    score,
     top_k,
     top_k_ids,
-    top_k_many,
-    weights_to_angles,
 )
 from .evaluate import (
     EvaluationReport,
@@ -31,7 +25,7 @@ from .evaluate import (
     run_algorithm,
     run_benchmark,
 )
-from .hitting import exact_hitting, greedy_hitting, mdrrr
+from .hitting import greedy_hitting, mdrrr
 from .kset import (
     KSet,
     KSetCollection,
@@ -39,7 +33,6 @@ from .kset import (
     enumerate_ksets_graph,
     is_valid_kset,
     load_collection,
-    sample_function,
     sample_functions,
     save_collection,
 )
@@ -63,7 +56,6 @@ __all__ = [
     "KSet",
     "KSetCollection",
     "LinearFunction",
-    "RankedList",
     "Representative",
     "angles_to_weights",
     "collect_ksets_random",
@@ -73,9 +65,7 @@ __all__ = [
     "enumerate_ksets_2d",
     "enumerate_ksets_graph",
     "estimate_rank_regret",
-    "exact_hitting",
     "exact_rank_regret_2d",
-    "exchange_angle",
     "find_ranges",
     "greedy_hitting",
     "is_valid_kset",
@@ -84,18 +74,13 @@ __all__ = [
     "mdrrr",
     "normalize",
     "partition_function_space",
-    "rank_list",
     "ranks",
     "resolve_k",
     "rrr_2d",
     "run_algorithm",
     "run_benchmark",
-    "sample_function",
     "sample_functions",
     "save_collection",
-    "score",
     "top_k",
     "top_k_ids",
-    "top_k_many",
-    "weights_to_angles",
 ]

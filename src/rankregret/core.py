@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     ConstantAttribute,
     DimensionMismatch,
-    DimensionNot2D,
     EmptySubset,
     KOutOfRange,
     NonFiniteValue,
@@ -142,14 +141,6 @@ class LinearFunction:
 
 
 @dataclass(frozen=True)
-class RankedList:
-    """A full ordering of tuple ids, best first, under ``function``."""
-
-    order: np.ndarray
-    function: LinearFunction
-
-
-@dataclass(frozen=True)
 class Representative:
     """A solver output: member ids plus provenance.
 
@@ -216,19 +207,6 @@ def _parse_direction(value: str) -> str:
     raise ConfigError(f"unknown preference direction {value!r}")
 
 
-def score(values, function: LinearFunction):
-    """Score one tuple (or a matrix of tuples) under ``function``."""
-    return function.score(values)
-
-
-def rank_list(dataset: Dataset, function: LinearFunction) -> RankedList:
-    """Full ordering of the dataset, best first, ties by ascending id."""
-    scores = function.score(dataset.values)
-    ids = np.arange(dataset.n)
-    order = np.lexsort((ids, -scores))
-    return RankedList(order=order, function=function)
-
-
 def ranks(dataset: Dataset, function: LinearFunction, ids=None) -> np.ndarray:
     """Ranks (1-based) of the given tuple ids; all tuples when ids is None.
 
@@ -265,12 +243,6 @@ def score_slack(d: int) -> float:
     each errs by at most about d machine epsilons times the weights' sum,
     which is at most sqrt(d)."""
     return 4 * d * math.sqrt(d) * math.ulp(1.0)
-
-
-def top_k_many(dataset: Dataset, weights, k: int) -> list:
-    """The :func:`top_k` set of every row of the (m, d) ``weights``, as
-    frozensets; see :func:`top_k_ids`."""
-    return [frozenset(row) for row in top_k_ids(dataset, weights, k).tolist()]
 
 
 def top_k_ids(dataset: Dataset, weights, k: int) -> np.ndarray:
@@ -594,12 +566,11 @@ class RankRegretKernel:
                     axis=0, dtype=bounds.dtype)
         return bounds
 
-    def add(self, scores: np.ndarray, reference=None) -> None:
+    def add(self, scores: np.ndarray, reference) -> None:
         """Fold in the scores of ``kept`` under a block of functions, one
         row per function.  ``reference()`` returns the same block scored
         over every row in the reference arithmetic; it is called only
-        where a tie within ``slack`` needs it, and without it the block's
-        own scores resolve ties (exact when ``slack`` is 0)."""
+        where a tie within ``slack`` needs it."""
         self.scored += len(scores)
         best = scores[:, self.member_cols].max(axis=1, keepdims=True)
         bound = np.count_nonzero(scores >= best - self.slack, axis=1)
@@ -612,10 +583,7 @@ class RankRegretKernel:
             self.worst = max(self.worst, 1 + int(above[alone].max()))
         tied = hot[~alone]
         if tied.size:
-            if reference is None:
-                ranks = _best_member_ranks(scores[tied], self.member_cols)
-            else:
-                ranks = _best_member_ranks(reference()[tied], self.members)
+            ranks = _best_member_ranks(reference()[tied], self.members)
             self.worst = max(self.worst, int(ranks.max()))
 
 
@@ -653,40 +621,3 @@ def angle_weights(angles: np.ndarray) -> np.ndarray:
     sines = np.concatenate((ones, np.cumprod(np.sin(a), axis=1)), axis=1)
     cosines = np.concatenate((np.cos(a), ones), axis=1)
     return sines * cosines
-
-
-def weights_to_angles(function: LinearFunction | np.ndarray) -> np.ndarray:
-    """Inverse of :func:`angles_to_weights` for non-negative weight vectors.
-
-    The input need not be unit norm (scale does not affect the ray).  A zero
-    suffix maps to zero angles, matching the axis-ray convention.
-    """
-    w = function.weights if isinstance(function, LinearFunction) else np.asarray(function, float)
-    w = w / np.linalg.norm(w)
-    d = w.size
-    angles = np.zeros(d - 1)
-    for i in range(d - 1):
-        tail = np.linalg.norm(w[i:])
-        if tail <= 0.0:
-            break  # remaining angles stay 0
-        angles[i] = np.arccos(np.clip(w[i] / tail, -1.0, 1.0))
-    return angles
-
-
-def exchange_angle(ti, tj) -> Optional[float]:
-    """Angle in (0, pi/2) where two 2-D tuples score equally, if any.
-
-    The crossing exists exactly when one tuple is strictly better on the
-    first attribute and the other strictly better on the second; under
-    dominance (or boundary-only ties) there is no crossing in the open
-    quadrant and None is returned.  Symmetric in its arguments.
-    """
-    a = np.asarray(ti, dtype=np.float64)
-    b = np.asarray(tj, dtype=np.float64)
-    if a.shape != (2,) or b.shape != (2,):
-        raise DimensionNot2D("exchange_angle is defined for 2-D tuples only")
-    num = a[0] - b[0]
-    den = b[1] - a[1]
-    if num == 0.0 or den == 0.0 or (num > 0) != (den > 0):
-        return None
-    return float(np.arctan(num / den))

@@ -45,10 +45,6 @@ class EmptyCollection(RankRegretError):
     """A non-empty k-set collection is required."""
 
 
-class GroundSetTooLarge(RankRegretError):
-    """Exact hitting-set search is guarded to small ground sets."""
-
-
 class NoUsableRows(RankRegretError):
     """Ingestion dropped every row of the input file."""
 

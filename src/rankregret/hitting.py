@@ -5,8 +5,8 @@ ranking function, so a small hitting set is a rank-regret representative.
 ``mdrrr`` runs the epsilon-net weight-doubling scheme for geometric
 hitting set (VC dimension d for half-space ranges): guess the optimum c,
 repeatedly draw a weighted net, and double the weights of one missed set
-until the net hits everything.  ``greedy_hitting`` and ``exact_hitting``
-are the comparison baseline and the small-instance oracle.
+until the net hits everything.  ``greedy_hitting`` is the comparison
+baseline.
 """
 
 import math
@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import EmptyCollection, GroundSetTooLarge
+from .errors import EmptyCollection
 from .kset import KSetCollection
 
 #: per-round allowance for the sampled net failing to be an epsilon-net
@@ -146,45 +146,3 @@ def greedy_hitting(collection: KSetCollection) -> frozenset:
         chosen.add(best)
         unhit = [s for s in unhit if best not in s]
     return frozenset(chosen)
-
-
-#: exact search is exponential; refuse ground sets beyond this size
-EXACT_GROUND_LIMIT = 25
-
-
-def exact_hitting(collection: KSetCollection) -> frozenset:
-    """Minimum-cardinality hitting set by branch and bound (small inputs)."""
-    sets = [frozenset(s) for s in collection.member_sets()]
-    if not sets:
-        raise EmptyCollection("cannot hit an empty collection")
-    ground = frozenset().union(*sets)
-    if len(ground) > EXACT_GROUND_LIMIT:
-        raise GroundSetTooLarge(
-            f"ground set has {len(ground)} ids (limit {EXACT_GROUND_LIMIT})")
-
-    best = set(greedy_hitting(collection))
-
-    def lower_bound(unhit) -> int:
-        # pairwise-disjoint unhit sets each need their own element
-        taken: set = set()
-        count = 0
-        for s in unhit:
-            if not (s & taken):
-                taken |= s
-                count += 1
-        return count
-
-    def search(unhit, chosen):
-        nonlocal best
-        if not unhit:
-            if len(chosen) < len(best):
-                best = set(chosen)
-            return
-        if len(chosen) + lower_bound(unhit) >= len(best):
-            return
-        pivot = min(unhit, key=len)
-        for t in sorted(pivot):
-            search([s for s in unhit if t not in s], chosen | {t})
-
-    search(sets, set())
-    return frozenset(best)

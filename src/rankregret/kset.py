@@ -278,9 +278,9 @@ def _seed_kset(dataset: Dataset, k: int, witness_of):
     """A starting k-set: top-k on the first attribute, with fallbacks.
 
     On degenerate data the attribute-axis top-k may not be strictly
-    separable; up to 16 deterministic random directions are tried, drawn
-    only as needed, before giving up.  ``witness_of`` decides each
-    candidate.
+    separable; then up to 16 deterministic random directions, drawn
+    together from ``PCG64(0)``, are tried in turn before giving up.
+    ``witness_of`` decides each candidate.
     """
     for f in _seed_functions(dataset.d):
         members = top_k(dataset, f, k)
@@ -290,13 +290,11 @@ def _seed_kset(dataset: Dataset, k: int, witness_of):
     raise LPNumericalFailure("no strictly separable seed k-set found")
 
 
-def _seed_functions(d: int):
-    axis = np.zeros(d)
-    axis[0] = 1.0
-    yield LinearFunction(axis)
+def _seed_functions(d: int) -> list:
+    axis = np.zeros((1, d))
+    axis[0, 0] = 1.0
     rng = np.random.Generator(np.random.PCG64(0))
-    for _ in range(16):
-        yield sample_function(rng, d)
+    return LinearFunction.from_rows(np.vstack((axis, sample_functions(rng, d, 16))))
 
 
 def sample_functions(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
@@ -391,11 +389,6 @@ def float32_directions(uniforms: np.ndarray, d: int):
     errors = eps * (np.float32((d / 2 + 3) * root)
                     + np.float32(16 * (1 + root)) * spread / norms)
     return w.T, errors
-
-
-def sample_function(rng: np.random.Generator, d: int) -> LinearFunction:
-    """One ranking function drawn uniformly from the first-orthant sphere."""
-    return LinearFunction(sample_functions(rng, d, 1)[0])
 
 
 def collect_ksets_random(dataset: Dataset, k: int, c: int,

@@ -29,8 +29,8 @@ inputs, mostly in the first levels, where the arcs are long) it is
 scored over all rows by ``core.best_columns``.  ``params["full_corners"]``
 counts the corners scored over all rows.
 
-``mdrc`` reads only the assignments; the tree of boxes and its
-depth-first leaf order are built by ``partition_function_space`` alone.
+``mdrc`` reads only the assignments; ``partition_function_space`` lists
+the leaf boxes in the depth-first order of the recursion.
 Boxes still open at ``DEPTH_CAP_PER_DIM`` halvings per angle, or when the
 leaves would pass ``MAX_BOXES``, are closed without the rank bound.
 """
@@ -131,13 +131,13 @@ class _Run(NamedTuple):
     stopped: str      # "complete", "depth_cap" or "budget"
 
 
-def partition_function_space(dataset: Dataset, k: int):
+def partition_function_space(dataset: Dataset, k: int) -> List[LeafBox]:
     """Partition the angle box until every leaf has an assigned tuple.
 
-    Returns (leaves, tree): the list of leaf boxes, in depth-first order,
-    and a JSON-ready nested tree of the recursion (every internal node has
-    exactly two children).  A box at depth l is split on angle l % (d-1).
-    A box still open at ``DEPTH_CAP_PER_DIM`` halvings per angle, or when
+    Returns the leaf boxes in the depth-first order of the recursion
+    (low half first), which with their levels fixes the tree: a box at
+    level l is split on angle l % (d-1) into two boxes at level l + 1.  A
+    box still open at ``DEPTH_CAP_PER_DIM`` halvings per angle, or when
     the next level would take the leaves and open boxes past ``MAX_BOXES``,
     is closed by assigning the top-1 tuple of its centroid function; such
     leaves are marked as not carrying the rank bound, and one warning per
@@ -148,26 +148,16 @@ def partition_function_space(dataset: Dataset, k: int):
                (2 * np.cumsum(lv.assigned < 0) - 2).tolist())  # first child
               for lv in _partition(dataset, k).levels]
     leaves: List[LeafBox] = []
-    tree: dict = {}
-    stack = [(0, 0, None)]  # (level, box, the parent's children list)
+    stack = [(0, 0)]  # (level, box)
     while stack:
-        level, b, siblings = stack.pop()
+        level, b = stack.pop()
         lo, hi, assigned, guaranteed, child = levels[level]
-        rect = HyperRectangle(tuple(zip(lo[b], hi[b])), level)
-        node = {"ranges": [list(r) for r in rect.ranges], "depth": level}
-        if siblings is None:
-            tree = node
-        else:
-            siblings.append(node)
         if assigned[b] < 0:
-            node["children"] = []
-            stack.append((level + 1, child[b] + 1, node["children"]))
-            stack.append((level + 1, child[b], node["children"]))
+            stack += [(level + 1, child[b] + 1), (level + 1, child[b])]
         else:
-            node["assigned"] = assigned[b]
-            node["guaranteed"] = guaranteed[b]
-            leaves.append(LeafBox(rect, assigned[b], guaranteed[b]))
-    return leaves, tree
+            leaves.append(LeafBox(HyperRectangle(tuple(zip(lo[b], hi[b])), level),
+                                  assigned[b], guaranteed[b]))
+    return leaves
 
 
 def _partition(dataset: Dataset, k: int) -> _Run:

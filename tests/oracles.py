@@ -460,10 +460,10 @@ def _angle_map(angles):
 
 
 def recursive_partition(values, k, depth_cap=None):
-    """(leaves, tree, corners) of the angle-box bisection, recursing depth
-    first and scoring each distinct corner once; a leaf is (ranges, level,
-    assigned, guaranteed), the tree has the package's JSON layout and
-    ``corners`` counts the distinct corners scored."""
+    """(leaves, corners) of the angle-box bisection, recursing depth first
+    and scoring each distinct corner once; a leaf is (ranges, level,
+    assigned, guaranteed) and ``corners`` counts the distinct corners
+    scored."""
     values = np.asarray(values, dtype=np.float64)
     d = values.shape[1]
     if depth_cap is None:
@@ -478,7 +478,6 @@ def recursive_partition(values, k, depth_cap=None):
     leaves = []
 
     def recurse(ranges, level):
-        node = {"ranges": [list(r) for r in ranges], "depth": level}
         shared = frozenset.intersection(
             *(topk_at(c) for c in itertools.product(*ranges)))
         if shared or level >= depth_cap:
@@ -489,19 +488,15 @@ def recursive_partition(values, k, depth_cap=None):
                 assigned = min(topk_by_definition(values, _angle_map(centroid), 1))
                 guaranteed = False
             leaves.append((ranges, level, assigned, guaranteed))
-            node["assigned"] = assigned
-            node["guaranteed"] = guaranteed
-            return node
+            return
         i = level % len(ranges)
         lo, hi = ranges[i]
         mid = (lo + hi) / 2.0
-        node["children"] = [
+        for half in ((lo, mid), (mid, hi)):
             recurse(ranges[:i] + (half,) + ranges[i + 1:], level + 1)
-            for half in ((lo, mid), (mid, hi))]
-        return node
 
-    tree = recurse(tuple((0.0, HALF_PI) for _ in range(d - 1)), 0)
-    return leaves, tree, len(memo)
+    recurse(tuple((0.0, HALF_PI) for _ in range(d - 1)), 0)
+    return leaves, len(memo)
 
 
 def loop_simplex_max(c, A_ub, b_ub, A_eq, b_eq, tol=1e-9, feas_tol=1e-7):

@@ -18,20 +18,17 @@ from rankregret import (
     enumerate_ksets_2d,
     enumerate_ksets_graph,
     estimate_rank_regret,
-    exact_hitting,
     exact_rank_regret_2d,
     is_valid_kset,
     mdrc,
     mdrrr,
-    rank_list,
     ranks,
     rrr_2d,
-    sample_function,
     sample_functions,
 )
 
 from conftest import T, random_dataset, tids
-from oracles import exhaustive_lp_ksets
+from oracles import exhaustive_lp_ksets, exhaustive_min_hitting_size
 
 pytestmark = pytest.mark.acceptance
 
@@ -45,9 +42,9 @@ def _pass(criterion, detail):
 # --- criterion 1: toy exactness --------------------------------------------
 
 def test_criterion_1a_toy_rankings(fig1):
-    got_11 = rank_list(fig1, LinearFunction([1, 1])).order.tolist()
+    got_11 = np.argsort(ranks(fig1, LinearFunction([1, 1])), kind="stable").tolist()
     assert got_11 == [T[x] for x in ("t7", "t3", "t5", "t1", "t2", "t6", "t4")]
-    got_10 = rank_list(fig1, LinearFunction([1, 0])).order.tolist()
+    got_10 = np.argsort(ranks(fig1, LinearFunction([1, 0])), kind="stable").tolist()
     assert got_10 == [T[x] for x in ("t7", "t1", "t3", "t2", "t5", "t4", "t6")]
     _pass("1a", "toy rankings under (1,1) and (1,0) match exactly")
 
@@ -130,10 +127,9 @@ def test_criterion_3_2drrr_guarantees():
         assert regret <= 2 * k
         within_k += regret <= k
         if n <= 50:
-            collection = enumerate_ksets_2d(ds, k)
-            ground = frozenset().union(*collection.member_sets())
-            if len(ground) <= 25:
-                assert rep.size <= len(exact_hitting(collection))
+            sets = enumerate_ksets_2d(ds, k).member_sets()
+            if len(frozenset().union(*sets)) <= 25:
+                assert rep.size <= exhaustive_min_hitting_size(sets)
                 optimal_checked += 1
     # the stronger observation (regret <= k) is reported, not gated
     _pass("3", f"200 instances: rank-regret <= 2k always, <= k on "
@@ -148,7 +144,7 @@ def test_criterion_4_mdrrr_guarantees(small_instances):
         members, stats = mdrrr(graph, rng=np.random.default_rng(idx),
                                return_stats=True)
         assert all(members & s for s in graph.member_sets())
-        optimum = len(exact_hitting(graph))
+        optimum = exhaustive_min_hitting_size(graph.member_sets())
         bound = optimum * (1 + ds.d * math.log(max(2, ds.n)))
         assert len(members) <= bound
         # the run must close out at the correct guess (the first power of
@@ -195,7 +191,8 @@ def test_criterion_6_rank_bound_between_functions():
         d = int(rng.integers(2, 6))
         ds = random_dataset(rng, n, d)
         for _ in range(50):
-            f1, f2 = sample_function(rng, d), sample_function(rng, d)
+            f1, f2 = (LinearFunction(sample_functions(rng, d, 1)[0])
+                      for _ in range(2))
             t = int(rng.integers(0, n))
             k1 = int(ranks(ds, f1, [t])[0])
             k2 = int(ranks(ds, f2, [t])[0])

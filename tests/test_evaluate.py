@@ -319,14 +319,15 @@ class TestEstimate2DSteps:
         assert exact_keys
 
 
-def bound_then_add(kernel, weights):
-    """Fold float64 unit ``weights`` into ``kernel`` as the estimate does:
-    bound every function from its float32 copy (within its l1 rounding),
-    then score in float64 those whose bound exceeds the maximum."""
+def bound_then_add(kernel, values, weights):
+    """Fold float64 unit ``weights`` into ``kernel`` over ``values`` as the
+    estimate does: bound every function from its float32 copy (within its
+    l1 rounding), then score in float64 those whose bound exceeds the
+    maximum, with their scores over all of ``values`` as the reference."""
     approx = weights.astype(np.float32)
     errors = np.abs(approx - weights).sum(axis=1)
     hot = kernel.rank_bounds(approx, errors) > kernel.worst
-    kernel.add(weights[hot] @ kernel.kept.T)
+    kernel.add(weights[hot] @ kernel.kept.T, lambda: weights[hot] @ values.T)
 
 
 class TestRankRegretKernel:
@@ -371,11 +372,8 @@ class TestRankRegretKernel:
         values = np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.1]])
         kernel = RankRegretKernel(values, [1], slack=1e-15)
         block = np.array([[np.nextafter(0.5, 0.0), 0.5, 0.1]])
-        kernel.add(block, reference=lambda: np.array([[0.5, 0.5, 0.1]]))
+        kernel.add(block, lambda: np.array([[0.5, 0.5, 0.1]]))
         assert kernel.worst == 2
-        kernel = RankRegretKernel(values, [1])
-        kernel.add(block)
-        assert kernel.worst == 1
 
     def test_screen_counts_rows_float32_misorders(self):
         # member 0 holds float32 values with spacing u = 2**-25; row 1 is
@@ -391,13 +389,13 @@ class TestRankRegretKernel:
                 row = member.astype(np.float64)
                 row[0] += 0.45 * u
                 row[1] -= 0.55 * u
-                kernel = RankRegretKernel(np.vstack([member, row]), [0],
-                                          slack=score_slack(d))
-                bound_then_add(kernel, np.eye(d)[1:2])  # row 1 behind
+                values = np.vstack([member, row])
+                kernel = RankRegretKernel(values, [0], slack=score_slack(d))
+                bound_then_add(kernel, values, np.eye(d)[1:2])  # row 1 behind
                 assert kernel.worst == 1
                 w = np.abs(rng.standard_normal(d))
                 w[0] = max(w[0], 1.25 * w[1])
-                bound_then_add(kernel, w[None, :] / np.linalg.norm(w))
+                bound_then_add(kernel, values, w[None, :] / np.linalg.norm(w))
                 assert kernel.worst == 2
 
 

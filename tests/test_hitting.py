@@ -5,11 +5,10 @@ import pytest
 
 from rankregret import (
     enumerate_ksets_graph,
-    exact_hitting,
     greedy_hitting,
     mdrrr,
 )
-from rankregret.errors import EmptyCollection, GroundSetTooLarge
+from rankregret.errors import EmptyCollection
 from rankregret.kset import KSet, KSetCollection
 
 from conftest import random_dataset
@@ -162,33 +161,3 @@ class TestGreedy:
     def test_empty_collection(self):
         with pytest.raises(EmptyCollection):
             greedy_hitting(KSetCollection([], k=2, complete=True, d=2))
-
-
-class TestExact:
-    def test_fig1_sets_need_two(self):
-        assert len(exact_hitting(make_collection(FIG1_2SETS))) == 2
-
-    def test_single_set(self):
-        assert len(exact_hitting(make_collection([{4, 7, 9}], k=3))) == 1
-
-    def test_disjoint_sets_need_one_each(self):
-        sets = [{0, 1}, {2, 3}, {4, 5}, {6, 7}]
-        assert len(exact_hitting(make_collection(sets))) == 4
-
-    def test_matches_exhaustive_search(self):
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            ground = list(range(int(rng.integers(3, 11))))
-            sets = []
-            for _ in range(int(rng.integers(1, 8))):
-                size = int(rng.integers(1, min(4, len(ground)) + 1))
-                sets.append(set(int(x) for x in
-                                rng.choice(ground, size=size, replace=False)))
-            got = exact_hitting(make_collection(sets, k=3, d=3))
-            assert hits_all(got, sets)
-            assert len(got) == exhaustive_min_hitting_size(sets)
-
-    def test_ground_set_guard(self):
-        sets = [{i, i + 1} for i in range(0, 30, 2)]
-        with pytest.raises(GroundSetTooLarge):
-            exact_hitting(make_collection(sets))

@@ -8,10 +8,8 @@ from rankregret import (
     enumerate_ksets_2d,
     enumerate_ksets_graph,
     is_valid_kset,
-    sample_function,
     sample_functions,
     top_k,
-    weights_to_angles,
 )
 from rankregret import core, kset
 from rankregret.errors import LPNumericalFailure, MalformedKSetFile
@@ -49,7 +47,7 @@ class TestValidity:
         assert witness is not None
         assert top_k(fig1, witness, 2) == tids("t7", "t3")
         # that set owns the angle wedge between the two boundary exchanges
-        angle = weights_to_angles(witness)[0]
+        angle = np.arctan2(witness.weights[1], witness.weights[0])
         assert np.arctan(0.13 / 0.32) < angle < np.arctan(0.45 / 0.29)
 
     def test_fig1_t4_t6_invalid(self, fig1):
@@ -64,7 +62,7 @@ class TestValidity:
         rng = np.random.default_rng(1)
         for _ in range(20):
             ds = random_dataset(rng, int(rng.integers(4, 25)), int(rng.integers(2, 4)))
-            f = sample_function(rng, ds.d)
+            f = LinearFunction(sample_functions(rng, ds.d, 1)[0])
             k = int(rng.integers(1, ds.n))
             members = top_k(ds, f, k)
             witness = is_valid_kset(ds, members)
@@ -458,7 +456,7 @@ def test_every_sampled_topk_is_an_enumerated_kset():
         ds = random_dataset(rng, n, d)
         enumerated = {s.members for s in enumerate_ksets_graph(ds, k).sets}
         for _ in range(200):
-            f = sample_function(rng, d)
+            f = LinearFunction(sample_functions(rng, d, 1)[0])
             assert top_k(ds, f, k) in enumerated
 
 

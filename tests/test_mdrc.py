@@ -1,5 +1,4 @@
 import importlib
-import json
 
 import numpy as np
 import pytest
@@ -55,19 +54,16 @@ class TestCorners:
         assert len(got) == 4
 
     def test_round_robin_split_dimension(self, monkeypatch):
+        # a leaf at level L has been halved along angle i once for each
+        # j < L with j % 3 == i
         monkeypatch.setattr(mdrc_module, "DEPTH_CAP_PER_DIM", 2)
-        _, tree = partition_function_space(
+        leaves = partition_function_space(
             random_dataset(np.random.default_rng(9), 40, 4), 1)
-        stack, seen = [tree], set()
-        while stack:
-            node = stack.pop()
-            for child in node.get("children", []):
-                changed = [i for i, (a, b) in enumerate(
-                    zip(node["ranges"], child["ranges"])) if a != b]
-                assert changed == [node["depth"] % 3]
-                seen.add(node["depth"])
-                stack.append(child)
-        assert seen == set(range(6))
+        for leaf in leaves:
+            halvings = [len(range(i, leaf.box.level, 3)) for i in range(3)]
+            assert [hi - lo for lo, hi in leaf.box.ranges] == pytest.approx(
+                [HALF_PI / 2 ** h for h in halvings])
+        assert max(leaf.box.level for leaf in leaves) == 6
 
 
 class TestMdrc:
@@ -102,7 +98,7 @@ class TestMdrc:
         rep = mdrc(ds, 1)
         assert rep.members == {0, 1}
         assert not rep.bound_guaranteed
-        leaves, _ = partition_function_space(ds, 1)
+        leaves = partition_function_space(ds, 1)
         assert any(not leaf.guaranteed for leaf in leaves)
         assert any(leaf.box.level == 10 for leaf in leaves)
 
@@ -118,7 +114,7 @@ class TestMdrc:
                                                          monkeypatch):
         monkeypatch.setattr(mdrc_module, "DEPTH_CAP_PER_DIM", 3)
         ds = Dataset(grid_with_duplicates(np.random.default_rng(0), 56, 5))
-        leaves, _ = partition_function_space(ds, 5)
+        leaves = partition_function_space(ds, 5)
         caplog.clear()
         with caplog.at_level("WARNING", logger="rankregret.mdrc"):
             rep = mdrc(ds, 5)
@@ -167,7 +163,7 @@ class TestBoxBudget:
             need = mdrc(ds, k).params["leaves"]
             for budget in (1, 2, need // 3, need - 1):
                 monkeypatch.setattr(mdrc_module, "MAX_BOXES", budget)
-                leaves, _ = partition_function_space(ds, k)
+                leaves = partition_function_space(ds, k)
                 caplog.clear()
                 with caplog.at_level("WARNING", logger="rankregret.mdrc"):
                     rep = mdrc(ds, k)
@@ -184,6 +180,32 @@ class TestBoxBudget:
                 assert_tiles(leaves, ds.d, rng)
                 assert len(caplog.records) == 1
                 assert f"box budget {budget}" in caplog.records[0].getMessage()
+
+
+def assert_depth_first(leaves, dims):
+    """The leaves are those of a full binary tree, listed depth first with
+    the low half first: the leaf at ``offset`` (in units of 2^-top, top
+    the deepest level) and level L is aligned to 2^-L, and its box is the
+    one the L bits of offset / 2^(top-L) reach, bit j halving angle
+    j % dims at its float midpoint."""
+    top = max(leaf.box.level for leaf in leaves)
+    offset = 0
+    for leaf in leaves:
+        level = leaf.box.level
+        unit = 1 << (top - level)
+        assert offset % unit == 0
+        path = offset // unit
+        lo, hi = [0.0] * dims, [HALF_PI] * dims
+        for j in range(level):
+            i = j % dims
+            mid = (lo[i] + hi[i]) / 2.0
+            if path >> (level - 1 - j) & 1:
+                lo[i] = mid
+            else:
+                hi[i] = mid
+        assert leaf.box.ranges == tuple(zip(lo, hi))
+        offset += unit
+    assert offset == 1 << top
 
 
 def assert_tiles(leaves, d, rng):
@@ -205,14 +227,14 @@ class TestPartition:
         rng = np.random.default_rng(61)
         for d in (2, 3):
             ds = random_dataset(rng, 60, d)
-            leaves, _ = partition_function_space(ds, 4)
+            leaves = partition_function_space(ds, 4)
             assert_tiles(leaves, d, rng)
 
     def test_assignment_is_in_every_corner_topk(self):
         rng = np.random.default_rng(62)
         ds = random_dataset(rng, 80, 3)
         k = 5
-        leaves, _ = partition_function_space(ds, k)
+        leaves = partition_function_space(ds, k)
         for leaf in leaves:
             assert leaf.guaranteed
             for corner in corners(leaf.box):
@@ -222,7 +244,7 @@ class TestPartition:
         rng = np.random.default_rng(63)
         ds = random_dataset(rng, 80, 3)
         k = 5
-        leaves, _ = partition_function_space(ds, k)
+        leaves = partition_function_space(ds, k)
         for leaf in leaves:
             lows = np.array([lo for lo, _ in leaf.box.ranges])
             highs = np.array([hi for _, hi in leaf.box.ranges])
@@ -233,39 +255,25 @@ class TestPartition:
 
     def test_tree_shape(self):
         rng = np.random.default_rng(64)
-        ds = random_dataset(rng, 50, 3)
-        leaves, tree = partition_function_space(ds, 3)
-
-        def walk(node):
-            if "children" in node:
-                assert len(node["children"]) == 2
-                assert "assigned" not in node
-                return sum(walk(child) for child in node["children"])
-            assert isinstance(node["assigned"], int)
-            return 1
-
-        assert walk(tree) == len(leaves)
-
-    def test_tree_is_json_serializable(self, fig1):
-        _, tree = partition_function_space(fig1, 2)
-        parsed = json.loads(json.dumps(tree))
-        assert parsed["ranges"] == [[0.0, HALF_PI]]
+        leaves = partition_function_space(random_dataset(rng, 50, 3), 3)
+        assert all(isinstance(leaf.assigned, int) for leaf in leaves)
+        assert_depth_first(leaves, 2)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_tree_of_a_run_at_the_depth_cap_is_json_serializable(self, d):
+    def test_leaves_of_a_run_at_the_depth_cap_are_depth_first(self, d):
         # 2(d-1) rows tie under one function, and around it their top-(d-1)
         # sets share no row: the boxes holding it split to the cap
         ds = Dataset(tied_at([0.6, 0.9, 0.7][:d - 1], 2 * (d - 1),
                              np.random.default_rng(0)))
-        leaves, tree = partition_function_space(ds, d - 1)
+        leaves = partition_function_space(ds, d - 1)
         assert mdrc(ds, d - 1).params["stopped"] == "depth_cap"
         assert max(leaf.box.level for leaf in leaves) == 48 * (d - 1)
-        assert json.loads(json.dumps(tree))["depth"] == 0
+        assert_depth_first(leaves, d - 1)
 
 
 class TestSameAsDepthFirst:
     """The level-by-level partition against a depth-first recursion that
-    scores one corner at a time: same leaves, same order, same tree, and
+    scores one corner at a time: same leaves in the same order, and
     mdrc's members and counters are those of the recursion's leaves."""
 
     @staticmethod
@@ -273,13 +281,12 @@ class TestSameAsDepthFirst:
         values = np.asarray(values, dtype=np.float64)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mdrc_module, "DEPTH_CAP_PER_DIM", cap_per_dim)
-            leaves, tree = partition_function_space(Dataset(values), k)
+            leaves = partition_function_space(Dataset(values), k)
             rep = mdrc(Dataset(values), k)
-        expected_leaves, expected_tree, expected_corners = recursive_partition(
+        expected_leaves, expected_corners = recursive_partition(
             values, k, cap_per_dim * (values.shape[1] - 1))
         assert [(leaf.box.ranges, leaf.box.level, leaf.assigned, leaf.guaranteed)
                 for leaf in leaves] == expected_leaves
-        assert json.dumps(tree) == json.dumps(expected_tree)
         assert rep.params["depth_cap"] == cap_per_dim * (values.shape[1] - 1)
         capped = sum(not guaranteed for *_, guaranteed in expected_leaves)
         assert rep.members == {assigned for _, _, assigned, _ in expected_leaves}
@@ -391,7 +398,7 @@ class TestSameAsDepthFirst:
 
     def test_corners_counted(self, fig1):
         rep = mdrc(fig1, 2)
-        leaves, _ = partition_function_space(fig1, 2)
+        leaves = partition_function_space(fig1, 2)
         distinct = {c for leaf in leaves for c in corners(leaf.box)}
         # every corner of a leaf was scored; 2-D leaves share their ends
         assert rep.params["corners"] == len(distinct) == len(leaves) + 1
