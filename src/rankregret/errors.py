@@ -38,7 +38,8 @@ class UncoverableSpace(RankRegretError):
 
 
 class LPNumericalFailure(RankRegretError):
-    """The feasibility LP did not converge."""
+    """The k-set graph found no seed: none of its 17 seed functions has a
+    strictly separable top-k (say k = 1 with the best row duplicated)."""
 
 
 class EmptyCollection(RankRegretError):

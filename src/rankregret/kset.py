@@ -69,9 +69,20 @@ def is_valid_kset(dataset: Dataset, members: Iterable[int]) -> Optional[LinearFu
     """Witness function whose top-k is exactly ``members``, or None.
 
     Solves: maximize delta subject to v.t >= s + delta for members,
-    v.t <= s for the rest, sum(v) = 1, v >= 0.  The set is a k-set iff the
+    v.t <= s for the rest, sum(v) <= 1, v >= 0.  The set is a k-set iff the
     optimal margin delta is positive (beyond tolerance); the witness is the
     optimal v.  A solver failure is treated as invalid with a warning.
+
+    Every right-hand side is >= 0 (the last row's is 1), so the simplex
+    starts from the slack basis.  The optimum is max(delta*, 0), with
+    delta* that of the same LP under sum(v) = 1, so the test against
+    VALIDITY_TOL > 0 decides as with the equality.  A feasible point with
+    sigma = sum(v) > 0 scales by 1/sigma to a point of the equality LP, so
+    its margin is delta <= sigma*delta*.  With sigma = 0, the members force
+    s + delta <= 0 and the rest s >= 0, so delta <= 0.  The origin and the
+    equality LP's optimum are both feasible here, so max(delta*, 0) is met.
+    Where delta* > 0 a margin of delta* needs sigma = 1, so the witness
+    sums to 1.
     """
     S = frozenset(int(t) for t in members)
     n, d = dataset.n, dataset.d
@@ -87,19 +98,20 @@ def is_valid_kset(dataset: Dataset, members: Iterable[int]) -> Optional[LinearFu
     nv = d + 4
     c = np.zeros(nv)
     c[d + 2], c[d + 3] = 1.0, -1.0
-    A_ub = np.empty((n, nv))
+    A_ub = np.zeros((n + 1, nv))
     split = len(inside)
     # members: v.t - s - delta >= 0  ->  -v.t + s + delta <= 0
     A_ub[:split, :d] = -dataset.values[inside]
     A_ub[:split, d:] = (1.0, -1.0, 1.0, -1.0)
     # the rest: s - v.t >= 0  ->  v.t - s <= 0
-    A_ub[split:, :d] = dataset.values[outside]
-    A_ub[split:, d:] = (-1.0, 1.0, 0.0, 0.0)
-    b_ub = np.zeros(n)
-    A_eq = np.concatenate([np.ones(d), np.zeros(4)])[None, :]
-    b_eq = np.ones(1)
+    A_ub[split:n, :d] = dataset.values[outside]
+    A_ub[split:n, d:] = (-1.0, 1.0, 0.0, 0.0)
+    # sum(v) <= 1
+    A_ub[n, :d] = 1.0
+    b_ub = np.zeros(n + 1)
+    b_ub[n] = 1.0
 
-    result = simplex_max(c, A_ub, b_ub, A_eq, b_eq)
+    result = simplex_max(c, A_ub, b_ub)
     if not result.ok:
         log.warning("k-set LP did not converge (%s); treating set as invalid",
                     result.status)
@@ -130,7 +142,7 @@ def enumerate_ksets_graph(dataset: Dataset, k: int) -> KSetCollection:
       lies weakly below a non-member u.
 
     Either way the LP has no positive margin.  Any feasible (v, s, delta)
-    has v >= 0 and sum(v) = 1, so in the first case s + delta <= v.t <=
+    has v >= 0 and sum(v) <= 1, so in the first case s + delta <= v.t <=
     v.x = lam*v.u + (1-lam)*v.u' <= s, and in the second s + delta <=
     lam*v.t + (1-lam)*v.t' = v.x <= v.u <= s: delta <= 0 <= VALIDITY_TOL,
     and the LP would reject S too.

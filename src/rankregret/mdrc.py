@@ -54,7 +54,7 @@ from .core import (
     check_k,
     score_slack,
     settle_top_k,
-    top_k,  # noqa: F401  (perfbench's tracer wraps mdrc.top_k)
+    top_k,  # noqa: F401  (perfbench's tracer self-test reads mdrc.top_k)
     top_k_ids,
 )
 from .errors import ConfigError

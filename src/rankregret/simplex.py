@@ -1,11 +1,13 @@
-"""A small dense two-phase simplex solver.
+"""A small dense simplex solver, one phase from the slack basis.
 
-Solves   maximize c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
-with all right-hand sides non-negative.  Pivoting uses Bland's rule
+Solves   maximize c.x   subject to   A_ub x <= b_ub,  x >= 0
+with b_ub >= 0.  The slack basis (x = 0, every slack at its b) is then
+feasible, so the solver starts there and needs no phase 1 (Chvatal,
+*Linear Programming*, 1983, ch. 3).  Pivoting uses Bland's rule
 throughout, which makes the solver deterministic and immune to cycling on
 the heavily degenerate separation problems it is used for (every
-inequality row has b = 0).  Problem sizes here are tiny (d + a handful of
-variables, n + 1 rows), so a dense tableau is the right tool.
+inequality row but one has b = 0).  Problem sizes here are tiny (d + a
+handful of variables, n + 1 rows), so a dense tableau is the right tool.
 
 Each pivot step is a few array operations: the entering column is the
 first reduced cost above PIVOT_TOL, the eligible rows of the ratio test
@@ -23,12 +25,11 @@ from typing import Optional
 import numpy as np
 
 PIVOT_TOL = 1e-9
-FEAS_TOL = 1e-7
 
 
 @dataclass
 class SimplexResult:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
+    status: str  # "optimal" | "unbounded" | "iteration_limit"
     x: Optional[np.ndarray]
     objective: float
 
@@ -37,56 +38,23 @@ class SimplexResult:
         return self.status == "optimal"
 
 
-def simplex_max(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-                max_iter: Optional[int] = None) -> SimplexResult:
+def simplex_max(c, A_ub, b_ub) -> SimplexResult:
     c = np.asarray(c, dtype=np.float64)
-    n = c.size
-    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=np.float64)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=np.float64)
-    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=np.float64)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=np.float64)
-    if b_ub.min(initial=0.0) < 0 or b_eq.min(initial=0.0) < 0:
+    A_ub = np.asarray(A_ub, dtype=np.float64)
+    b_ub = np.asarray(b_ub, dtype=np.float64)
+    if b_ub.min(initial=0.0) < 0:
         raise ValueError("right-hand sides must be non-negative")
 
-    m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
-    m = m_ub + m_eq
-    # columns: [x (n) | slack (m_ub) | artificial (m_eq) | rhs]
-    n_slack = m_ub
-    n_art = m_eq
-    width = n + n_slack + n_art + 1
-    T = np.zeros((m + 1, width))
-    T[:m_ub, :n] = A_ub
-    T[:m_ub, n:n + n_slack] = np.eye(m_ub)
-    T[:m_ub, -1] = b_ub
-    T[m_ub:m, :n] = A_eq
-    T[m_ub:m, n + n_slack:n + n_slack + n_art] = np.eye(m_eq)
-    T[m_ub:m, -1] = b_eq
-    basis = np.concatenate([
-        np.arange(n, n + n_slack),
-        np.arange(n + n_slack, n + n_slack + n_art),
-    ]).astype(np.int64)
-
-    if max_iter is None:
-        max_iter = 2000 + 50 * (m + n)
-
-    if n_art:
-        # phase 1: maximize -(sum of artificials)
-        obj = np.zeros(width)
-        obj[n + n_slack:n + n_slack + n_art] = -1.0
-        _set_objective(T, basis, obj)
-        status = _pivot_loop(T, basis, width - 1, max_iter)
-        if status != "optimal":
-            return SimplexResult(status, None, np.nan)
-        # the objective row's rhs is the negative of the phase-1 optimum
-        if T[-1, -1] > FEAS_TOL:
-            return SimplexResult("infeasible", None, np.nan)
-        _evict_artificials(T, basis, n + n_slack)
-
-    # phase 2 on the real objective, restricted to non-artificial columns
-    obj = np.zeros(width)
-    obj[:n] = c
-    _set_objective(T, basis, obj)
-    status = _pivot_loop(T, basis, n + n_slack, max_iter)
+    m, n = A_ub.shape
+    # columns: [x (n) | slack (m) | rhs]; no slack carries a cost, so the
+    # reduced costs of the slack basis are c itself
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A_ub
+    T[:m, n:-1] = np.eye(m)
+    T[:m, -1] = b_ub
+    T[-1, :n] = c
+    basis = np.arange(n, n + m)
+    status = _pivot_loop(T, basis, 2000 + 50 * (m + n))
     if status != "optimal":
         return SimplexResult(status, None, np.nan)
 
@@ -96,23 +64,15 @@ def simplex_max(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     return SimplexResult("optimal", x, float(c @ x))
 
 
-def _set_objective(T, basis, obj) -> None:
-    """Load ``obj`` as reduced costs by subtracting each basic row that
-    carries a cost, one row at a time in row order."""
-    T[-1, :] = obj
-    for i in obj[basis].nonzero()[0]:
-        T[-1, :] -= obj[basis[i]] * T[i, :]
-
-
-def _pivot_loop(T, basis, limit: int, max_iter: int) -> str:
+def _pivot_loop(T, basis, max_iter: int) -> str:
     """Run Bland-rule pivots until optimal, unbounded, or out of budget.
 
     The objective row holds reduced costs for maximization: optimal when
-    none of the first ``limit`` columns exceeds the tolerance.
+    none of the columns left of the rhs exceeds the tolerance.
     """
     m = T.shape[0] - 1
     for _ in range(max_iter):
-        entering = (T[-1, :limit] > PIVOT_TOL).nonzero()[0]
+        entering = (T[-1, :-1] > PIVOT_TOL).nonzero()[0]
         if entering.size == 0:
             return "optimal"
         enter = entering[0]
@@ -154,19 +114,3 @@ def _pivot(T, basis, row: int, col: int) -> None:
     np.subtract(T, np.multiply.outer(factors, T[row]), out=T,
                 where=(factors != 0.0)[:, None])
     basis[row] = col
-
-
-def _evict_artificials(T, basis, n_real: int) -> None:
-    """Pivot zero-valued artificial basics onto real columns when possible.
-
-    A row with no usable real column is linearly dependent; zeroing it out
-    is safe because its basic artificial is 0.
-    """
-    m = T.shape[0] - 1
-    for i in range(m):
-        if basis[i] >= n_real:
-            usable = (np.abs(T[i, :n_real]) > PIVOT_TOL).nonzero()[0]
-            if usable.size:
-                _pivot(T, basis, i, usable[0])
-            else:
-                T[i, :] = 0.0

@@ -605,19 +605,38 @@ def lp_separation_witness(values, members, margin_tol=1e-7):
     margin is not positive (or the LP fails)."""
     values = np.asarray(values, dtype=np.float64)
     n, d = values.shape
-    inside = sorted(members)
-    if len(inside) == n:
+    if len(members) == n:
         return np.full(d, 1.0 / d)
+    margin, x = separation_lp(values, members)
+    if not margin > margin_tol:
+        return None
+    return np.clip(x[:d], 0.0, None)
+
+
+def separation_lp(values, members, equality=False):
+    """(margin, x) of the margin LP of a proper subset ``members`` by
+    ``loop_simplex_max``: maximize delta = delta+ - delta- over x = (v,
+    s+, s-, delta+, delta-) >= 0 subject to v.t >= s + delta for members
+    and v.t <= s for the rest, with sum(v) <= 1 as the last inequality
+    row or, with ``equality``, sum(v) = 1 through phase 1.  The margin is
+    nan and x None when the LP fails."""
+    values = np.asarray(values, dtype=np.float64)
+    n, d = values.shape
+    inside = sorted(members)
     outside = sorted(set(range(n)) - set(inside))
     c = np.zeros(d + 4)
     c[d + 2], c[d + 3] = 1.0, -1.0
     rows = [np.concatenate([-values[t], [1.0, -1.0, 1.0, -1.0]]) for t in inside]
     rows += [np.concatenate([values[t], [-1.0, 1.0, 0.0, 0.0]]) for t in outside]
-    A_eq = np.concatenate([np.ones(d), np.zeros(4)])[None, :]
-    status, x = loop_simplex_max(c, np.array(rows), np.zeros(n), A_eq, np.ones(1))
-    if status != "optimal" or float(c @ x) <= margin_tol:
-        return None
-    return np.clip(x[:d], 0.0, None)
+    norm = np.concatenate([np.ones(d), np.zeros(4)])
+    if equality:
+        status, x = loop_simplex_max(c, rows, np.zeros(n), norm, np.ones(1))
+    else:
+        status, x = loop_simplex_max(c, rows + [norm], np.append(np.zeros(n), 1.0),
+                                     np.zeros((0, d + 4)), np.zeros(0))
+    if status != "optimal":
+        return np.nan, None
+    return float(c @ x), x
 
 
 def has_weakly_dominated_member(values, members):

@@ -35,6 +35,7 @@ from oracles import (
     has_weakly_dominated_member,
     lp_graph_ksets,
     lp_ksets_graph,
+    separation_lp,
     sequential_ksets_random,
 )
 
@@ -68,6 +69,45 @@ class TestValidity:
             witness = is_valid_kset(ds, members)
             assert witness is not None
             assert top_k(ds, witness, k) == members
+
+    @pytest.mark.parametrize("family", ["grid", "duplicates", "collinear",
+                                        "uniform", "anticorrelated"])
+    def test_decides_as_the_equality_lp(self, family):
+        # sum(v) <= 1 in place of sum(v) = 1 leaves the optimal margin at
+        # max(delta*, 0): the same decision on every candidate, and where
+        # delta* is positive the same margin and a witness of sum 1
+        rng = np.random.default_rng([24, len(family)])
+        decided = []
+        for trial in range(12):
+            d = 2 + trial % 3
+            n = int(rng.integers(5, 14))
+            if family == "uniform":
+                values = rng.random((n, d))
+            elif family == "anticorrelated":
+                values = anticorrelated(rng, n, d)
+            else:
+                values = _tie_family(rng, family, n, d)
+            ds = Dataset(values)
+            k = int(rng.integers(1, n))
+            drawn = [top_k(ds, LinearFunction(w), k)
+                     for w in sample_functions(rng, d, 4)]
+            swapped = [s - {min(s)} | {min(set(range(n)) - s)} for s in drawn]
+            random = [frozenset(rng.choice(n, k, replace=False).tolist())
+                      for _ in range(4)]
+            for members in drawn + swapped + random:
+                margin, _ = separation_lp(values, members, equality=True)
+                witness = is_valid_kset(ds, members)
+                valid = margin > kset.VALIDITY_TOL
+                assert (witness is not None) == valid
+                decided.append(valid)
+                if valid:
+                    scores = values @ witness.weights
+                    inside = np.isin(np.arange(n), list(members))
+                    ours = scores[inside].min() - scores[~inside].max()
+                    assert abs(ours - margin) <= 1e-12
+                    assert abs(witness.weights.sum() - 1.0) <= 1e-12
+                    assert top_k(ds, witness, k) == members
+        assert any(decided) and not all(decided)
 
     def test_bad_members_rejected(self, fig1):
         with pytest.raises(ValueError):
