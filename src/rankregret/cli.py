@@ -292,7 +292,10 @@ def _cmd_eval(args, ing: IngestResult) -> dict:
     else:
         with open(args.members_file, "r", encoding="utf-8") as fh:
             try:
-                members = [int(t) for t in json.load(fh)["member_ids"]]
+                members = json.load(fh)["member_ids"]
+                # json reads true and false as bool, which is not int
+                if type(members) is not list or any(type(t) is not int for t in members):
+                    raise TypeError("member_ids is not a list of integers")
             except (ValueError, KeyError, TypeError) as exc:
                 raise MalformedMembersFile(
                     f"{args.members_file} has no integer member_ids list "

@@ -479,16 +479,17 @@ class RankRegretKernel:
     which bounds its rank from above; ranks are computed only for the
     functions whose bound exceeds ``worst``.
 
-    ``slack`` bounds how far the block scores may round differently from
-    the caller's reference arithmetic.  A rank is read off the block only
-    where no other row scores within ``slack`` of the best member;
-    otherwise the ``reference`` scores over all n rows decide the ties.
+    ``slack`` = ``score_slack(d)`` bounds how far the block scores may
+    round differently from the caller's reference arithmetic.  A rank is
+    read off the block only where no other row scores within ``slack`` of
+    the best member; otherwise the ``reference`` scores over all n rows
+    decide the ties.
 
     ``subset`` names at least one row of ``values``; ``members`` holds
     its ids distinct and ascending.
     """
 
-    def __init__(self, values: np.ndarray, subset, slack: float = 0.0):
+    def __init__(self, values: np.ndarray, subset):
         members = sorted({int(t) for t in subset})
         if not members:
             raise EmptySubset("subset must contain at least one tuple id")
@@ -504,11 +505,11 @@ class RankRegretKernel:
         #: functions a block against about 0.5 ns with 256
         self.block = max(256, SCORE_BLOCK_BYTES // (4 * self.rows.size))
         self.tile = max(1, SCORE_BLOCK_BYTES // (4 * self.block))
-        self.slack = slack
+        d = values.shape[1]
+        self.slack = score_slack(d)
         self.worst = 0
         self.scored = 0
-        d = values.shape[1]
-        self.margin = np.float32(slack + score_slack(d) / 2
+        self.margin = np.float32(self.slack + score_slack(d) / 2
                                  + 4 * (d + 2) * math.sqrt(d) * 2.0 ** -24)
 
     @functools.cached_property

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (Dataset, RankRegretKernel, Representative, block_rows,
-                   check_k, score_slack)
+                   check_k)
 from .errors import ConfigError, KOutOfRange, MalformedKSetFile
 from .hitting import mdrrr
 from .kset import (
@@ -136,7 +136,7 @@ def estimate_rank_regret(dataset: Dataset, subset, samples: int = DEFAULT_SAMPLE
     if dataset.d == 2:
         return exact_rank_regret_2d(dataset, subset)
     values, d = dataset.values, dataset.d
-    kernel = RankRegretKernel(values, subset, slack=score_slack(d))
+    kernel = RankRegretKernel(values, subset)
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(0))
     chunk = max(1, min(1024, (1 << 22) // dataset.n))

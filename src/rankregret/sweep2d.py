@@ -265,52 +265,43 @@ def _crossings(du: np.ndarray,
     return angles, passing
 
 
-#: slabs of ``_candidates``' threshold pass over all rows and of its
-#: pairwise pass over the rows that pass it
-_THRESHOLD_SLABS, _PAIR_SLABS = 16, 4
-
-#: comparisons per block of ``_candidates``' pairwise pass
-_PAIR_BLOCK = 1 << 20
+#: slabs of each of ``_candidates``' threshold passes, the first over all
+#: rows and each later one over the rows the one before it keeps
+_SLABS = (16, 128)
 
 
 def _candidates(values: np.ndarray, k: int) -> np.ndarray:
     """Ascending ids of the rows that may rank within k at some angle in
     [0, pi/2], the axes included: every other row has, on each slab of
-    one of two passes, k rows scoring above it at both ends of the slab.
+    one of the passes, k rows scoring above it at both ends of the slab.
 
     The slabs cut [0, pi/2] at equal angles.  On a slab of width < pi the
     score difference of two rows, a sinusoid in the angle, changes sign at
     most once, so a row beaten at both ends of a slab is beaten strictly
     throughout it (the module docstring shows why the k-level over these
-    rows is the k-level of all rows).  The threshold pass drops a row
-    whose larger end score on each of _THRESHOLD_SLABS slabs is below the
-    k-th largest smaller end score there; the pairwise pass drops a row
-    that, on each of _PAIR_SLABS slabs, k rows left by the first pass beat
-    at both ends.  Both take a margin of 4 score_slack(2), which the
-    errors of two float scores together cannot span, so every comparison
-    they take also holds in exact arithmetic.
+    rows is the k-level of all rows).  Each pass cuts _SLABS[i] slabs and
+    drops a row whose larger end score on every slab is below tau - eps,
+    tau the k-th largest smaller end score there among the rows it sees.
+    The first pass sees all rows and each later one only the rows kept by
+    the one before.  A subset's k-th largest smaller end score is at most
+    the whole set's, so k rows of the subset still beat a dropped row at
+    both ends of each slab, and the argument holds pass by pass.  A pass
+    keeps at least k rows: those of the k largest smaller end scores on
+    the first slab.  The margin eps = 4 score_slack(2) is more than the
+    errors of two float scores together can span, so every comparison
+    taken also holds in exact arithmetic.
     """
-    n, eps = values.shape[0], 4 * score_slack(2)
-    ends = np.linspace(0.0, HALF_PI, _THRESHOLD_SLABS + 1)
-    weights = np.stack((np.cos(ends), np.sin(ends)))
-    weights[:, -1] = 0.0, 1.0  # exactly pi/2, as cos(HALF_PI) is not 0
-    scores = values @ weights
-    low = np.minimum(scores[:, :-1], scores[:, 1:])
-    high = np.maximum(scores[:, :-1], scores[:, 1:])
-    tau = np.partition(low, n - k, axis=0)[n - k]
-    kept = np.flatnonzero((high >= tau - eps).any(axis=1))
-    ends_t = np.ascontiguousarray(
-        scores[kept][:, ::_THRESHOLD_SLABS // _PAIR_SLABS].T)
-    step = max(1, _PAIR_BLOCK // kept.size)
-    beaten = np.zeros(kept.size, dtype=bool)
-    for lo in range(0, kept.size, step):
-        # the rows of the block that k rows beat on every slab so far
-        rows = np.arange(lo, min(lo + step, kept.size))
-        for a, b in zip(ends_t[:-1], ends_t[1:]):
-            both = (a > a[rows, None] + eps) & (b > b[rows, None] + eps)
-            rows = rows[np.count_nonzero(both, axis=1) >= k]
-        beaten[rows] = True
-    return kept[~beaten]
+    rows, eps = np.arange(values.shape[0]), 4 * score_slack(2)
+    for slabs in _SLABS:
+        ends = np.linspace(0.0, HALF_PI, slabs + 1)
+        weights = np.stack((np.cos(ends), np.sin(ends)))
+        weights[:, -1] = 0.0, 1.0  # exactly pi/2, as cos(HALF_PI) is not 0
+        scores = values[rows] @ weights
+        low = np.minimum(scores[:, :-1], scores[:, 1:])
+        high = np.maximum(scores[:, :-1], scores[:, 1:])
+        tau = np.partition(low, rows.size - k, axis=0)[rows.size - k]
+        rows = rows[(high >= tau - eps).any(axis=1)]
+    return rows
 
 
 def cover_2d(ranges: List[AngularRange], widths) -> frozenset:

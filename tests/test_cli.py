@@ -517,6 +517,12 @@ class TestExitCodes:
          "ConfigError"),
         (["solve", "{huge_field}", "--cols", "a,c", "--algo", "2drrr",
           "--k", "1"], 2, "MalformedDataFile"),
+        (["eval", "{fig1}", "--members-file", "{string_ids}"], 2,
+         "MalformedMembersFile"),
+        (["eval", "{fig1}", "--members-file", "{float_ids}"], 2,
+         "MalformedMembersFile"),
+        (["eval", "{fig1}", "--members-file", "{bool_ids}"], 2,
+         "MalformedMembersFile"),
     ])
     def test_exit_code_by_cause(self, argv, code, error, fig1_csv, tmp_path,
                                 capsys):
@@ -527,6 +533,9 @@ class TestExitCodes:
         for name, text in (("one", "a\n1\n2\n3\n"),
                            ("no_ids", '{"members": [0]}'),
                            ("text_ids", '{"member_ids": [0, "x"]}'),
+                           ("string_ids", '{"member_ids": "12"}'),
+                           ("float_ids", '{"member_ids": [0.9, 2.5]}'),
+                           ("bool_ids", '{"member_ids": [true]}'),
                            ("huge_field", huge_field)):
             files[name] = str(tmp_path / name)
             (tmp_path / name).write_text(text)

@@ -23,7 +23,6 @@ from rankregret.core import (
     NUMERIC_TOL,
     RankRegretKernel,
     member_survivors,
-    score_slack,
 )
 from rankregret.errors import EmptySubset, KOutOfRange
 from rankregret.evaluate import (
@@ -367,10 +366,11 @@ class TestRankRegretKernel:
         assert reaches_best_member(values, [0, 1], 3) < -NUMERIC_TOL
 
     def test_reference_decides_ties_within_slack(self):
-        # row 0 scores one ulp below member 1 in the block, but ties it in
-        # the reference arithmetic, so it ranks ahead by id
+        # row 0 scores one ulp below member 1 in the block, within the
+        # kernel's slack score_slack(2), but ties it in the reference
+        # arithmetic, so it ranks ahead by id
         values = np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.1]])
-        kernel = RankRegretKernel(values, [1], slack=1e-15)
+        kernel = RankRegretKernel(values, [1])
         block = np.array([[np.nextafter(0.5, 0.0), 0.5, 0.1]])
         kernel.add(block, lambda: np.array([[0.5, 0.5, 0.1]]))
         assert kernel.worst == 2
@@ -390,7 +390,7 @@ class TestRankRegretKernel:
                 row[0] += 0.45 * u
                 row[1] -= 0.55 * u
                 values = np.vstack([member, row])
-                kernel = RankRegretKernel(values, [0], slack=score_slack(d))
+                kernel = RankRegretKernel(values, [0])
                 bound_then_add(kernel, values, np.eye(d)[1:2])  # row 1 behind
                 assert kernel.worst == 1
                 w = np.abs(rng.standard_normal(d))
@@ -422,7 +422,7 @@ class TestRankBounds:
                                  replace=False)
             if trial // 18 % 2:  # copies of members at smaller and larger ids
                 values[0], values[-1] = values[members.max()], values[members.min()]
-            kernel = RankRegretKernel(values, members, slack=score_slack(d))
+            kernel = RankRegretKernel(values, members)
             uniforms = sample_uniforms(rng, d, 1024)
             near_zero = uniforms[::8, 0::2]  # |z| small against the radii
             uniforms[::8, 0::2] = np.maximum(
@@ -460,7 +460,7 @@ class TestRankBounds:
             member = np.full(d, 0.5)
             delta = 1e-9 * w - 2e-5 * across / (across @ across)
             values = np.vstack([member, member + delta])
-            kernel = RankRegretKernel(values, [0], slack=score_slack(d))
+            kernel = RankRegretKernel(values, [0])
             assert one_product_ranks(values, [0], exact[i:i + 1]).tolist() == [2]
             scores = kernel.kept32 @ approx[i]
             assert scores[1] < scores[0] - kernel.margin

@@ -261,6 +261,15 @@ class TestCandidates:
         assert rrr_2d(Dataset(vals), 15).params["candidates"] == \
             sweep2d._candidates(vals, 15).size
 
+    def test_second_pass_drops_rows_the_first_keeps(self, monkeypatch):
+        # on the same input, the pass on finer slabs over the first pass's
+        # rows keeps a strict subset of them
+        vals = np.round(anticorrelated_values(np.random.default_rng(55), 1500), 3)
+        both = sweep2d._candidates(vals, 15)
+        monkeypatch.setattr(sweep2d, "_SLABS", sweep2d._SLABS[:1])
+        first = sweep2d._candidates(vals, 15)
+        assert set(both.tolist()) < set(first.tolist())
+
 
 def span(t, first, last):
     """A range over the elements ``first`` to ``last`` (no angles)."""
