@@ -2,8 +2,11 @@
 
 Subcommands: solve, ksets, eval, dual, bench.  Input is delimited text
 with a header row; rows with missing or non-numeric values in the
-selected columns are dropped (and counted).  Exit codes: 0 success,
-2 input problems, 3 configuration problems, 4 any other failure.
+selected columns are dropped (and counted).  The exit code is the
+category of the error (see ``errors``): 0 success, 2 an input file that
+cannot be read or used (``InputError`` or ``OSError``: a missing,
+unreadable or non-UTF-8 file, or a directory), 3 a configuration the
+run cannot use (``ConfigError``), 4 any other failure.
 """
 
 import argparse
@@ -22,32 +25,11 @@ import numpy as np
 
 from . import evaluate as ev
 from .core import Dataset, normalize
-from .errors import (
-    ConfigError,
-    ConstantAttribute,
-    DimensionMismatch,
-    DimensionNot2D,
-    EmptyCollection,
-    EmptySubset,
-    KOutOfRange,
-    LPNumericalFailure,
-    MalformedDataFile,
-    MalformedKSetFile,
-    MalformedMembersFile,
-    NoUsableRows,
-    NonFiniteValue,
-    RankRegretError,
-    UncoverableSpace,
-)
+from .errors import (ConfigError, InputError, MalformedDataFile,
+                     MalformedMembersFile, NoUsableRows, RankRegretError)
 from .kset import collection_to_lines
 
 log = logging.getLogger(__name__)
-
-INPUT_ERRORS = (FileNotFoundError, NoUsableRows, ConstantAttribute, NonFiniteValue,
-                MalformedDataFile, MalformedKSetFile, MalformedMembersFile)
-CONFIG_ERRORS = (ConfigError, KOutOfRange, DimensionNot2D, DimensionMismatch,
-                 EmptySubset)
-NUMERIC_ERRORS = (LPNumericalFailure, UncoverableSpace, EmptyCollection)
 
 
 #: characters that ``np.loadtxt`` reads unlike the ``csv`` loop: a quoted
@@ -78,17 +60,22 @@ def ingest(path: str, cols: Optional[Sequence[str]] = None,
     Both round every number correctly, so the values are the same either
     way.  A body with a character of ``_LOOP_ONLY`` goes to the loop
     directly.  A body the ``csv`` loop cannot parse raises
-    MalformedDataFile naming the line.
+    MalformedDataFile naming the line, as does a file that is not UTF-8;
+    a delimiter of other than one character raises ConfigError.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first:
-            raise NoUsableRows(f"{path} is empty")
-        if delimiter is None:
-            delimiter = "\t" if "\t" in first else ","
-        header = [name.strip() for name in
-                  next(csv.reader([first], delimiter=delimiter))]
-        body = fh.read()
+    if delimiter is not None and len(delimiter) != 1:
+        raise ConfigError(f"the delimiter must be one character, not {delimiter!r}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            first, body = fh.readline(), fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedDataFile(f"{path} is not UTF-8 text ({exc})") from None
+    if not first:
+        raise NoUsableRows(f"{path} is empty")
+    if delimiter is None:
+        delimiter = "\t" if "\t" in first else ","
+    header = [name.strip() for name in
+              next(csv.reader([first], delimiter=delimiter))]
 
     if cols:
         missing = [c for c in cols if c not in header]
@@ -360,18 +347,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if payload is not None:
                 _write(json.dumps(payload, indent=2) + "\n", args.output)
             return 0
-        except INPUT_ERRORS as exc:
-            _emit_error(exc, 2)
-            return 2
-        except NUMERIC_ERRORS as exc:
-            _emit_error(exc, 4)
-            return 4
-        except CONFIG_ERRORS as exc:
-            _emit_error(exc, 3)
-            return 3
+        except (InputError, OSError) as exc:
+            return _emit_error(exc, 2)
+        except ConfigError as exc:
+            return _emit_error(exc, 3)
         except (RankRegretError, ValueError) as exc:
-            _emit_error(exc, 4)
-            return 4
+            return _emit_error(exc, 4)
 
 
 @contextlib.contextmanager
@@ -391,12 +372,13 @@ def _diagnostics_to_stderr():
         package.setLevel(level)
 
 
-def _emit_error(exc: Exception, code: int) -> None:
+def _emit_error(exc: Exception, code: int) -> int:
     sys.stdout.write(json.dumps({
         "error": type(exc).__name__,
         "message": str(exc),
         "exit_code": code,
     }) + "\n")
+    return code
 
 
 if __name__ == "__main__":

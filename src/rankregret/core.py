@@ -144,16 +144,19 @@ class LinearFunction:
 class Representative:
     """A solver output: member ids plus provenance.
 
-    ``bound_guaranteed`` is False only when a partitioning run hit its depth
-    cap or box budget and fell back to centroid assignment for some box.
-    Evaluation results are attached separately (see the evaluate module).
+    ``bound_guaranteed`` says whether the solver's rank-regret bound holds
+    for the output, and each solver states it: ``rrr_2d``'s 2k always;
+    ``mdrc``'s d*k unless a box was closed at the depth cap or box budget
+    without it; mdrrr's k only over a complete k-set collection, since a
+    sampled or loaded one may miss sets.  Evaluation results are attached
+    separately (see the evaluate module).
     """
 
     members: frozenset
     algorithm: str
+    bound_guaranteed: bool
     params: dict = field(default_factory=dict)
     seed: Optional[int] = None
-    bound_guaranteed: bool = True
 
     @property
     def size(self) -> int:

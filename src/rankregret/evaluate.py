@@ -267,8 +267,11 @@ def run_algorithm(name: str, dataset: Dataset, k: int, *,
     (``kset_source``, by default chosen by d), or the one saved at
     ``ksets_file`` (``_load_ksets``), with its net drawn from the net
     generator of ``seed``.  Its params are k, the source ("file" for a
-    file), ``c`` unless read from a file, and the collection's counters
-    (``collection_params``), in that order.
+    file), ``c`` unless read from a file, the collection's counters
+    (``collection_params``), and the weight-doubling run's ``net_rounds``
+    (nets drawn) and ``doublings`` (sets whose weights were doubled), in
+    that order.  Its bound (rank-regret <= k) is guaranteed only when the
+    collection is complete.
     """
     if name == "2drrr":
         rep = rrr_2d(dataset, k)
@@ -284,10 +287,14 @@ def run_algorithm(name: str, dataset: Dataset, k: int, *,
         else:
             collection = _load_ksets(dataset, ksets_file, k)
             params = {"k": k, "kset_source": "file"}
-        members = mdrrr(collection, rng=_generator(seed, "net"))
+        members, stats = mdrrr(collection, rng=_generator(seed, "net"),
+                               return_stats=True)
         return Representative(
             members=members, algorithm="mdrrr",
-            params={**params, **collection_params(collection)}, seed=seed)
+            bound_guaranteed=collection.complete,
+            params={**params, **collection_params(collection),
+                    "net_rounds": stats.total_rounds,
+                    "doublings": len(stats.doublings)}, seed=seed)
     raise ValueError(f"unknown algorithm {name!r}; one of {ALGORITHMS}")
 
 

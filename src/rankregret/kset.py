@@ -519,4 +519,7 @@ def save_collection(collection: KSetCollection, path) -> None:
 
 def load_collection(path, d: Optional[int] = None) -> KSetCollection:
     with open(path, "r", encoding="utf-8") as fh:
-        return collection_from_lines(fh, d=d)
+        try:
+            return collection_from_lines(fh, d=d)
+        except UnicodeDecodeError as exc:
+            raise MalformedKSetFile(f"{path} is not UTF-8 text ({exc})") from None

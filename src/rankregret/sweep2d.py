@@ -381,6 +381,7 @@ def rrr_2d(dataset: Dataset, k: int) -> Representative:
     """
     ranges, widths, candidates = _top_k_ranges(dataset, k)
     return Representative(members=cover_2d(ranges, widths), algorithm="2drrr",
+                          bound_guaranteed=True,
                           params={"k": k, "ranges": len(ranges),
                                   "elements": len(widths),
                                   "candidates": candidates})
@@ -400,15 +401,16 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
     The top-k set just after angle 0 comes first; after that the set
     changes exactly where a tuple's rank crosses k, so the sets are read
     off the k-level of the rank trajectories (``ExchangeSweep``).  Each
-    set carries a witness function (``angles_to_weights``) from the
-    middle of the first angle interval on which it is the top-k.  Only
+    set keeps its place of first appearance and carries a witness
+    function (``angles_to_weights``) from the middle of the first angle
+    interval of float width on which it is the top-k.  Only
     the candidates (``_candidates``) are walked: every other tuple ranks
     below k at every angle, so dropping them changes neither the top-k
     sets nor the angles at which they change (see the module docstring).
 
     The crossings are ordered and grouped exactly (``_level_events``).  A
     set that holds only between two groups at the same float angle has no
-    float interval to witness it and is left out.
+    float interval to witness it and is listed without a witness.
     """
     _require_2d(dataset)
     check_k(k, dataset.n)
@@ -419,15 +421,17 @@ def enumerate_ksets_2d(dataset: Dataset, k: int) -> KSetCollection:
         current = sweep.top()
         if current != segments[-1][0]:
             segments.append((current, theta))
-    middles: dict = {}  # each set's first interval, by its middle angle
+    # each set's first interval of float width, by its middle angle, or
+    # None while it has held only on zero-width segments
+    middles: dict = {}
     for j, (members, start) in enumerate(segments):
         stop = segments[j + 1][1] if j + 1 < len(segments) else HALF_PI
-        if stop <= start:
-            continue  # a zero-width segment
-        middles.setdefault(members, (start + stop) / 2.0)
-    witnesses = LinearFunction.from_rows(
-        angle_weights(np.array(list(middles.values()))[:, None]))
-    sets = [KSet(members, w) for members, w in zip(middles, witnesses)]
+        if middles.get(members) is None:
+            middles[members] = (start + stop) / 2.0 if stop > start else None
+    witnesses = iter(LinearFunction.from_rows(angle_weights(np.array(
+        [m for m in middles.values() if m is not None])[:, None])))
+    sets = [KSet(members, None if m is None else next(witnesses))
+            for members, m in middles.items()]
     return KSetCollection(sets=sets, k=k, complete=True, d=2)
 
 

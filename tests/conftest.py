@@ -50,3 +50,17 @@ def grid_with_duplicates(rng, n, d):
     copies = rng.choice(n, size=max(1, n // 10), replace=False)
     values[copies] = values[rng.choice(n, size=copies.size)]
     return values
+
+
+def tie_heavy_2d(rng, i):
+    """2-D values with exact ties and near-tied crossings, by ``i % 3``:
+    an i/q grid (q in 3..11), values rounded to 1 decimal, or a uniform
+    half with every row copied; n in 3..44."""
+    n = int(rng.integers(3, 45))
+    if i % 3 == 0:
+        q = int(rng.integers(3, 12))
+        return rng.integers(0, q + 1, (n, 2)) / q
+    if i % 3 == 1:
+        return np.round(rng.random((n, 2)), 1)
+    half = rng.random(((n + 1) // 2, 2))
+    return np.concatenate([half, half])[:n]

@@ -376,24 +376,31 @@ def rational_rank_regret_2d(values, subset):
 
 def rational_ksets_2d(values, k):
     """Every top-k set along the sweep, in exact arithmetic, in order of
-    first appearance.
+    first appearance (the sets of ``rational_kset_intervals_2d``)."""
+    return [members for members, _ in rational_kset_intervals_2d(values, k)]
+
+
+def rational_kset_intervals_2d(values, k):
+    """(members, intervals) of every top-k set along the sweep, in exact
+    arithmetic, in order of first appearance.
 
     With w = (1, r), r = tan(theta) >= 0, the ratios r at which two
     tuples score equally are computed exactly from the stored doubles.
     The top k is taken at the midpoint of each open interval between
     consecutive ratios (from 0, and one past the last), with scores in
     integers and ties broken by ascending id, so every set is listed,
-    also on intervals too narrow for any float angle.
+    also on intervals too narrow for any float angle.  ``intervals``
+    holds each (lo, hi) of r on which the set is the top k, in order,
+    with hi None for the last (unbounded) one.
     """
     rows, ratios = _exact_crossings(values)
     cuts = [Fraction(0)] + ratios
-    probes = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])] + [cuts[-1] + 1]
-    out = []
-    for r in probes:
+    out: dict = {}
+    for lo, hi in zip(cuts, cuts[1:] + [None]):
+        r = lo + 1 if hi is None else (lo + hi) / 2
         members = _exact_top_k(rows, r.denominator, r.numerator, k)
-        if members not in out:
-            out.append(members)
-    return out
+        out.setdefault(members, []).append((lo, hi))
+    return list(out.items())
 
 
 def rational_point_topk_2d(values, k):

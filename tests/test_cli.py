@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rankregret import errors
 from rankregret.cli import build_parser, ingest, main
 from rankregret.errors import (ConfigError, ConstantAttribute, NoUsableRows,
                                RankRegretError)
@@ -523,6 +524,19 @@ class TestExitCodes:
          "MalformedMembersFile"),
         (["eval", "{fig1}", "--members-file", "{bool_ids}"], 2,
          "MalformedMembersFile"),
+        (["solve", "{dir}", "--algo", "mdrc", "--k", "2"], 2,
+         "IsADirectoryError"),
+        (["eval", "{fig1}", "--members-file", "{dir}"], 2, "IsADirectoryError"),
+        (["solve", "{fig1}", "--algo", "mdrrr", "--k", "2", "--ksets-file",
+          "{dir}"], 2, "IsADirectoryError"),
+        (["solve", "{fig1}", "--algo", "mdrc", "--k", "2", "-o", "{dir}"], 2,
+         "IsADirectoryError"),
+        (["solve", "{latin1_data}", "--algo", "mdrc", "--k", "2"], 2,
+         "MalformedDataFile"),
+        (["solve", "{fig1}", "--algo", "mdrrr", "--k", "2", "--ksets-file",
+          "{latin1_sets}"], 2, "MalformedKSetFile"),
+        (["solve", "{fig1}", "--algo", "mdrc", "--k", "2", "--delimiter",
+          ";;"], 3, "ConfigError"),
     ])
     def test_exit_code_by_cause(self, argv, code, error, fig1_csv, tmp_path,
                                 capsys):
@@ -539,14 +553,28 @@ class TestExitCodes:
                            ("huge_field", huge_field)):
             files[name] = str(tmp_path / name)
             (tmp_path / name).write_text(text)
+        # a Latin-1 byte on the second line of a data and of a k-set file
+        for name, data in (("latin1_data", b"x1,x2\n0.5,0.2\n0.\xe9,0.3\n"),
+                           ("latin1_sets", b"k=2;members=0,2\nk=2;members=\xe9\n")):
+            files[name] = str(tmp_path / name)
+            (tmp_path / name).write_bytes(data)
+        files["dir"] = str(tmp_path)
         argv = [arg.format(**files) for arg in argv]
         if argv[0] != "bench":  # bench takes --seeds only
             argv += ["--seed", "0"]
         assert main(argv) == code
         payload = json.loads(capsys.readouterr().out)
         assert (payload["exit_code"], payload["error"]) == (code, error)
-        if error == "MalformedDataFile":
+        if files["huge_field"] in argv:
             assert "line 3" in payload["message"]
+
+    def test_no_error_class_is_in_two_categories(self):
+        # rrr's exit code is the category: InputError 2, ConfigError 3
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, Exception)]
+        assert len(classes) > 10
+        assert not [c for c in classes if issubclass(c, errors.InputError)
+                    and issubclass(c, errors.ConfigError)]
 
     def test_other_value_errors_are_failures(self, fig1_csv, capsys,
                                              monkeypatch):
@@ -575,10 +603,11 @@ class TestExitCodes:
 
 
 def _mdrrr_params(k, source, size, complete, draws=None, lps=None,
-                  filtered=None):
+                  filtered=None, net_rounds=1, doublings=0):
     params = {"k": k, "kset_source": source, "c": 20,
               "collection_size": size, "complete": complete, "draws": draws,
-              "lps": lps, "filtered": filtered}
+              "lps": lps, "filtered": filtered, "net_rounds": net_rounds,
+              "doublings": doublings}
     if source == "file":
         del params["c"]
     return params

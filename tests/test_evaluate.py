@@ -32,7 +32,9 @@ from rankregret.evaluate import (
     reports_to_jsonl,
 )
 from rankregret import sweep2d
-from rankregret.kset import (float32_directions, sample_uniforms,
+from rankregret.hitting import mdrrr
+from rankregret.kset import (float32_directions, load_collection,
+                             sample_uniforms, save_collection,
                              uniform_directions)
 
 from conftest import anticorrelated, grid_with_duplicates, random_dataset, tids
@@ -568,6 +570,29 @@ class TestRunAlgorithm:
             rep = run_algorithm("mdrrr", fig1, 2, seed=7, kset_source=source)
             assert rep.params["kset_source"] == source
             assert exact_rank_regret_2d(fig1, rep.members) <= 2
+
+    def test_mdrrr_guarantee_follows_the_collection(self, fig1, tmp_path):
+        # rank-regret <= k is guaranteed over a complete collection only
+        for source, complete in (("sweep2d", True), ("graph", True),
+                                 ("random", False)):
+            rep = run_algorithm("mdrrr", fig1, 2, seed=7, kset_source=source)
+            assert rep.bound_guaranteed is complete is rep.params["complete"]
+        path = tmp_path / "sets"
+        save_collection(sweep2d.enumerate_ksets_2d(fig1, 2), path)
+        rep = run_algorithm("mdrrr", fig1, 2, seed=7, ksets_file=str(path))
+        assert rep.bound_guaranteed is False
+
+    def test_mdrrr_reports_its_net_counters(self, tmp_path):
+        # 400 singleton sets: the first nets miss some, so weights double
+        ds = random_dataset(np.random.default_rng(71), 400, 2)
+        path = tmp_path / "singletons"
+        path.write_text("".join(f"k=1;members={t}\n" for t in range(400)))
+        rep = run_algorithm("mdrrr", ds, 1, seed=3, ksets_file=str(path))
+        _, stats = mdrrr(load_collection(path, d=2),
+                         rng=evaluate._generator(3, "net"), return_stats=True)
+        assert list(rep.params)[-2:] == ["net_rounds", "doublings"]
+        assert rep.params["net_rounds"] == stats.total_rounds > 1
+        assert rep.params["doublings"] == len(stats.doublings) > 0
 
     def test_deterministic_under_seed(self):
         ds = random_dataset(np.random.default_rng(70), 40, 3)

@@ -31,6 +31,7 @@ from conftest import (
     grid_with_duplicates,
     random_dataset,
     tids,
+    tie_heavy_2d,
 )
 from oracles import (
     FullExchangeSweep,
@@ -41,6 +42,7 @@ from oracles import (
     exhaustive_lp_ksets,
     exhaustive_min_hitting_size,
     loop_find_ranges,
+    rational_kset_intervals_2d,
     rational_ksets_2d,
     rational_point_topk_2d,
     rational_rank_regret_2d,
@@ -410,6 +412,26 @@ SEVENTHS = np.array([[3, 7], [5, 2], [7, 1], [1, 4], [6, 6], [2, 7], [3, 2],
                      [6, 6], [0, 1], [0, 2]]) / 7
 
 
+def _witnessed_sets(vals, k):
+    """(members, witness weights) of the witnessed sets of
+    ``enumerate_ksets_2d``, in order; every set without a witness must be
+    an exact k-set."""
+    sets = enumerate_ksets_2d(Dataset(vals), k).sets
+    unwitnessed = [s.members for s in sets if s.witness is None]
+    if unwitnessed:
+        exact = rational_ksets_2d(vals, k)
+        assert all(m in exact for m in unwitnessed)
+    return [(s.members, tuple(s.witness.weights))
+            for s in sets if s.witness is not None]
+
+
+def _angle_bits(ratio):
+    """The float angle of the exact ratio r = tan(theta) (None: pi/2), as
+    its int64 bits, which count representable steps."""
+    theta = HALF_PI if ratio is None else np.arctan(float(ratio))
+    return int(np.float64(theta).view(np.int64))
+
+
 class TestEnumerate2d:
     def test_fig1_2sets(self, fig1):
         got = {s.members for s in enumerate_ksets_2d(fig1, 2).sets}
@@ -456,15 +478,14 @@ class TestEnumerate2d:
                 vals = anticorrelated_values(rng, n)
             else:
                 vals = grid_values(rng, n)
-            got = [(s.members, tuple(s.witness.weights))
-                   for s in enumerate_ksets_2d(Dataset(vals), k).sets]
-            assert got == sweep_ksets_2d(vals, k)
+            assert _witnessed_sets(vals, k) == sweep_ksets_2d(vals, k)
 
     @pytest.mark.parametrize("block", [None, 1])
     def test_identical_to_full_sweep_on_tied_data(self, block, monkeypatch):
         # rounded anti-correlated and grid data with duplicate rows, k up
-        # to n: identical to the float walk where it lists the same sets;
-        # elsewhere every set is an exact k-set and the walk's are kept
+        # to n: the witnessed sets are identical to the float walk where it
+        # lists the same sets; elsewhere every set is an exact k-set and
+        # the walk's are kept
         if block is not None:
             monkeypatch.setattr(sweep2d, "_block_size", lambda rows: block)
         rng = np.random.default_rng(57)
@@ -479,8 +500,7 @@ class TestEnumerate2d:
             inputs.append((vals, int(rng.integers(1, n + 1))))
         differ = 0
         for vals, k in inputs:
-            got = [(s.members, tuple(s.witness.weights))
-                   for s in enumerate_ksets_2d(Dataset(vals), k).sets]
+            got = _witnessed_sets(vals, k)
             walk = sweep_ksets_2d(vals, k)
             if [m for m, _ in got] == [m for m, _ in walk]:
                 assert got == walk
@@ -498,6 +518,34 @@ class TestEnumerate2d:
         # misses a set of MISORDERED that holds for one float step
         got = [s.members for s in enumerate_ksets_2d(Dataset(vals), k).sets]
         assert got == rational_ksets_2d(vals, k)
+
+    def test_tie_heavy_sets_match_the_rational_oracle(self):
+        # the exact sweep's sets in its order, none left out; a set that
+        # holds only between two groups at one float angle has no witness,
+        # so all its exact intervals span at most NEAR_TIE_ULPS angle steps
+        # (each group's float angle is within 4 of the exact one), and
+        # every witness angle lies within 4 steps of one of its intervals
+        rng = np.random.default_rng(902)
+        unwitnessed = 0
+        for i in range(90):
+            vals = tie_heavy_2d(rng, i)
+            n = len(vals)
+            for k in sorted({1, 2, n // 2, n - 1}):
+                sets = enumerate_ksets_2d(Dataset(vals), k).sets
+                want = rational_kset_intervals_2d(vals, k)
+                assert [s.members for s in sets] == [m for m, _ in want]
+                for s, (_, intervals) in zip(sets, want):
+                    spans = [(_angle_bits(lo), _angle_bits(hi))
+                             for lo, hi in intervals]
+                    if s.witness is None:
+                        unwitnessed += 1
+                        assert all(b - a <= sweep2d.NEAR_TIE_ULPS
+                                   for a, b in spans)
+                    else:
+                        w = s.witness.weights
+                        t = int(np.arctan2(w[1], w[0]).view(np.int64))
+                        assert any(a - 4 <= t <= b + 4 for a, b in spans)
+        assert unwitnessed > 0
 
     def test_ratio_of_the_doubles(self):
         # the integer form against the difference of Fractions of floats,
