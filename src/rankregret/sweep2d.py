@@ -158,8 +158,9 @@ def _top_k_ranges(dataset: Dataset,
     end = 2 * g + 2  # the point pi/2
     point = 2 * np.repeat(np.arange(g), np.diff(level.bounds)) + 2
     tuples, change = level.tuples, level.change
-    final = np.bincount(tuples, change, n) + np.isin(np.arange(n), level.top)
-    at_0, at_end = _axis_ranks(values[:, 0]), _axis_ranks(values[:, 1])
+    final = np.bincount(tuples, change, n)
+    final[level.top] += 1
+    x1, x2 = values[:, 0], values[:, 1]
     # the elements where a tuple ranks within k: the segment on which an
     # event enters or leaves the top k, the points of events within k,
     # the first and last segment for the tuples in the top k on them, and
@@ -168,19 +169,21 @@ def _top_k_ranges(dataset: Dataset,
     pieces = [(tuples[moves], point[moves] + change[moves]),
               (tuples[within], point[within]), (level.top, 1),
               (np.flatnonzero(final == 1), end - 1),
-              (np.flatnonzero(at_0 <= k), 0), (np.flatnonzero(at_end <= k), end)]
+              (np.flatnonzero(_axis_within(x1, k)), 0),
+              (np.flatnonzero(_axis_within(x2, k)), end)]
+    ids = np.concatenate([t for t, _ in pieces])
+    elements = np.concatenate([np.broadcast_to(e, t.shape) for t, e in pieces])
     lo, hi = np.full(n, end + 1), np.full(n, -1)
-    for t, e in pieces:
-        np.minimum.at(lo, t, e)
-        np.maximum.at(hi, t, e)
+    np.minimum.at(lo, ids, elements)
+    np.maximum.at(hi, ids, elements)
     # a span that stops on a segment reaches the adjacent point where the
     # tuple's rank is within 2k
     near = level.at <= 2 * k
     enter = near & (change > 0) & (lo[tuples] == point + 1)
     leave = near & (change < 0) & (hi[tuples] == point - 1)
     lo[tuples[enter]], hi[tuples[leave]] = point[enter], point[leave]
-    lo[(lo == 1) & (at_0 <= 2 * k)] = 0
-    hi[(hi == end - 1) & (at_end <= 2 * k)] = end
+    lo[(lo == 1) & _axis_within(x1, 2 * k)] = 0
+    hi[(hi == end - 1) & _axis_within(x2, 2 * k)] = end
     keep = np.flatnonzero(lo <= hi)
     fence = np.concatenate(([0.0], level.angles, [HALF_PI]))
     widths = np.zeros(end + 1)
@@ -192,12 +195,20 @@ def _top_k_ranges(dataset: Dataset,
     return ranges, widths, rows.size
 
 
-def _axis_ranks(x: np.ndarray) -> np.ndarray:
-    """Each tuple's rank by the attribute ``x`` alone, ties to the smaller
-    id: its rank at exactly 0 (x1) or pi/2 (x2)."""
-    rank = np.empty(x.size, dtype=np.int64)
-    rank[np.argsort(-x, kind="stable")] = np.arange(1, x.size + 1)
-    return rank
+def _axis_within(x: np.ndarray, r: int) -> np.ndarray:
+    """Whether each tuple ranks within ``r`` by the attribute ``x`` alone,
+    ties to the smaller id: within r at exactly 0 (x1) or pi/2 (x2).
+
+    The r-th largest value tau is selected, not sorted for: every tuple
+    above tau ranks within r, and of those equal to it the first r minus
+    that many by id."""
+    if r >= x.size:
+        return np.ones(x.size, dtype=bool)
+    tau = np.partition(x, x.size - r)[x.size - r]
+    within = x > tau
+    tied = np.flatnonzero(x == tau)
+    within[tied[:r - np.count_nonzero(within)]] = True
+    return within
 
 
 #: a pair that never crosses sits at this angle, past pi/2 and below 2,
@@ -289,18 +300,21 @@ def _candidates(values: np.ndarray, k: int) -> np.ndarray:
     keeps at least k rows: those of the k largest smaller end scores on
     the first slab.  The margin eps = 4 score_slack(2) is more than the
     errors of two float scores together can span, so every comparison
-    taken also holds in exact arithmetic.
+    taken also holds in exact arithmetic.  The scores are slab-major,
+    one row per slab end, so each slab's tau is selected over contiguous
+    memory: with one column per slab, the selection strides through
+    every row.
     """
     rows, eps = np.arange(values.shape[0]), 4 * score_slack(2)
     for slabs in _SLABS:
         ends = np.linspace(0.0, HALF_PI, slabs + 1)
-        weights = np.stack((np.cos(ends), np.sin(ends)))
-        weights[:, -1] = 0.0, 1.0  # exactly pi/2, as cos(HALF_PI) is not 0
-        scores = values[rows] @ weights
-        low = np.minimum(scores[:, :-1], scores[:, 1:])
-        high = np.maximum(scores[:, :-1], scores[:, 1:])
-        tau = np.partition(low, rows.size - k, axis=0)[rows.size - k]
-        rows = rows[(high >= tau - eps).any(axis=1)]
+        weights = np.stack((np.cos(ends), np.sin(ends)), axis=1)
+        weights[-1] = 0.0, 1.0  # exactly pi/2, as cos(HALF_PI) is not 0
+        scores = weights @ values[rows].T
+        low = np.minimum(scores[:-1], scores[1:])
+        high = np.maximum(scores[:-1], scores[1:])
+        tau = np.partition(low, rows.size - k, axis=1)[:, rows.size - k]
+        rows = rows[(high >= tau[:, None] - eps).any(axis=0)]
     return rows
 
 

@@ -403,6 +403,61 @@ def rational_kset_intervals_2d(values, k):
     return list(out.items())
 
 
+def _exact_ranks(rows, w1, w2):
+    """Each tuple's rank under the integer weights (w1, w2), ties by
+    ascending id."""
+    n = len(rows)
+    keys = sorted(-(w1 * a + w2 * b) * n + t for t, (a, b) in enumerate(rows))
+    rank = [0] * n
+    for place, key in enumerate(keys, 1):
+        rank[key % n] = place
+    return rank
+
+
+def rational_find_ranges_2d(values, k):
+    """``sweep2d.find_ranges`` as (tuple id, first, last), in exact
+    arithmetic.
+
+    With w = (1, r), r = tan(theta), every ratio r > 0 at which two
+    tuples score equally is computed exactly.  The ratios at which the
+    top k differs from the top k just before or just after cut the
+    sweep: element 0 is the point 0, then each cut is a point after the
+    open segment leading to it, and the last segment ends at the point
+    pi/2.  A segment has one top k, taken at a ratio inside it; at a
+    point, the axes included, ties rank by ascending id.  A tuple spans
+    the hull of the elements whose top k holds it, extended from a
+    segment to the adjacent point where its rank is at most 2k.  Tuples
+    that span nothing are left out.
+    """
+    rows, ratios = _exact_crossings(values)
+    n = len(rows)
+    inside = [(lo + hi) / 2 for lo, hi in zip([Fraction(0)] + ratios, ratios)]
+    inside.append(ratios[-1] + 1 if ratios else Fraction(1))
+    segments = [frozenset(t for t, r in enumerate(
+        _exact_ranks(rows, m.denominator, m.numerator)) if r <= k) for m in inside]
+    points, cut_segments = [_exact_ranks(rows, 1, 0)], [segments[0]]
+    for i, ratio in enumerate(ratios):
+        at = _exact_ranks(rows, ratio.denominator, ratio.numerator)
+        top = frozenset(t for t, r in enumerate(at) if r <= k)
+        if top != segments[i] or top != segments[i + 1]:
+            points.append(at)
+            cut_segments.append(segments[i + 1])
+    points.append(_exact_ranks(rows, 0, 1))
+    out = []
+    for t in range(n):
+        within = ([2 * j for j, at in enumerate(points) if at[t] <= k]
+                  + [2 * j + 1 for j, top in enumerate(cut_segments) if t in top])
+        if not within:
+            continue
+        first, last = min(within), max(within)
+        if first % 2 and points[first // 2][t] <= 2 * k:
+            first -= 1
+        if last % 2 and points[last // 2 + 1][t] <= 2 * k:
+            last += 1
+        out.append((t, first, last))
+    return out
+
+
 def rational_point_topk_2d(values, k):
     """The top k at exactly 0, at every exact crossing ratio and at
     exactly pi/2, in exact arithmetic with ties broken by ascending id,
@@ -725,6 +780,15 @@ def loop_find_ranges(values, k):
     most 2k.  A tuple with k dominators is in no top k between the axes,
     but the id tie-break can rank it within k at exactly 0 or pi/2, which
     it then claims.
+
+    The angles are floats, so crossings that no float angle separates
+    merge into one point, and a rank held only between them is lost.
+    Input 147 of ``conftest.tie_heavy_2d`` over ``default_rng(901)``
+    (n = 37) at k = 18 is one: tuple 2 ranks 18 only between the exact
+    crossings at tan(theta) = 0.49999999999999994 and 0.5, whose float
+    arctans are equal, so the loop gives it only the point pi/2, where
+    ``find_ranges`` rightly spans elements 2 to 22.  On tie-heavy inputs
+    ``rational_find_ranges_2d`` is the reference.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]

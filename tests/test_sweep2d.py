@@ -42,6 +42,8 @@ from oracles import (
     exhaustive_lp_ksets,
     exhaustive_min_hitting_size,
     loop_find_ranges,
+    rank_by_definition,
+    rational_find_ranges_2d,
     rational_kset_intervals_2d,
     rational_ksets_2d,
     rational_point_topk_2d,
@@ -142,6 +144,30 @@ class TestFindRanges:
             sweep = FullExchangeSweep(random_dataset(rng, n, 2).values)
             swaps = sum(len(batch) for _, batch in sweep.batches())
             assert swaps <= n * (n - 1) // 2
+
+
+AXIS_INPUTS = {
+    "constant": lambda rng, n: np.column_stack((np.full(n, 0.5), rng.random(n))),
+    "grid": lambda rng, n: rng.integers(0, 4, (n, 2)) / 3,
+    "duplicated": lambda rng, n: np.tile(rng.random(((n + 1) // 2, 2)),
+                                         (2, 1))[:n],
+}
+
+
+class TestAxisWithin:
+    @pytest.mark.parametrize("kind", sorted(AXIS_INPUTS))
+    def test_matches_the_rank_by_definition(self, kind):
+        # the rank at exactly 0 (x1) or pi/2 (x2), ties to the smaller id
+        rng = np.random.default_rng(sorted(AXIS_INPUTS).index(kind) + 30)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            k = int(rng.integers(1, n + 1))
+            vals = AXIS_INPUTS[kind](rng, n)
+            for axis, weights in enumerate([(1.0, 0.0), (0.0, 1.0)]):
+                ranks = [rank_by_definition(vals, weights, t) for t in range(n)]
+                for r in {1, k, 2 * k, n - 1, n, 2 * n}:
+                    got = sweep2d._axis_within(vals[:, axis], r)
+                    assert got.tolist() == [rank <= r for rank in ranks]
 
 
 IDENTITY_INPUTS = {
@@ -663,6 +689,19 @@ class TestTiedData:
             vals = rng.integers(0, q + 1, size=(n, 2)) / q
             rep = rrr_2d(Dataset(vals), k)
             assert rational_rank_regret_2d(vals, rep.members) <= 2 * k
+
+    def test_tie_heavy_spans_match_the_rational_oracle(self):
+        # the spans of the exact sweep, cut where the exact top k changes,
+        # also where a set holds only between crossings that no float
+        # angle separates
+        rng = np.random.default_rng(902)
+        for i in range(90):
+            vals = tie_heavy_2d(rng, i)
+            n = len(vals)
+            for k in sorted({1, 2, n // 2, n - 1}):
+                got = [(r.tuple_id, r.first, r.last)
+                       for r in find_ranges(Dataset(vals), k)]
+                assert got == rational_find_ranges_2d(vals, k), (i, k)
 
     def test_size_never_exceeds_the_exact_optimum(self):
         # an optimal representative hits the exact top k of every open
