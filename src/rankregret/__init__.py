@@ -3,7 +3,7 @@
 A rank-regret representative is a small subset of a dataset guaranteed to
 contain at least one top-k tuple for every linear ranking function.  The
 package provides the exact 2-D solver, k-set enumeration (exact and
-randomized), the epsilon-net hitting-set solver, the function-space
+randomized), the greedy hitting-set solver, the function-space
 partitioning solver, and the evaluation harness around them.
 """
 
@@ -25,7 +25,7 @@ from .evaluate import (
     run_algorithm,
     run_benchmark,
 )
-from .hitting import greedy_hitting, mdrrr
+from .hitting import mdrrr
 from .kset import (
     KSet,
     KSetCollection,
@@ -67,7 +67,6 @@ __all__ = [
     "estimate_rank_regret",
     "exact_rank_regret_2d",
     "find_ranges",
-    "greedy_hitting",
     "is_valid_kset",
     "load_collection",
     "mdrc",

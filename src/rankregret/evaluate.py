@@ -206,18 +206,17 @@ def resolve_k(n: int, k: Optional[int] = None, k_pct: Optional[float] = None) ->
 def _generator(seed: Optional[int], use: str) -> np.random.Generator:
     """The generator of one ``use`` of a run's ``seed`` (0 when None).
 
-    "collector" (the random k-set collector) and "net" (the hitting-set
-    net) are the two children of ``SeedSequence(seed)``, so a collection
-    made with the first and solved with the second, possibly in separate
-    runs, gives the same members as one run with the same seed.
-    "evaluation" (the functions of the estimate) is seeded by
-    ``SeedSequence([0xE7A1, seed])``.
+    "collector" (the random k-set collector) is the first child of
+    ``SeedSequence(seed)``; the hitting set draws nothing, so a
+    collection saved by one run and solved by another gives the members
+    of one run with the same seed.  "evaluation" (the functions of the
+    estimate) is seeded by ``SeedSequence([0xE7A1, seed])``.
     """
     seed = 0 if seed is None else seed
     if use == "evaluation":
         sequence = np.random.SeedSequence([0xE7A1, seed])
     else:
-        sequence = np.random.SeedSequence(seed).spawn(2)[use == "net"]
+        sequence = np.random.SeedSequence(seed).spawn(1)[0]
     return np.random.Generator(np.random.PCG64(sequence))
 
 
@@ -265,13 +264,11 @@ def run_algorithm(name: str, dataset: Dataset, k: int, *,
 
     The mdrrr pipeline solves the k-set collection of ``collect_ksets``
     (``kset_source``, by default chosen by d), or the one saved at
-    ``ksets_file`` (``_load_ksets``), with its net drawn from the net
-    generator of ``seed``.  Its params are k, the source ("file" for a
-    file), ``c`` unless read from a file, the collection's counters
-    (``collection_params``), and the weight-doubling run's ``net_rounds``
-    (nets drawn) and ``doublings`` (sets whose weights were doubled), in
-    that order.  Its bound (rank-regret <= k) is guaranteed only when the
-    collection is complete.
+    ``ksets_file`` (``_load_ksets``), by greedy pick and prune
+    (``hitting.mdrrr``).  Its params are k, the source ("file" for a
+    file), ``c`` unless read from a file and the collection's counters
+    (``collection_params``), in that order.  Its bound (rank-regret <= k)
+    is guaranteed only when the collection is complete.
     """
     if name == "2drrr":
         rep = rrr_2d(dataset, k)
@@ -287,14 +284,10 @@ def run_algorithm(name: str, dataset: Dataset, k: int, *,
         else:
             collection = _load_ksets(dataset, ksets_file, k)
             params = {"k": k, "kset_source": "file"}
-        members, stats = mdrrr(collection, rng=_generator(seed, "net"),
-                               return_stats=True)
         return Representative(
-            members=members, algorithm="mdrrr",
+            members=mdrrr(collection), algorithm="mdrrr",
             bound_guaranteed=collection.complete,
-            params={**params, **collection_params(collection),
-                    "net_rounds": stats.total_rounds,
-                    "doublings": len(stats.doublings)}, seed=seed)
+            params={**params, **collection_params(collection)}, seed=seed)
     raise ValueError(f"unknown algorithm {name!r}; one of {ALGORITHMS}")
 
 

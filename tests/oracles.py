@@ -315,6 +315,15 @@ def exhaustive_min_hitting_size(sets):
     raise AssertionError("unhittable collection")
 
 
+def greedy_cover_bound(sets):
+    """H(D) times the optimum: greedy set cover's bound (Chvatal 1979),
+    where D is the largest number of sets that hold one tuple."""
+    sets = [frozenset(s) for s in sets]
+    most = max(sum(t in s for s in sets) for t in frozenset().union(*sets))
+    harmonic = sum(1.0 / i for i in range(1, most + 1))
+    return harmonic * exhaustive_min_hitting_size(sets)
+
+
 def exhaustive_lp_ksets(dataset, k, validator):
     """All C(n, k) subsets passing the supplied separability validator."""
     out = set()

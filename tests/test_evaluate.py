@@ -32,10 +32,8 @@ from rankregret.evaluate import (
     reports_to_jsonl,
 )
 from rankregret import sweep2d
-from rankregret.hitting import mdrrr
-from rankregret.kset import (float32_directions, load_collection,
-                             sample_uniforms, save_collection,
-                             uniform_directions)
+from rankregret.kset import (float32_directions, sample_uniforms,
+                             save_collection, uniform_directions)
 
 from conftest import anticorrelated, grid_with_duplicates, random_dataset, tids
 from oracles import (
@@ -581,18 +579,6 @@ class TestRunAlgorithm:
         save_collection(sweep2d.enumerate_ksets_2d(fig1, 2), path)
         rep = run_algorithm("mdrrr", fig1, 2, seed=7, ksets_file=str(path))
         assert rep.bound_guaranteed is False
-
-    def test_mdrrr_reports_its_net_counters(self, tmp_path):
-        # 400 singleton sets: the first nets miss some, so weights double
-        ds = random_dataset(np.random.default_rng(71), 400, 2)
-        path = tmp_path / "singletons"
-        path.write_text("".join(f"k=1;members={t}\n" for t in range(400)))
-        rep = run_algorithm("mdrrr", ds, 1, seed=3, ksets_file=str(path))
-        _, stats = mdrrr(load_collection(path, d=2),
-                         rng=evaluate._generator(3, "net"), return_stats=True)
-        assert list(rep.params)[-2:] == ["net_rounds", "doublings"]
-        assert rep.params["net_rounds"] == stats.total_rounds > 1
-        assert rep.params["doublings"] == len(stats.doublings) > 0
 
     def test_deterministic_under_seed(self):
         ds = random_dataset(np.random.default_rng(70), 40, 3)

@@ -1,18 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
-from rankregret import (
-    enumerate_ksets_graph,
-    greedy_hitting,
-    mdrrr,
-)
+from rankregret import enumerate_ksets_graph, mdrrr
 from rankregret.errors import EmptyCollection
 from rankregret.kset import KSet, KSetCollection
 
 from conftest import random_dataset
-from oracles import exhaustive_min_hitting_size
+from oracles import exhaustive_min_hitting_size, greedy_cover_bound
 
 
 def make_collection(sets, k=2, d=2):
@@ -27,16 +21,21 @@ def hits_all(chosen, sets):
     return all(chosen & frozenset(s) for s in sets)
 
 
+def is_minimal(chosen, sets):
+    """Every member is the only member in some set."""
+    return all(any(chosen & frozenset(s) == {t} for s in sets)
+               for t in chosen)
+
+
 class TestMdrrr:
     def test_fig1_collection(self):
-        col = make_collection(FIG1_2SETS)
-        got = mdrrr(col, rng=np.random.default_rng(0))
-        assert hits_all(got, FIG1_2SETS)
+        # the paper's toy answer {t1, t3}, in two picks
+        got, stats = mdrrr(make_collection(FIG1_2SETS), return_stats=True)
+        assert got == {0, 2}
+        assert (stats.total_rounds, stats.doublings) == (2, [])
 
     def test_single_set(self):
-        col = make_collection([{3, 5}])
-        got = mdrrr(col, rng=np.random.default_rng(1))
-        assert len(got) == 1 and got <= {3, 5}
+        assert mdrrr(make_collection([{3, 5}])) == {3}
 
     def test_random_collections_bounded_by_greedy_and_optimum(self):
         rng = np.random.default_rng(2)
@@ -48,85 +47,27 @@ class TestMdrrr:
                 size = int(rng.integers(1, min(4, len(ground)) + 1))
                 sets.append(set(int(x) for x in
                                 rng.choice(ground, size=size, replace=False)))
-            col = make_collection(sets, k=3, d=3)
-            got = mdrrr(col, rng=np.random.default_rng(trial))
+            got = mdrrr(make_collection(sets, k=3, d=3))
             assert hits_all(got, sets)
+            assert is_minimal(got, sets)
             assert len(got) >= exhaustive_min_hitting_size(sets)
-            assert len(got) <= 4 * len(greedy_hitting(col))
+            assert len(got) <= greedy_cover_bound(sets)
 
-    def test_weight_trace_monotone_and_doubling_only_on_misses(self):
-        col = make_collection(FIG1_2SETS)
-        got, stats = mdrrr(col, rng=np.random.default_rng(3), return_stats=True)
-        assert hits_all(got, FIG1_2SETS)
-        totals = stats.weight_totals
-        assert all(b >= a for a, b in zip(totals, totals[1:]))
-        assert all(0 <= j < len(FIG1_2SETS) for j in stats.doublings)
-        assert stats.rounds_at_final_guess <= \
-            math.ceil(4 * stats.final_guess * max(
-                math.log2(5 / stats.final_guess), 0.0)) + 8
-
-    def test_each_round_doubles_the_first_missed_set(self):
-        class Recorder:
-            """A generator that keeps every net drawn and its weights."""
-
-            def __init__(self, seed):
-                self.rng = np.random.default_rng(seed)
-                self.draws = []
-
-            def choice(self, n, size, replace, p):
-                drawn = self.rng.choice(n, size=size, replace=replace, p=p)
-                self.draws.append((drawn, p))
-                return drawn
-
-        # ground sets of up to 400 ids and d = 1 keep the nets small
-        # enough to miss sets, ragged ones included
-        rng = np.random.default_rng(8)
-        doublings = 0
-        for trial in range(60):
-            ground = list(range(int(rng.integers(3, 400))))
-            sets = [set(rng.choice(ground, size=int(rng.integers(1, 4)),
-                                   replace=False).tolist())
-                    for _ in range(int(rng.integers(1, 40)))]
-            col = make_collection(sets, k=3, d=1)
-            recorder = Recorder(trial)
-            got, stats = mdrrr(col, rng=recorder, return_stats=True)
-            assert got == mdrrr(col, rng=np.random.default_rng(trial))
-            ids = sorted(set().union(*sets))
-            order = [sorted(s) for s in col.member_sets()]
-            missed = []
-            for drawn, _ in recorder.draws:
-                net = {ids[i] for i in drawn.tolist()}
-                missed += [j for j, s in enumerate(order) if not net & set(s)][:1]
-            assert stats.doublings == missed
-            doublings += len(missed)
-            for (_, p), (_, q), j in zip(recorder.draws, recorder.draws[1:],
-                                         missed):
-                doubled = p.copy()
-                doubled[[ids.index(t) for t in order[j]]] *= 2.0
-                np.testing.assert_allclose(q, doubled / doubled.sum(),
-                                           rtol=1e-12)
-        assert doublings > 100
+    def test_prune_drops_the_first_pick(self):
+        # 0 hits four sets and goes first; {1} and {2} then need 1 and 2,
+        # which between them hit 0's sets too, so the prune drops 0
+        sets = [{0, 1, 3}, {0, 1, 4}, {0, 2, 5}, {0, 2, 6}, {1}, {2}]
+        got, stats = mdrrr(make_collection(sets), return_stats=True)
+        assert got == {1, 2}
+        assert stats.total_rounds == 3
 
     def test_empty_collection(self):
         with pytest.raises(EmptyCollection):
-            mdrrr(KSetCollection([], k=2, complete=True, d=2),
-                  rng=np.random.default_rng(0))
+            mdrrr(KSetCollection([], k=2, complete=True, d=2))
 
-    def test_a_guess_past_twice_the_ground_set_prunes_the_ground_set(self):
-        class FirstSlotOnly:
-            """Draws nets that hold only the smallest id."""
-
-            def choice(self, n, size, replace, p):
-                return np.zeros(size, dtype=np.int64)
-
-        col = make_collection(FIG1_2SETS)
-        got, stats = mdrrr(col, rng=FirstSlotOnly(), return_stats=True)
-        assert hits_all(got, FIG1_2SETS)
-        assert mdrrr(col, rng=FirstSlotOnly()) == got
-        ground = len(frozenset().union(*FIG1_2SETS))
-        assert stats.final_guess > 2 * ground
-        assert stats.rounds_at_final_guess == 0
-        assert stats.net_size == stats.raw_net_size == ground
+    def test_collection_with_an_empty_set(self):
+        with pytest.raises(ValueError, match="empty set"):
+            mdrrr(make_collection([{1, 2}, set()]))
 
     def test_hits_complete_collections_of_real_data(self):
         # hitting every achievable top-k implies rank-regret at most k,
@@ -140,24 +81,27 @@ class TestMdrrr:
             k = min(int(rng.integers(1, 4)), n)
             ds = random_dataset(rng, n, d)
             col = enumerate_ksets_graph(ds, k)
-            got = mdrrr(col, rng=np.random.default_rng(trial))
+            got = mdrrr(col)
             assert hits_all(got, col.member_sets())
             if d == 2:
                 assert exact_rank_regret_2d(ds, got) <= k
 
 
 class TestGreedy:
+    """The greedy pick of ``mdrrr``: the most open sets, ties to the
+    smallest id."""
+
     def test_fig1_sets(self):
-        got = greedy_hitting(make_collection(FIG1_2SETS))
-        # t3 and t7 each hit two sets; the smaller id (t3=2) goes first
-        assert len(got) == 2 and 2 in got
+        # t3 and t7 each hit two sets; the smaller id (t3=2) goes first,
+        # then t1 (0) and t7 (6) tie on the last open set
+        assert mdrrr(make_collection(FIG1_2SETS)) == {0, 2}
 
     def test_disjoint_sets(self):
-        assert greedy_hitting(make_collection([{1}, {2}], k=1)) == {1, 2}
+        assert mdrrr(make_collection([{1}, {2}], k=1)) == {1, 2}
 
     def test_nested_sets(self):
-        assert greedy_hitting(make_collection([{1, 2}, {1}], k=2)) == {1}
+        assert mdrrr(make_collection([{1, 2}, {1}], k=2)) == {1}
 
     def test_empty_collection(self):
         with pytest.raises(EmptyCollection):
-            greedy_hitting(KSetCollection([], k=2, complete=True, d=2))
+            mdrrr(KSetCollection([], k=2, complete=True, d=2))
